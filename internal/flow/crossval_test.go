@@ -16,32 +16,13 @@ import (
 	"rfclos/internal/traffic"
 )
 
-// solveFlowCase runs the flow backend on one goldencases.FlowCase: the same
-// topology and pattern as the cycle-engine golden point, the pattern turned
-// into a matrix (one flow per source) scaled by the case's offered load.
+// solveFlowCase runs the flow backend on one goldencases.FlowCase.
 func solveFlowCase(i int, fc goldencases.FlowCase, workers int) (*flow.Result, error) {
-	var net flow.Network
-	switch {
-	case fc.BuildClos != nil:
-		c, err := fc.BuildClos()
-		if err != nil {
-			return nil, err
-		}
-		net = flow.NewClos(c, routing.New(c), nil)
-	default:
-		r, err := fc.BuildRRN()
-		if err != nil {
-			return nil, err
-		}
-		net, err = flow.NewRRN(r, workers)
-		if err != nil {
-			return nil, err
-		}
+	net, m, opts, err := flow.CrossvalInstance(i, fc, workers)
+	if err != nil {
+		return nil, err
 	}
-	stream := rng.At(7, rng.StringCoord("flow/crossval"), uint64(i))
-	m := traffic.MatrixFromPattern(fc.Pattern(net.Terminals()), net.Terminals(), stream)
-	m = traffic.ScaleMatrix(m, fc.Load)
-	return flow.Solve(net, m, flow.Options{Seed: 7, Workers: workers})
+	return flow.Solve(net, m, opts)
 }
 
 // formatCrossval renders one golden line per case.

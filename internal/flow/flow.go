@@ -27,6 +27,7 @@ package flow
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rfclos/internal/engine"
 	"rfclos/internal/rng"
@@ -85,6 +86,10 @@ type Result struct {
 // pathCoord is the label of the per-flow path-selection streams.
 var pathCoord = rng.StringCoord("flow/path")
 
+// chunkFlows is how many consecutive flows one path-resolution job
+// resolves into one flat link array.
+const chunkFlows = 1024
+
 // Solve routes every matrix flow over n and water-fills the max-min-fair
 // rates. It never mutates n or m.
 func Solve(n Network, m []traffic.Demand, opts Options) (*Result, error) {
@@ -94,86 +99,135 @@ func Solve(n Network, m []traffic.Demand, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("flow: demand %d endpoints (%d,%d) outside %d terminals",
 				i, m[i].Src, m[i].Dst, t)
 		}
+		if r := m[i].Rate; math.IsNaN(r) || math.IsInf(r, 0) {
+			return nil, fmt.Errorf("flow: demand %d rate %v is not finite", i, r)
+		}
 	}
 	// Phase 1 (parallel): resolve each flow to its directed link list.
-	paths, err := engine.Run(len(m), opts.Workers, func(i int) ([]int32, error) {
-		d := m[i]
-		if d.Rate <= 0 {
-			return nil, nil
-		}
-		r := rng.At(opts.Seed, pathCoord, uint64(i))
-		p, ok := n.Resolve(d.Src, d.Dst, r, make([]int32, 0, 8))
-		if !ok {
-			return nil, nil
-		}
-		return p, nil
-	})
+	p, err := resolvePaths(n, m, opts)
 	if err != nil {
 		return nil, err
 	}
 	// Phase 2 (serial, fixed order): water-fill.
-	res := waterfill(paths, m, n.NumLinks())
+	res := waterfill(p, m, n.NumLinks())
 	res.Accepted = res.Delivered / float64(t)
 	return res, nil
 }
 
+// flatPaths holds every flow's path in two flat arrays: flow i's directed
+// link ids are links[start[i]:start[i+1]]. A flow with zero demand, or with
+// no path, has an empty path and is not routed.
+type flatPaths struct {
+	start, links []int32
+}
+
+// of returns flow i's path.
+func (p flatPaths) of(i int) []int32 { return p.links[p.start[i]:p.start[i+1]] }
+
+// resolvePaths resolves the flows in chunks of chunkFlows, each chunk into
+// one flat link array with per-flow end offsets, and concatenates the
+// chunks. Every flow draws from its own stream, so the paths are the same
+// at any worker count.
+func resolvePaths(n Network, m []traffic.Demand, opts Options) (flatPaths, error) {
+	type chunk struct{ ends, links []int32 }
+	chunks, err := engine.Run((len(m)+chunkFlows-1)/chunkFlows, opts.Workers, func(c int) (chunk, error) {
+		lo, hi := c*chunkFlows, min((c+1)*chunkFlows, len(m))
+		ch := chunk{ends: make([]int32, 0, hi-lo), links: make([]int32, 0, 8*(hi-lo))}
+		for i := lo; i < hi; i++ {
+			if d := m[i]; d.Rate > 0 {
+				r := rng.At(opts.Seed, pathCoord, uint64(i))
+				// A failed Resolve leaves ch.links, and so the path, as it was.
+				if ext, ok := n.Resolve(d.Src, d.Dst, r, ch.links); ok {
+					ch.links = ext
+				}
+			}
+			ch.ends = append(ch.ends, int32(len(ch.links)))
+		}
+		return ch, nil
+	})
+	if err != nil {
+		return flatPaths{}, err
+	}
+	total := 0
+	for _, ch := range chunks {
+		total += len(ch.links)
+	}
+	p := flatPaths{start: make([]int32, 1, len(m)+1), links: make([]int32, 0, total)}
+	for _, ch := range chunks {
+		base := int32(len(p.links))
+		for _, e := range ch.ends {
+			p.start = append(p.start, base+e)
+		}
+		p.links = append(p.links, ch.links...)
+	}
+	return p, nil
+}
+
 // waterfill computes the exact max-min-fair allocation by bottleneck-freeze
-// iteration: all unfrozen flows share one rising water level; each round
-// advances the level to the nearest event — a link saturating (its residual
-// divided by its unfrozen-flow count) or a flow reaching its demand — and
-// freezes the affected flows. Every round freezes at least one flow or
-// link, so it terminates; all arithmetic is serial in fixed order, so the
-// allocation is byte-stable.
-func waterfill(paths [][]int32, m []traffic.Demand, nLinks int) *Result {
+// iteration. All unfrozen flows share one rising water level. A link keeps
+// only nact, its unfrozen-flow count, and level, the water level at which
+// it runs out of capacity; its residual at the current water is derived as
+// (level − water)·nact, clamped at 0.
+//
+// An indexed min-heap of links keyed by (level, link id) yields the next
+// saturation, and the routed flows sorted by demand yield the next flow to
+// meet its demand. Each round raises the water to the nearer of the two
+// events and freezes the flows whose demand is within eps of it. It then
+// pops every link whose level is within eps of the water, keeps those whose
+// residual is ≤ eps, and pushes the rest back. The kept links saturate in
+// link-id order, each freezing its unfrozen flows at the water level; a
+// kept link that earlier freezes this round left with no unfrozen flow is
+// skipped without counting. Freezing a flow re-keys each link on its path
+// once, or drops it from the heap when its last flow freezes, so a solve
+// costs O((links + Σ path length) · log links).
+//
+// Every round freezes at least one flow or link, so the loop terminates;
+// all arithmetic is serial in fixed order, so the allocation is
+// byte-stable. It expects the empty path for every flow with Rate ≤ 0.
+func waterfill(p flatPaths, m []traffic.Demand, nLinks int) *Result {
 	res := &Result{Flows: len(m), Rates: make([]float64, len(m))}
-	// Per-link unfrozen-flow counts and the reverse link→flows index (CSR
-	// by counting sort: deterministic order).
+	// Per-link unfrozen-flow counts, and the routed flows in index order
+	// (sorted by demand below).
 	nact := make([]int32, nLinks)
-	entries := 0
-	for i, p := range paths {
+	order := make([]int32, 0, len(m))
+	for i := range m {
 		res.Demand += m[i].Rate
-		if p == nil {
+		fp := p.of(i)
+		if len(fp) == 0 {
 			if m[i].Rate > 0 {
 				res.Unroutable++
 			}
 			continue
 		}
-		entries += len(p)
-		for _, l := range p {
+		order = append(order, int32(i))
+		for _, l := range fp {
 			nact[l]++
 		}
 	}
+	// The reverse link→flows index (CSR by counting sort: deterministic
+	// order).
 	lfStart := make([]int32, nLinks+1)
 	for l := 0; l < nLinks; l++ {
 		lfStart[l+1] = lfStart[l] + nact[l]
 	}
-	lfFlow := make([]int32, entries)
+	lfFlow := make([]int32, len(p.links))
 	next := append([]int32(nil), lfStart[:nLinks]...)
-	for i, p := range paths {
-		for _, l := range p {
-			lfFlow[next[l]] = int32(i)
+	for _, f := range order {
+		for _, l := range p.of(int(f)) {
+			lfFlow[next[l]] = f
 			next[l]++
 		}
 	}
-	// Active links, kept compact as links saturate or empty out.
-	active := make([]int32, 0, nLinks)
-	resid := make([]float64, nLinks)
-	for l := 0; l < nLinks; l++ {
-		resid[l] = 1
-		if nact[l] > 0 {
-			active = append(active, int32(l))
+	// Every loaded link starts with residual 1 at water 0.
+	level := make([]float64, nLinks)
+	h := newLinkHeap(level)
+	for l, n := range nact {
+		if n > 0 {
+			level[l] = 1 / float64(n)
+			h.add(int32(l))
 		}
 	}
-	// Routed flows sorted by demand (counting on float64 keys via a simple
-	// index sort would allocate; demands repeat heavily, so an insertion
-	// into buckets is overkill — use a plain index slice + sort-free scan
-	// replaced by: order flows by demand with a deterministic sort).
-	order := make([]int32, 0, len(m))
-	for i, p := range paths {
-		if p != nil && m[i].Rate > 0 {
-			order = append(order, int32(i))
-		}
-	}
+	h.init()
 	sortByDemand(order, m)
 	frozen := make([]bool, len(m))
 	unfrozen := len(order)
@@ -184,20 +238,22 @@ func waterfill(paths [][]int32, m []traffic.Demand, nLinks int) *Result {
 		frozen[f] = true
 		res.Rates[f] = rate
 		unfrozen--
-		for _, l := range paths[f] {
-			nact[l]--
-		}
-	}
-	for unfrozen > 0 {
-		// Nearest link-saturation event.
-		deltaL := math.Inf(1)
-		for _, l := range active {
-			if nact[l] > 0 {
-				if d := resid[l] / float64(nact[l]); d < deltaL {
-					deltaL = d
-				}
+		for _, l := range p.of(int(f)) {
+			n := nact[l]
+			nact[l] = n - 1
+			switch {
+			case !h.has(l): // saturating this round
+			case n == 1:
+				h.remove(l)
+			default:
+				resid := max(0, (level[l]-water)*float64(n))
+				level[l] = water + resid/float64(n-1)
+				h.fix(l)
 			}
 		}
+	}
+	var sat, back []int32
+	for unfrozen > 0 {
 		// Nearest demand event.
 		for op < len(order) && frozen[order[op]] {
 			op++
@@ -206,20 +262,17 @@ func waterfill(paths [][]int32, m []traffic.Demand, nLinks int) *Result {
 		if op < len(order) {
 			deltaD = m[order[op]].Rate - water
 		}
+		// Nearest link-saturation event.
+		deltaL := math.Inf(1)
+		if h.len() > 0 {
+			deltaL = level[h.top()] - water
+		}
 		delta := math.Min(deltaL, deltaD)
 		if math.IsInf(delta, 1) {
 			break // no constraints left (cannot happen: every flow has links)
 		}
 		if delta > 0 {
 			water += delta
-			for _, l := range active {
-				if nact[l] > 0 {
-					resid[l] -= delta * float64(nact[l])
-					if resid[l] < 0 {
-						resid[l] = 0
-					}
-				}
-			}
 		}
 		// Freeze demand-satisfied flows.
 		for op < len(order) {
@@ -234,32 +287,40 @@ func waterfill(paths [][]int32, m []traffic.Demand, nLinks int) *Result {
 			freeze(f, m[f].Rate)
 			op++
 		}
-		// Freeze flows on saturated links and compact the active list.
-		kept := active[:0]
-		for _, l := range active {
+		// Pop the links that may have saturated; keep the saturated ones.
+		sat, back = sat[:0], back[:0]
+		for h.len() > 0 && level[h.top()]-water <= eps {
+			l := h.pop()
+			if (level[l]-water)*float64(nact[l]) <= eps {
+				sat = append(sat, l)
+			} else {
+				back = append(back, l)
+			}
+		}
+		for _, l := range back {
+			h.push(l)
+		}
+		// Freeze flows on saturated links, in link-id order.
+		slices.Sort(sat)
+		for _, l := range sat {
 			if nact[l] == 0 {
 				continue
 			}
-			if resid[l] <= eps {
-				for j := lfStart[l]; j < lfStart[l+1]; j++ {
-					if f := lfFlow[j]; !frozen[f] {
-						freeze(f, water)
-					}
+			for j := lfStart[l]; j < lfStart[l+1]; j++ {
+				if f := lfFlow[j]; !frozen[f] {
+					freeze(f, water)
 				}
-				res.SatLinks++
-				continue
 			}
-			kept = append(kept, l)
+			res.SatLinks++
 		}
-		active = kept
 		res.Rounds++
 	}
-	// Summaries over routed flows.
+	// Summaries over routed flows, in index order.
 	routed := 0
 	var sum, sumSq float64
 	res.MinRate = math.Inf(1)
-	for i, p := range paths {
-		if p == nil || m[i].Rate <= 0 {
+	for i := range m {
+		if len(p.of(i)) == 0 {
 			continue
 		}
 		r := res.Rates[i]

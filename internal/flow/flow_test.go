@@ -2,6 +2,7 @@ package flow
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rfclos/internal/core"
@@ -23,6 +24,7 @@ func (s *stubNet) NumLinks() int  { return s.links }
 func (s *stubNet) Resolve(src, dst int32, _ *rng.Rand, buf []int32) ([]int32, bool) {
 	p, ok := s.paths[[2]int32{src, dst}]
 	if !ok {
+		_ = append(buf, 9) // scribble on spare capacity, as a walk that fails partway does
 		return nil, false
 	}
 	return append(buf, p...), true
@@ -163,33 +165,39 @@ func TestWorkerInvariance(t *testing.T) {
 	}
 }
 
-// verifyMaxMin checks the max-min certificate: (feasibility) no link
-// carries more than its capacity, and (maximality) every flow either meets
-// its demand or crosses a saturated link on which its rate is maximal.
-// Paths are re-derived from the same coordinate streams Solve used.
+// verifyMaxMin checks res against the max-min certificate, with paths
+// re-derived from the same coordinate streams Solve used.
 func verifyMaxMin(t *testing.T, n Network, m []traffic.Demand, opts Options, res *Result) {
 	t.Helper()
-	const tol = 1e-6
-	used := make([]float64, n.NumLinks())
-	maxOn := make([]float64, n.NumLinks())
-	paths := make([][]int32, len(m))
+	p := flatPaths{start: []int32{0}}
 	for i, d := range m {
-		if d.Rate <= 0 {
-			continue
-		}
-		r := rng.At(opts.Seed, pathCoord, uint64(i))
-		p, ok := n.Resolve(d.Src, d.Dst, r, nil)
-		if !ok {
-			if res.Rates[i] != 0 {
-				t.Fatalf("unroutable flow %d has rate %v", i, res.Rates[i])
+		if d.Rate > 0 {
+			if q, ok := n.Resolve(d.Src, d.Dst, rng.At(opts.Seed, pathCoord, uint64(i)), nil); ok {
+				p.links = append(p.links, q...)
 			}
-			continue
 		}
-		paths[i] = p
-		for _, l := range p {
-			used[l] += res.Rates[i]
-			if res.Rates[i] > maxOn[l] {
-				maxOn[l] = res.Rates[i]
+		p.start = append(p.start, int32(len(p.links)))
+	}
+	checkMaxMin(t, p, m, n.NumLinks(), res.Rates)
+}
+
+// checkMaxMin checks the max-min certificate: (feasibility) no link
+// carries more than its capacity, and (maximality) every flow either meets
+// its demand or crosses a saturated link on which its rate is maximal.
+// Flows with an empty path must get rate 0.
+func checkMaxMin(t *testing.T, p flatPaths, m []traffic.Demand, nLinks int, rates []float64) {
+	t.Helper()
+	const tol = 1e-6
+	used := make([]float64, nLinks)
+	maxOn := make([]float64, nLinks)
+	for i := range m {
+		if len(p.of(i)) == 0 && rates[i] != 0 {
+			t.Fatalf("unrouted flow %d has rate %v", i, rates[i])
+		}
+		for _, l := range p.of(i) {
+			used[l] += rates[i]
+			if rates[i] > maxOn[l] {
+				maxOn[l] = rates[i]
 			}
 		}
 	}
@@ -198,48 +206,43 @@ func verifyMaxMin(t *testing.T, n Network, m []traffic.Demand, opts Options, res
 			t.Fatalf("feasibility violated: link %d carries %.9f > 1", l, u)
 		}
 	}
-	for i, p := range paths {
-		if p == nil {
-			continue
-		}
-		if res.Rates[i] >= m[i].Rate-tol {
-			continue // demand-satisfied
+	for i := range m {
+		q := p.of(i)
+		if len(q) == 0 || rates[i] >= m[i].Rate-tol {
+			continue // unrouted or demand-satisfied
 		}
 		ok := false
-		for _, l := range p {
-			if used[l] >= 1-tol && res.Rates[i] >= maxOn[l]-tol {
+		for _, l := range q {
+			if used[l] >= 1-tol && rates[i] >= maxOn[l]-tol {
 				ok = true
 				break
 			}
 		}
 		if !ok {
 			t.Fatalf("maximality violated: flow %d rate %.9f below demand %.9f with no saturated bottleneck it is maximal on",
-				i, res.Rates[i], m[i].Rate)
+				i, rates[i], m[i].Rate)
 		}
 	}
 }
 
-func TestMaxMinPropertyAcrossNetworksAndMatrices(t *testing.T) {
-	var nets []struct {
-		name string
-		n    Network
-	}
+// namedNet is a Network with a label for test messages.
+type namedNet struct {
+	name string
+	n    Network
+}
+
+// propertyNets is the small network grid of the property and oracle tests:
+// CFT(8,3), an RFC(8,3,16) and an RRN(32,4,2).
+func propertyNets(t *testing.T) []namedNet {
+	t.Helper()
 	cft, err := topology.NewCFT(8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nets = append(nets, struct {
-		name string
-		n    Network
-	}{"cft8x3", NewClos(cft, routing.New(cft), nil)})
 	rc, _, _, err := core.GenerateRoutable(core.Params{Radix: 8, Levels: 3, Leaves: 16}, 20, rng.New(99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nets = append(nets, struct {
-		name string
-		n    Network
-	}{"rfc8x3x16", NewClos(rc, routing.New(rc), nil)})
 	rrn, err := topology.NewRRN(32, 4, 2, rng.New(77))
 	if err != nil {
 		t.Fatal(err)
@@ -248,12 +251,15 @@ func TestMaxMinPropertyAcrossNetworksAndMatrices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nets = append(nets, struct {
-		name string
-		n    Network
-	}{"rrn32x4x2", rn})
+	return []namedNet{
+		{"cft8x3", NewClos(cft, routing.New(cft), nil)},
+		{"rfc8x3x16", NewClos(rc, routing.New(rc), nil)},
+		{"rrn32x4x2", rn},
+	}
+}
 
-	for _, nt := range nets {
+func TestMaxMinPropertyAcrossNetworksAndMatrices(t *testing.T) {
+	for _, nt := range propertyNets(t) {
 		for _, name := range traffic.MatrixNames() {
 			for _, load := range []float64{0.4, 1.0} {
 				m, err := traffic.NewMatrix(name, nt.n.Terminals(), rng.New(11))
@@ -269,6 +275,35 @@ func TestMaxMinPropertyAcrossNetworksAndMatrices(t *testing.T) {
 				verifyMaxMin(t, nt.n, m, opts, res)
 			}
 		}
+	}
+}
+
+func TestSolveRejectsNonFiniteRates(t *testing.T) {
+	net := &stubNet{t: 4, links: 10, paths: map[[2]int32][]int32{
+		{0, 1}: {0, 5, 7},
+		{2, 3}: {1, 5, 8},
+	}}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		m := []traffic.Demand{{Src: 0, Dst: 1, Rate: 1}, {Src: 2, Dst: 3, Rate: bad}}
+		res, err := Solve(net, m, Options{Seed: 1, Workers: 1})
+		if err == nil || !strings.Contains(err.Error(), "demand 1 ") {
+			t.Fatalf("rate %v: got (%+v, %v), want an error naming demand 1", bad, res, err)
+		}
+	}
+}
+
+func TestUnroutableFlowGetsNoRate(t *testing.T) {
+	net := &stubNet{t: 4, links: 10, paths: map[[2]int32][]int32{
+		{0, 1}: {0, 5, 7},
+		{2, 3}: {1, 5, 8},
+	}}
+	m := []traffic.Demand{{Src: 0, Dst: 1, Rate: 1}, {Src: 1, Dst: 2, Rate: 1}, {Src: 2, Dst: 3, Rate: 1}}
+	res, err := Solve(net, m, Options{Seed: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Unroutable != 1 || res.Rates[1] != 0 || !near(res.Rates[0], 0.5) || !near(res.Rates[2], 0.5) {
+		t.Fatalf("unroutable middle flow: got %d unroutable, rates %v; want 1, [0.5 0 0.5]", res.Unroutable, res.Rates)
 	}
 }
 
