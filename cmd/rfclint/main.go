@@ -4,12 +4,11 @@
 // internal/rng streams derived from seeds and job coordinates — never from
 // the wall clock, math/rand, Go's randomized map iteration order, or
 // order-dependent stream splitting inside parallel workers. On top of the
-// per-function rules, three interprocedural passes walk a whole-program
-// call graph: handler-purity (HTTP handlers and exhibit Run functions
+// per-function rules, the interprocedural handler-purity pass walks a
+// whole-program call graph: HTTP handlers and exhibit Run functions must
 // reach only deterministic sources, with a witness path in each
-// diagnostic), lock-discipline (//rfclint:guardedby fields are accessed
-// with their mutex held), and overlay-invalidate (//rfclint:mutatesvia
-// fields are only written via the designated invalidation functions).
+// diagnostic. Lock discipline is left to the race detector (`go test
+// -race`), not to annotations.
 //
 // Usage:
 //

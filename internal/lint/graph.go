@@ -27,9 +27,9 @@ import (
 //   - referencing a function without calling it adds a conservative edge
 //     (the reference usually escapes into a call somewhere downstream).
 //
-// The result deliberately over-approximates reachability: phase 2 rules
-// (rule_purity.go and friends) must never miss a path, and spurious ones
-// are cheap to inspect thanks to the witness path in each diagnostic.
+// The result deliberately over-approximates reachability: the phase 2
+// rule (rule_purity.go) must never miss a path, and spurious ones are
+// cheap to inspect thanks to the witness path in each diagnostic.
 
 // fact is one determinism-relevant effect observed in a function body.
 type fact struct {
@@ -72,7 +72,6 @@ type pkgResult struct {
 	pkg   *Package
 	nodes []*funcNode // source order
 	roots []rootDecl
-	ann   *annots
 	allow allowSet
 }
 
@@ -81,12 +80,9 @@ type Program struct {
 	Module   string
 	Packages []*Package // deterministic (path) order
 
-	results   []*pkgResult
-	byPath    map[string]*pkgResult
 	objNode   map[types.Object]*funcNode
-	posNode   map[string]*funcNode // pkg path + decl pos -> node
-	nodes     []*funcNode          // all nodes sorted by id
-	roots     []rootDecl           // resolved: node non-nil, sorted by id
+	nodes     []*funcNode // all nodes sorted by id
+	roots     []rootDecl  // resolved: node non-nil, sorted by id
 	implCache map[*types.Func][]*funcNode
 	named     []*types.Named // module named types, for CHA
 }
@@ -97,7 +93,6 @@ type Program struct {
 func collectPackage(cfg *Config, pkg *Package) *pkgResult {
 	res := &pkgResult{
 		pkg:   pkg,
-		ann:   parseAnnots(pkg),
 		allow: allowIndex(pkg),
 	}
 	c := &collector{cfg: cfg, pkg: pkg, res: res, callFun: map[ast.Node]bool{}}
@@ -492,13 +487,10 @@ func isHandlerSig(sig *types.Signature) bool {
 func link(cfg *Config, results []*pkgResult) *Program {
 	prog := &Program{
 		Module:    cfg.modulePath(),
-		byPath:    map[string]*pkgResult{},
 		objNode:   map[types.Object]*funcNode{},
-		posNode:   map[string]*funcNode{},
 		implCache: map[*types.Func][]*funcNode{},
-		results:   results,
 	}
-	posNode := prog.posNode
+	posNode := map[string]*funcNode{} // pkg path + decl pos -> node
 	var addNode func(n *funcNode)
 	addNode = func(n *funcNode) {
 		prog.nodes = append(prog.nodes, n)
@@ -512,7 +504,6 @@ func link(cfg *Config, results []*pkgResult) *Program {
 	}
 	for _, r := range results {
 		prog.Packages = append(prog.Packages, r.pkg)
-		prog.byPath[r.pkg.Path] = r
 		for _, n := range r.nodes {
 			addNode(n)
 		}

@@ -8,9 +8,10 @@ import (
 	"testing"
 )
 
-// TestJSONGolden pins the -json report byte-for-byte over the overlaypkg
-// fixture: versioned header, module-root-relative slash paths, two-space
-// indent, trailing newline. Regenerate with
+// TestJSONGolden pins the -json report byte-for-byte over the puritypkg
+// fixture, whose handler-purity findings carry witness paths: versioned
+// header, module-root-relative slash paths, two-space indent, trailing
+// newline. Regenerate with
 //
 //	RFCLINT_UPDATE_GOLDEN=1 go test ./internal/lint -run TestJSONGolden
 //
@@ -18,7 +19,7 @@ import (
 func TestJSONGolden(t *testing.T) {
 	ld := newTestLoader(t)
 	cfg := fixtureConfig(t, ld.Module)
-	dir := filepath.Join("testdata", "src", "overlaypkg")
+	dir := filepath.Join("testdata", "src", "puritypkg")
 	findings, err := Run(cfg, ld, []string{dir})
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +29,7 @@ func TestJSONGolden(t *testing.T) {
 	if err := report.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "golden", "overlay_report.json")
+	golden := filepath.Join("testdata", "golden", "purity_report.json")
 	if os.Getenv("RFCLINT_UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
@@ -73,7 +74,7 @@ func sampleReport() *Report {
 		Packages: 2,
 		Findings: []JSONFinding{
 			{File: "a/a.go", Line: 3, Col: 1, Rule: "handler-purity", Msg: "clock"},
-			{File: "b/b.go", Line: 9, Col: 2, Rule: "lock-discipline", Msg: "unlocked"},
+			{File: "b/b.go", Line: 9, Col: 2, Rule: "map-range-order", Msg: "unsorted"},
 		},
 	}
 }
@@ -138,8 +139,8 @@ func TestBaselineVersionCheck(t *testing.T) {
 }
 
 // TestRepoBaselineEmpty pins the repository policy: the checked-in baseline
-// exists, parses, and accepts nothing — all three interprocedural rules run
-// tree-wide with no parked violations.
+// exists, parses, and accepts nothing — every rule, handler-purity
+// included, runs tree-wide with no parked violations.
 func TestRepoBaselineEmpty(t *testing.T) {
 	ld := newTestLoader(t)
 	b, err := LoadBaseline(filepath.Join(ld.Root, "lint-baseline.json"))

@@ -205,16 +205,6 @@ func GraphRules() []GraphRule {
 			Doc:   "HTTP handlers and exhibit Run functions must reach only deterministic sources through the call graph (diagnostics carry a witness path)",
 			Check: checkHandlerPurity,
 		},
-		{
-			Name:  "lock-discipline",
-			Doc:   "fields annotated //rfclint:guardedby are only accessed with the named mutex held (or through sync/atomic); //rfclint:locked functions require the lock at every call site",
-			Check: checkLockDiscipline,
-		},
-		{
-			Name:  "overlay-invalidate",
-			Doc:   "fields annotated //rfclint:mutatesvia may only be written by (or via) the named invalidation functions, pinning the CSR overlay/LeafRange/StoreBytes invariant",
-			Check: checkOverlayInvalidate,
-		},
 	}
 }
 

@@ -54,15 +54,14 @@ func BenchmarkTurnIndexBuild(b *testing.B) {
 	b.Run("succinct", func(b *testing.B) {
 		var ix TurnIndex
 		for i := 0; i < b.N; i++ {
-			ix = NewSuccinctTurnIndex(u, 0)
+			ix = NewSuccinctTurnIndex(u)
 		}
 		b.ReportMetric(float64(ix.SizeBytes())/n, "bytes/pair")
 	})
 }
 
-// BenchmarkTurnIndexLookup measures MinTurn on both tiers (and the succinct
-// tier with promoted hot rows), sweeping src/dst so sparse, bitset, and
-// majority row paths are all exercised.
+// BenchmarkTurnIndexLookup measures MinTurn on both tiers, sweeping src/dst
+// so sparse, bitset, and majority row paths are all exercised.
 func BenchmarkTurnIndexLookup(b *testing.B) {
 	u := benchUpDown(b)
 	n := u.n1
@@ -80,12 +79,5 @@ func BenchmarkTurnIndexLookup(b *testing.B) {
 		}
 	}
 	b.Run("dense", run(NewMinTurnIndex(u)))
-	b.Run("succinct", run(NewSuccinctTurnIndex(u, 0)))
-	hot := NewSuccinctTurnIndex(u, int64(n)*int64(n))
-	for src := 0; src < n; src++ {
-		for i := 0; i <= promoteAfter; i++ {
-			hot.MinTurn(src, (src+1)%n)
-		}
-	}
-	b.Run("promoted", run(hot))
+	b.Run("succinct", run(NewSuccinctTurnIndex(u)))
 }

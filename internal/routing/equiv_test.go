@@ -246,7 +246,7 @@ func checkEquivalence(t *testing.T, c *topology.Clos) {
 
 	// The succinct index build consumes covers via Fill; checkAgreement
 	// compares it against the dense index and UnroutablePairs.
-	checkAgreement(t, u, NewSuccinctTurnIndex(u, 0))
+	checkAgreement(t, u, NewSuccinctTurnIndex(u))
 
 	// Paths must be byte-identical: the hybrid Get answers match, so the
 	// reservoir sampling consumes the rng identically.

@@ -3,10 +3,10 @@ package routing
 // TurnIndex is a precomputed up/down route index: for every ordered pair of
 // leaf switches it answers the minimal number of up hops (the "turn level")
 // of a shortest up/down path, the quantity MinTurn computes from the cover
-// sets. Implementations are immutable after construction (the succinct tier
-// additionally promotes hot rows behind atomics), so concurrent readers need
-// no synchronisation — the shape the serving layer (internal/service) wants
-// for cached topologies answering many path queries.
+// sets. Implementations are immutable after construction, so concurrent
+// readers need no synchronisation and SizeBytes never changes with traffic —
+// the shape the serving layer (internal/service) wants for cached topologies
+// answering many path queries.
 //
 // Two tiers exist:
 //
@@ -23,8 +23,8 @@ type TurnIndex interface {
 	MinTurn(src, dst int) int
 	// Leaves returns the number of leaf switches the index covers.
 	Leaves() int
-	// SizeBytes returns the index's own memory footprint (the succinct
-	// tier's grows as hot rows are promoted, up to its promotion budget).
+	// SizeBytes returns the index's own memory footprint, fixed at
+	// construction.
 	SizeBytes() int
 	// Routable reports whether every ordered leaf pair has an up/down
 	// path. Precomputed at build time; O(1).
@@ -38,9 +38,7 @@ type TurnIndex interface {
 
 // NewTurnIndex builds the turn index for u, choosing the tier by memory: the
 // dense byte table when it fits in denseBudget bytes (denseBudget <= 0 means
-// always dense), the succinct representation otherwise. The succinct tier's
-// hot-row promotion budget is also denseBudget, so the index never grows
-// past roughly twice the budget.
+// always dense), the succinct representation otherwise.
 func NewTurnIndex(u *UpDown, denseBudget int) TurnIndex {
 	n := u.n1
 	// The succinct tier packs turn values into nibbles, so topologies deeper
@@ -48,7 +46,7 @@ func NewTurnIndex(u *UpDown, denseBudget int) TurnIndex {
 	if denseBudget <= 0 || n*n <= denseBudget || len(u.cover)-1 > maxSuccinctTurn {
 		return NewMinTurnIndex(u)
 	}
-	return NewSuccinctTurnIndex(u, int64(denseBudget))
+	return NewSuccinctTurnIndex(u)
 }
 
 // MinTurnIndex is the dense TurnIndex tier: one byte per ordered leaf pair

@@ -3,7 +3,6 @@ package routing
 import (
 	"math/bits"
 	"slices"
-	"sync/atomic"
 )
 
 // SuccinctTurnIndex is the compressed TurnIndex tier for leaf counts where
@@ -20,31 +19,16 @@ import (
 // In the folded Clos topologies this repository builds, almost every pair
 // turns at one of the top levels, so exception rows are tiny: a few percent
 // of the dense footprint at 64K+ leaves. A lookup is O(levels) word
-// operations (one membership probe plus an O(1) rank); rows that answer
-// many queries are promoted on demand to dense N1-byte rows (O(1) lookups)
-// under a fixed promotion budget, so the hot working set behaves like the
-// dense tier without its memory.
+// operations (one membership probe plus an O(1) rank).
 //
-// The index is immutable after construction apart from promotion, which
-// publishes rows through atomics — concurrent readers need no locking.
+// The index is immutable after construction, so concurrent readers need no
+// locking and SizeBytes is a pure function of the topology.
 type SuccinctTurnIndex struct {
 	n1          int
 	levels      int
 	rows        []succinctRow
-	baseBytes   int
+	sizeBytes   int
 	unreachable int64
-
-	// Hot-row promotion: hits counts lookups per source row; once a row
-	// passes promoteAfter lookups it is materialised as a dense N1-byte
-	// row (published via hot) while promotedBytes stays within
-	// promoteBudget. promoteBudget <= 0 disables promotion.
-	//rfclint:guardedby atomic
-	hot []atomic.Pointer[[]uint8]
-	//rfclint:guardedby atomic
-	hits []atomic.Uint32
-	//rfclint:guardedby atomic
-	promotedBytes atomic.Int64
-	promoteBudget int64
 }
 
 // succinctRow is one source leaf's exception encoding. Exactly one of
@@ -66,31 +50,26 @@ type succinctRow struct {
 const (
 	nibbleUnreachable = 0xf
 	maxSuccinctTurn   = nibbleUnreachable - 1
-	promoteAfter      = 64
-	// rowOverheadBytes approximates the per-row bookkeeping the struct and
-	// promotion arrays cost (slice headers + atomics), charged by SizeBytes
-	// so the reported footprint is honest.
-	rowOverheadBytes = 104 + 12
+	// rowOverheadBytes approximates the per-row bookkeeping the struct
+	// costs (slice headers), charged by SizeBytes so the reported
+	// footprint is honest.
+	rowOverheadBytes = 104
 )
 
 // NewSuccinctTurnIndex builds the succinct index from u's cover sets in
 // O(levels · N1²/64) word operations plus O(exceptions) id writes. The
 // topology must have at most 15 levels (turn codes are nibbles); NewTurnIndex
-// guarantees this by selecting the dense tier otherwise. promoteBudget
-// bounds the bytes hot-row promotion may add (<= 0 disables promotion).
-func NewSuccinctTurnIndex(u *UpDown, promoteBudget int64) *SuccinctTurnIndex {
+// guarantees this by selecting the dense tier otherwise.
+func NewSuccinctTurnIndex(u *UpDown) *SuccinctTurnIndex {
 	n := u.n1
 	l := len(u.cover)
 	if l-1 > maxSuccinctTurn {
 		panic("routing: succinct turn index needs <= 15 levels")
 	}
 	ix := &SuccinctTurnIndex{
-		n1:            n,
-		levels:        l,
-		rows:          make([]succinctRow, n),
-		hot:           make([]atomic.Pointer[[]uint8], n),
-		hits:          make([]atomic.Uint32, n),
-		promoteBudget: promoteBudget,
+		n1:     n,
+		levels: l,
+		rows:   make([]succinctRow, n),
 	}
 
 	words := (n + 63) / 64
@@ -201,7 +180,7 @@ func NewSuccinctTurnIndex(u *UpDown, promoteBudget int64) *SuccinctTurnIndex {
 				}
 			}
 		}
-		ix.baseBytes += rowOverheadBytes + len(row.sparse)*4 + len(row.bits)*8 + row.rank.SizeBytes() + len(row.codes)
+		ix.sizeBytes += rowOverheadBytes + len(row.sparse)*4 + len(row.bits)*8 + row.rank.SizeBytes() + len(row.codes)
 	}
 	return ix
 }
@@ -217,13 +196,6 @@ func (ix *SuccinctTurnIndex) MinTurn(src, dst int) int {
 	if src == dst {
 		return 0
 	}
-	if p := ix.hot[src].Load(); p != nil {
-		t := (*p)[dst]
-		if t == turnUnreachable {
-			return -1
-		}
-		return int(t)
-	}
 	row := &ix.rows[src]
 	code := row.majority
 	if row.bits != nil {
@@ -235,72 +207,18 @@ func (ix *SuccinctTurnIndex) MinTurn(src, dst int) int {
 			code = nibbleAt(row.codes, i)
 		}
 	}
-	if ix.promoteBudget > 0 && ix.hits[src].Add(1) == promoteAfter {
-		ix.promote(src)
-	}
 	if code == nibbleUnreachable {
 		return -1
 	}
 	return int(code)
 }
 
-// promote materialises src's row as a dense N1-byte array for O(1) lookups,
-// charged against the promotion budget. Each row promotes at most once (the
-// hit counter crosses promoteAfter exactly once).
-func (ix *SuccinctTurnIndex) promote(src int) {
-	if ix.promotedBytes.Add(int64(ix.n1)) > ix.promoteBudget {
-		ix.promotedBytes.Add(-int64(ix.n1))
-		return
-	}
-	row := &ix.rows[src]
-	dense := make([]uint8, ix.n1)
-	base := row.majority
-	if base == nibbleUnreachable {
-		base = turnUnreachable
-	}
-	for i := range dense {
-		dense[i] = base
-	}
-	dense[src] = 0
-	apply := func(dst int, k int) {
-		c := nibbleAt(row.codes, k)
-		if c == nibbleUnreachable {
-			dense[dst] = turnUnreachable
-		} else {
-			dense[dst] = c
-		}
-	}
-	if row.bits != nil {
-		k := 0
-		for i, w := range row.bits {
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				w &= w - 1
-				apply(i<<6+b, k)
-				k++
-			}
-		}
-	} else {
-		for k, dst := range row.sparse {
-			apply(int(dst), k)
-		}
-	}
-	ix.hot[src].Store(&dense)
-}
-
 // Leaves returns the number of leaf switches the index covers.
 func (ix *SuccinctTurnIndex) Leaves() int { return ix.n1 }
 
-// SizeBytes returns the index's current memory footprint: the exception
-// encoding plus any promoted hot rows.
-func (ix *SuccinctTurnIndex) SizeBytes() int {
-	return ix.baseBytes + int(ix.promotedBytes.Load())
-}
-
-// PromotedRows returns how many rows have been promoted to dense form.
-func (ix *SuccinctTurnIndex) PromotedRows() int {
-	return int(ix.promotedBytes.Load()) / ix.n1
-}
+// SizeBytes returns the index's memory footprint: the exception encoding
+// plus per-row bookkeeping, fixed at construction.
+func (ix *SuccinctTurnIndex) SizeBytes() int { return ix.sizeBytes }
 
 // Routable reports whether every ordered leaf pair has an up/down path.
 func (ix *SuccinctTurnIndex) Routable() bool { return ix.unreachable == 0 }

@@ -90,7 +90,7 @@ func TestSuccinctMatchesDense(t *testing.T) {
 	for _, tc := range builds {
 		t.Run(tc.name, func(t *testing.T) {
 			u := New(tc.c)
-			checkAgreement(t, u, NewSuccinctTurnIndex(u, 0))
+			checkAgreement(t, u, NewSuccinctTurnIndex(u))
 
 			// Fault a third of the links (possibly disconnecting pairs or
 			// whole leaves), rebuild, and re-check.
@@ -101,7 +101,7 @@ func TestSuccinctMatchesDense(t *testing.T) {
 				tc.c.RemoveLink(l.A, l.B)
 			}
 			u.Rebuild()
-			checkAgreement(t, u, NewSuccinctTurnIndex(u, 0))
+			checkAgreement(t, u, NewSuccinctTurnIndex(u))
 		})
 	}
 }
@@ -115,66 +115,13 @@ func TestSuccinctSizeBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := New(c)
-	sx := NewSuccinctTurnIndex(u, 0)
+	sx := NewSuccinctTurnIndex(u)
 	denseBytes := sx.Leaves() * sx.Leaves()
 	if sx.SizeBytes()*8 > denseBytes {
 		t.Fatalf("SizeBytes() = %d, want <= 12.5%% of dense %d", sx.SizeBytes(), denseBytes)
 	}
 	if sx.Tier() != "succinct" {
 		t.Fatalf("Tier() = %q, want succinct", sx.Tier())
-	}
-}
-
-// TestSuccinctPromotion exercises hot-row promotion: rows crossing the hit
-// threshold materialise dense rows until the budget is exhausted, with
-// answers unchanged throughout.
-func TestSuccinctPromotion(t *testing.T) {
-	c, err := topology.NewCFT(8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := New(c)
-	dense := NewMinTurnIndex(u)
-	n := u.n1
-
-	// Budget for exactly one promoted row.
-	sx := NewSuccinctTurnIndex(u, int64(n))
-	base := sx.SizeBytes()
-	hammer := func(src int) {
-		for i := 0; i <= promoteAfter; i++ {
-			dst := (src + 1 + i%(n-1)) % n
-			if got, want := sx.MinTurn(src, dst), dense.MinTurn(src, dst); got != want {
-				t.Fatalf("MinTurn(%d, %d) = %d, want %d", src, dst, got, want)
-			}
-		}
-	}
-	hammer(3)
-	if got := sx.PromotedRows(); got != 1 {
-		t.Fatalf("PromotedRows after hammering row 3 = %d, want 1", got)
-	}
-	if got := sx.SizeBytes(); got != base+n {
-		t.Fatalf("SizeBytes after promotion = %d, want %d", got, base+n)
-	}
-	hammer(5) // budget exhausted: no second promotion
-	if got := sx.PromotedRows(); got != 1 {
-		t.Fatalf("PromotedRows after second hammer = %d, want 1 (budget)", got)
-	}
-	// Promoted and unpromoted rows keep agreeing everywhere.
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if got, want := sx.MinTurn(src, dst), dense.MinTurn(src, dst); got != want {
-				t.Fatalf("post-promotion MinTurn(%d, %d) = %d, want %d", src, dst, got, want)
-			}
-		}
-	}
-
-	// promoteBudget <= 0 disables promotion entirely.
-	off := NewSuccinctTurnIndex(u, 0)
-	for i := 0; i < 4*promoteAfter; i++ {
-		off.MinTurn(0, 1)
-	}
-	if got := off.PromotedRows(); got != 0 {
-		t.Fatalf("PromotedRows with zero budget = %d, want 0", got)
 	}
 }
 
@@ -190,7 +137,7 @@ func TestSuccinctDisconnectedLeaf(t *testing.T) {
 		c.RemoveLink(dead, p)
 	}
 	u := New(c)
-	sx := NewSuccinctTurnIndex(u, 0)
+	sx := NewSuccinctTurnIndex(u)
 	n := u.n1
 	for dst := 1; dst < n; dst++ {
 		if got := sx.MinTurn(0, dst); got != -1 {

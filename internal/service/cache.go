@@ -23,15 +23,11 @@ type Cache struct {
 
 	mu       sync.Mutex
 	cap      int
-	maxBytes int64 // byte budget over MemBytes costs; <= 0 = unlimited
-	//rfclint:guardedby mu
-	bytes int64 // sum of ready entries' costs
-	//rfclint:guardedby mu
-	ll *list.List // front = most recently used; values are *cacheEntry
-	//rfclint:guardedby mu
-	items map[string]*list.Element
-	//rfclint:guardedby mu
-	builds map[string]int64 // per-key build starts, for tests and selfcheck
+	maxBytes int64                    // byte budget over MemBytes costs; <= 0 = unlimited
+	bytes    int64                    // sum of ready entries' costs; guarded by mu
+	ll       *list.List               // MRU first, *cacheEntry values; guarded by mu
+	items    map[string]*list.Element // guarded by mu
+	builds   map[string]int64         // per-key build starts; guarded by mu
 }
 
 type cacheEntry struct {
@@ -175,8 +171,6 @@ func (c *Cache) Lookup(key string) (*Topology, bool) {
 // the front (most recently used) entry — a build larger than the whole
 // budget still serves the request that produced it and is evicted when the
 // next build lands. Callers must hold c.mu.
-//
-//rfclint:locked mu
 func (c *Cache) evictLocked() {
 	for el := c.ll.Back(); el != nil && el != c.ll.Front(); {
 		if len(c.items) <= c.cap && (c.maxBytes < 0 || c.bytes <= c.maxBytes) {

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -227,5 +228,67 @@ func TestCacheByteBudget(t *testing.T) {
 	}
 	if _, cached, err := tiny.Get(stubSpec(1)); err != nil || !cached {
 		t.Fatalf("MRU entry not served from cache (cached=%v, err=%v)", cached, err)
+	}
+}
+
+// TestCacheConcurrentChurn is the race detector's view of the Cache and
+// Registry locking: concurrent Gets over more keys than the capacity keep
+// entries being inserted and evicted while other goroutines read through
+// every public accessor. A dropped lock on any of these paths is a data
+// race under go test -race; the final checks catch lost byte accounting.
+// It stays quick under -short, which is how the race job runs it.
+func TestCacheConcurrentChurn(t *testing.T) {
+	base, err := Build(mustNormalize(t, stubSpec(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fake build shares one immutable Clos, so every entry costs the
+	// same and nothing but the cache itself is exercised.
+	build := func(sp Spec) (*Topology, error) {
+		return &Topology{Key: sp.Key(), Spec: sp, Clos: base.Clos}, nil
+	}
+	reg := NewRegistry()
+	const capacity, nkeys, workers, rounds = 3, 12, 4, 200
+	c := NewCache(capacity, -1, build, reg)
+	keys := make([]string, nkeys)
+	for i := range keys {
+		keys[i] = mustNormalize(t, stubSpec(i)).Key()
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if _, _, err := c.Get(stubSpec((i*7 + w) % nkeys)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				c.Lookup(keys[(i+w)%nkeys])
+				c.Len()
+				c.Bytes()
+				c.BuildsFor(keys[i%nkeys])
+				reg.Value(metricCacheBytes)
+				reg.Add(fmt.Sprintf("test_reader_%d_%d", w, i), 1)
+				reg.WriteTo(io.Discard)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	if n := c.Len(); n != capacity {
+		t.Errorf("Len() = %d, want %d", n, capacity)
+	}
+	if got, want := c.Bytes(), int64(capacity)*(&Topology{Clos: base.Clos}).MemBytes(); got != want {
+		t.Errorf("Bytes() = %d, want %d for %d resident entries", got, want, capacity)
+	}
+	if got := reg.Value(metricCacheBytes); got != c.Bytes() {
+		t.Errorf("%s gauge = %d, cache reports %d", metricCacheBytes, got, c.Bytes())
 	}
 }

@@ -36,9 +36,8 @@ const (
 // Prometheus-compatible subset). All methods are safe for concurrent use;
 // counter increments after the first Counter call for a name are lock-free.
 type Registry struct {
-	mu sync.Mutex
-	//rfclint:guardedby mu
-	counters map[string]*atomic.Int64
+	mu       sync.Mutex
+	counters map[string]*atomic.Int64 // guarded by mu
 }
 
 // NewRegistry returns an empty registry.

@@ -130,6 +130,38 @@ func TestTopologyEndpoint(t *testing.T) {
 	}
 }
 
+// TestIndexBytesIgnoreTraffic pins index_bytes as a pure function of the
+// spec: a succinct-tier build reports the same footprint before and after
+// path traffic, and the cache's charge for it stays equal to the entry's
+// live MemBytes.
+func TestIndexBytesIgnoreTraffic(t *testing.T) {
+	srv := New(Options{CacheSize: 8, DenseIndexBytes: 100})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	sp := Spec{Kind: "rfc", Radix: 8, Levels: 3, Leaves: 16, Seed: 1}
+	before := buildTopology(t, ts.URL, sp)
+	if before.IndexTier != "succinct" {
+		t.Fatalf("index_tier = %q, want succinct under a 100-byte dense budget", before.IndexTier)
+	}
+	for i := 0; i < 70; i++ {
+		q := fmt.Sprintf("/v1/path?key=%s&src=0&dst=%d&seed=%d", before.Key, 1+i%15, i)
+		if code, body := getBody(t, ts.URL, q); code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d body %s", q, code, body)
+		}
+	}
+	after := buildTopology(t, ts.URL, sp)
+	if after.IndexBytes != before.IndexBytes {
+		t.Errorf("index_bytes = %d after path traffic, was %d", after.IndexBytes, before.IndexBytes)
+	}
+	topo, ok := srv.Cache().Lookup(before.Key)
+	if !ok {
+		t.Fatal("built topology missing from cache")
+	}
+	if got, want := srv.Cache().Bytes(), topo.MemBytes(); got != want {
+		t.Errorf("cache charged %d bytes, entry's MemBytes is now %d", got, want)
+	}
+}
+
 func TestExportEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	sp := Spec{Kind: "cft", Radix: 8, Levels: 3}

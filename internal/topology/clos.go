@@ -36,32 +36,28 @@ type Clos struct {
 	offset    []int32 // offset[i] = global id of first switch at level i+1
 	// up[i] / down[i] are the sealed CSR blocks of level i+1's up- and
 	// down-links. down[0] and up[l-1] stay empty: leaves have no down-links
-	// and roots no up-links. Only sealing may write them: post-seal link
-	// mutations go through the overlay so derived state stays honest.
-	//rfclint:mutatesvia Seal
-	up []csrLevel
-	//rfclint:mutatesvia Seal
+	// and roots no up-links. Only LevelEmitter.Seal writes them; a sealed
+	// block is never written again, so Clone shares it.
+	up   []csrLevel
 	down []csrLevel
 	// ovl overrides the CSR rows of switches touched by AddLink/RemoveLink;
-	// nil until the first mutation. ensureOverlay is the single
-	// invalidation point: it materialises the overlay AND drops leafRange,
-	// so every mutation path must flow through it (rfclint pins this).
-	//rfclint:mutatesvia ensureOverlay
+	// nil until the first mutation, and never reset once created. Every
+	// post-seal link change lands here, so ovl == nil means the sealed CSR
+	// is the whole adjacency.
 	ovl *overlay
-	// wires counts inter-switch links, maintained by Seal and the mutators
-	// (which reach ensureOverlay before touching adjacency).
-	//rfclint:mutatesvia ensureOverlay,Seal
+	// wires counts inter-switch links: Seal adds each level pair's links,
+	// AddLink/RemoveLink adjust it by one.
 	wires int
 	// sink, when set, observes level pairs as builders seal them.
 	sink LevelSink
 	// leafRange, when non-nil, records for every switch s the contiguous
-	// descendant-leaf interval [leafRange[2s], leafRange[2s+1]). Builders
-	// whose wiring makes every descendant set contiguous (the XGFT family)
-	// install it; any later link mutation materialises the overlay and
-	// thereby drops it, so a present range is always trustworthy. Routing
-	// builds descendant sets directly from these intervals instead of
-	// unioning children.
-	//rfclint:mutatesvia ensureOverlay,setLeafRanges
+	// descendant-leaf interval [leafRange[2s], leafRange[2s+1]) of the
+	// sealed CSR. Builders whose wiring makes every descendant set
+	// contiguous (the XGFT family) install it once via setLeafRanges and
+	// nothing writes it afterwards, so Clone shares it. LeafRange answers
+	// only while ovl is nil: link churn changes descendant sets, and all
+	// churn lives in the overlay. Routing builds descendant sets directly
+	// from these intervals instead of unioning children.
 	leafRange []int32
 }
 
@@ -152,9 +148,9 @@ func (c *Clos) setLeafRanges(r []int32) { c.leafRange = r }
 
 // LeafRange returns the contiguous descendant leaf interval [lo, hi) of
 // switch s when the builder declared one and no link has been added or
-// removed since; ok is false otherwise.
+// removed since (the overlay does not exist yet); ok is false otherwise.
 func (c *Clos) LeafRange(s int32) (lo, hi int, ok bool) {
-	if c.leafRange == nil {
+	if c.leafRange == nil || c.ovl != nil {
 		return 0, 0, false
 	}
 	return int(c.leafRange[2*s]), int(c.leafRange[2*s+1]), true
@@ -234,9 +230,9 @@ func (c *Clos) NetworkPorts() int { return 2 * c.Wires() }
 func (c *Clos) TotalPorts() int { return c.NetworkPorts() + c.Terminals() }
 
 // Clone returns a deep copy (used by destructive fault sweeps). The sealed
-// CSR blocks are immutable and shared with the clone — only the overlay and
-// the leaf-range table are copied — so cloning a million-switch build costs
-// bytes proportional to its fault churn, not its size.
+// CSR blocks and the leaf-range table are immutable and shared with the
+// clone — only the overlay is copied — so cloning a million-switch build
+// costs bytes proportional to its fault churn, not its size.
 func (c *Clos) Clone() *Clos {
 	cp := &Clos{
 		Radix:        c.Radix,
@@ -246,7 +242,7 @@ func (c *Clos) Clone() *Clos {
 		up:           slices.Clone(c.up),
 		down:         slices.Clone(c.down),
 		wires:        c.wires,
-		leafRange:    append([]int32(nil), c.leafRange...),
+		leafRange:    c.leafRange,
 	}
 	if c.ovl != nil {
 		cp.ovl = c.ovl.clone()

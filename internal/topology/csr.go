@@ -22,10 +22,10 @@ import (
 // effective adjacency list into a per-switch slice owned by the overlay,
 // and subsequent edits reproduce exactly the old arena's append and
 // swap-remove semantics, so iteration order — and therefore rng consumption
-// and export bytes — is bit-identical to the pre-CSR implementation. The
-// overlay is also the single place builder-declared descendant intervals
-// (leafRange) are invalidated: sealing levels during construction keeps
-// them, link churn drops them.
+// and export bytes — is bit-identical to the pre-CSR implementation.
+// Builder-declared descendant intervals (leafRange) describe the sealed
+// base, so they stay true exactly as long as no overlay exists, and
+// LeafRange answers from them only then.
 
 // csrLevel is one direction of one level's adjacency: the neighbour lists
 // of every switch on the level, concatenated, with offsets[i] marking where
@@ -201,15 +201,11 @@ func buildCSR(ab []int32, which int, lo int32, n int) csrLevel {
 // effect on topologies built via AddLink.
 func (c *Clos) SetLevelSink(s LevelSink) { c.sink = s }
 
-// ensureOverlay returns the mutable overlay, creating it on first use. Any
-// overlay mutation invalidates builder-declared descendant intervals — this
-// is the single invalidation point for leafRange, so no churn path can
-// forget it.
+// ensureOverlay returns the mutable overlay, creating it on first use.
 func (c *Clos) ensureOverlay() *overlay {
 	if c.ovl == nil {
 		c.ovl = newOverlay()
 	}
-	c.leafRange = nil
 	return c.ovl
 }
 
@@ -256,7 +252,8 @@ func (c *Clos) downAt(lev, i int) []int32 {
 
 // StoreBytes returns the resident bytes of the adjacency store: the CSR
 // base (offsets + neighbour arrays, both directions) plus the overlay's
-// materialised lists and the declared leaf-range table. This is the number
+// materialised lists and the declared leaf-range table (which stays
+// resident after churn, when LeafRange no longer answers from it). This is the number
 // the serving layer charges against cache budgets and exports as the
 // rfcd_topology_bytes gauge.
 func (c *Clos) StoreBytes() int {

@@ -7,13 +7,12 @@
 #                    wall-clock/math-rand in deterministic packages, no
 #                    order-sensitive map ranges, no rng.Split in parallel
 #                    workers, no duplicated StringCoord coordinates) plus
-#                    the interprocedural passes (handler-purity,
-#                    lock-discipline, overlay-invalidate) over the whole
-#                    call graph. The run emits the versioned JSON report,
-#                    filters it through the checked-in (empty) baseline,
-#                    and a separate parse step re-asserts the report is
-#                    clean — so a silent output regression in rfclint
-#                    cannot green the gate.
+#                    the interprocedural handler-purity pass over the
+#                    whole call graph. The run emits the versioned JSON
+#                    report, filters it through the checked-in (empty)
+#                    baseline, and a separate parse step re-asserts the
+#                    report is clean — so a silent output regression in
+#                    rfclint cannot green the gate.
 #
 # Usage: scripts/lint.sh
 # Exits non-zero on the first failing check.
