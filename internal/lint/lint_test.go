@@ -22,7 +22,7 @@ import (
 // entry overrides the deterministic set.
 func fixtureConfig(t *testing.T, module string) *Config {
 	t.Helper()
-	det := []string{"nondet", "maprange", "splitpar", "seedcoord", "serverpkg"}
+	det := []string{"nondet", "maprange", "splitpar", "seedcoord", "serverpkg", "leafsetpkg", "csrpkg", "flowpkg"}
 	cfg := &Config{
 		Module:     module,
 		Server:     []string{module + "/internal/lint/testdata/src/serverpkg"},
@@ -113,7 +113,7 @@ func sortedSet(s map[string]bool) []string {
 func TestFixtures(t *testing.T) {
 	ld := newTestLoader(t)
 	cfg := fixtureConfig(t, ld.Module)
-	for _, pkg := range []string{"nondet", "maprange", "splitpar", "seedcoord", "freepkg", "serverpkg", "puritypkg"} {
+	for _, pkg := range []string{"nondet", "maprange", "splitpar", "seedcoord", "freepkg", "serverpkg", "leafsetpkg", "csrpkg", "flowpkg", "puritypkg"} {
 		t.Run(pkg, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", pkg)
 			findings, err := Run(cfg, ld, []string{dir})

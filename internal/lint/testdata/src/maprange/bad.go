@@ -47,25 +47,3 @@ func appendTwoTargets(m map[string]int) ([]string, []int) {
 	}
 	return ks, vs
 }
-
-// flattenNested appends from an inner slice loop: the map range still
-// decides the order of the flattened output.
-func flattenNested(m map[int32][]int32) [][2]int32 {
-	var out [][2]int32
-	for s, row := range m { //lintwant:map-range-order
-		for _, b := range row {
-			out = append(out, [2]int32{s, b})
-		}
-	}
-	return out
-}
-
-// collectValues ranges over values only; the appended order is still the
-// map's.
-func collectValues(m map[int]float64) []float64 {
-	var out []float64
-	for _, v := range m { //lintwant:map-range-order
-		out = append(out, v)
-	}
-	return out
-}

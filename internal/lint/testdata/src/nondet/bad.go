@@ -16,5 +16,3 @@ func readBad(b []byte) { _, _ = crand.Read(b) }
 func clockBad() time.Time { return time.Now() } //lintwant:nondet-source
 
 func sinceBad(t time.Time) time.Duration { return time.Since(t) } //lintwant:nondet-source
-
-func stampBad() int64 { return time.Now().UnixNano() } //lintwant:nondet-source

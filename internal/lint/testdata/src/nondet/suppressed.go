@@ -13,10 +13,3 @@ func clockAllowedAbove() time.Time {
 	//rfclint:allow nondet-source
 	return time.Now()
 }
-
-// timedAllowed annotates both ends of a log-only duration measurement.
-func timedAllowed(work func()) time.Duration {
-	start := time.Now() //rfclint:allow nondet-source -- log-only timing
-	work()
-	return time.Since(start) //rfclint:allow nondet-source -- log-only timing
-}
