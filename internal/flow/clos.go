@@ -7,9 +7,12 @@ import (
 )
 
 // ClosNetwork routes matrix flows over a folded Clos along random shortest
-// up/down paths, reusing the routing layer's compressed LeafSet covers
-// (per-hop NextUpPort/NextDownPort) and, when available, a precomputed
-// TurnIndex for the minimal turn level.
+// up/down paths through the routing layer's per-hop pickers: NextUpPort
+// tests the compressed LeafSet covers of each parent, and NextDownPort
+// finds the qualifying children from the destination side (dst's
+// ancestors one level below the switch), so a down hop from a wide switch
+// reads a few up-lists instead of probing one descendant set per child.
+// When available, a precomputed TurnIndex supplies the minimal turn level.
 //
 // Directed link ids: [0, T) terminal injection, [T, 2T) terminal ejection,
 // then one id per (switch, up-port) in switch-id order, then one per

@@ -1,20 +1,22 @@
-package routing
+package routing_test
 
 import (
 	"testing"
 
+	"rfclos/internal/rng"
+	"rfclos/internal/routing"
 	"rfclos/internal/topology"
 )
 
 // benchUpDown builds the 4096-leaf XGFT both index tiers are benchmarked
 // on (the same shape TestSuccinctSizeBytes measures).
-func benchUpDown(b *testing.B) *UpDown {
+func benchUpDown(b *testing.B) *routing.UpDown {
 	b.Helper()
 	c, err := topology.NewXGFT([]int{4, 64, 64}, []int{1, 4, 2}, 72)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return New(c)
+	return routing.New(c)
 }
 
 // BenchmarkCoverBuild measures UpDown.Rebuild — the streaming compressed
@@ -43,18 +45,18 @@ func BenchmarkCoverBuild(b *testing.B) {
 // tier is 1.0 by definition).
 func BenchmarkTurnIndexBuild(b *testing.B) {
 	u := benchUpDown(b)
-	n := float64(u.n1) * float64(u.n1)
+	n := float64(u.Clos().LevelSize(1)) * float64(u.Clos().LevelSize(1))
 	b.Run("dense", func(b *testing.B) {
-		var ix TurnIndex
+		var ix routing.TurnIndex
 		for i := 0; i < b.N; i++ {
-			ix = NewMinTurnIndex(u)
+			ix = routing.NewMinTurnIndex(u)
 		}
 		b.ReportMetric(float64(ix.SizeBytes())/n, "bytes/pair")
 	})
 	b.Run("succinct", func(b *testing.B) {
-		var ix TurnIndex
+		var ix routing.TurnIndex
 		for i := 0; i < b.N; i++ {
-			ix = NewSuccinctTurnIndex(u)
+			ix = routing.NewSuccinctTurnIndex(u)
 		}
 		b.ReportMetric(float64(ix.SizeBytes())/n, "bytes/pair")
 	})
@@ -64,8 +66,8 @@ func BenchmarkTurnIndexBuild(b *testing.B) {
 // so sparse, bitset, and majority row paths are all exercised.
 func BenchmarkTurnIndexLookup(b *testing.B) {
 	u := benchUpDown(b)
-	n := u.n1
-	run := func(ix TurnIndex) func(*testing.B) {
+	n := u.Clos().LevelSize(1)
+	run := func(ix routing.TurnIndex) func(*testing.B) {
 		return func(b *testing.B) {
 			sink := 0
 			for i := 0; i < b.N; i++ {
@@ -78,6 +80,38 @@ func BenchmarkTurnIndexLookup(b *testing.B) {
 			}
 		}
 	}
-	b.Run("dense", run(NewMinTurnIndex(u)))
-	b.Run("succinct", run(NewSuccinctTurnIndex(u)))
+	b.Run("dense", run(routing.NewMinTurnIndex(u)))
+	b.Run("succinct", run(routing.NewSuccinctTurnIndex(u)))
+}
+
+// BenchmarkPathAt measures route materialisation over top-turn pairs — the
+// pairs whose down hops start at a root — on the 65,536-leaf XGFT, whose
+// 16 roots have 8,192 children each, and on the 648-leaf RFC.
+func BenchmarkPathAt(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		build func(testing.TB) *routing.UpDown
+	}{
+		{"xgft-64K", xgft64K},
+		{"rfc-648", rfc648},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			u := tc.build(b)
+			n1, top := u.Clos().LevelSize(1), u.Clos().Levels()-1
+			var pairs [][2]int
+			for r := rng.New(3); len(pairs) < 1024; {
+				if src, dst := r.Intn(n1), r.Intn(n1); u.MinTurn(src, dst) == top {
+					pairs = append(pairs, [2]int{src, dst})
+				}
+			}
+			r := rng.New(1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				if u.PathAt(p[0], p[1], top, r) == nil {
+					b.Fatal("unroutable top-turn pair")
+				}
+			}
+		})
+	}
 }

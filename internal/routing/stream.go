@@ -92,5 +92,6 @@ func (rs *RebuildStream) Finish(c *topology.Clos) *UpDown {
 	u.cover = make([][]LeafSet, c.Levels())
 	u.cover[0] = rs.desc
 	u.finishCovers(rs.bld)
+	u.walkFloor = walkFloorOf(c)
 	return u
 }

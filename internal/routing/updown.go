@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"slices"
+
 	"rfclos/internal/rng"
 	"rfclos/internal/topology"
 )
@@ -33,6 +35,12 @@ type UpDown struct {
 	// level exceeds l-r (they cannot take r up hops).
 	cover [][]LeafSet
 	n1    int
+	// walkFloor is the fewest up-list entries a destination-side down-hop
+	// walk from a switch at level 3 or above can read: the smallest leaf
+	// up-degree m1, plus m1 level-2 up-lists of the smallest level-2
+	// up-degree m2. downFrontier probes without walking when a switch has
+	// fewer children than that.
+	walkFloor int
 }
 
 // New builds routing state for c. Call Rebuild after mutating the topology
@@ -102,10 +110,26 @@ func (u *UpDown) CoverRepr() string {
 // per-level machinery with RebuildStream (stream.go), which computes the
 // same state incrementally as builders seal CSR levels.
 func (u *UpDown) Rebuild() {
-	rs := NewRebuildStream()
-	fin := rs.Finish(u.c)
-	u.cover = fin.cover
-	u.n1 = fin.n1
+	*u = *NewRebuildStream().Finish(u.c)
+}
+
+// walkFloorOf computes UpDown.walkFloor for c.
+func walkFloorOf(c *topology.Clos) int {
+	if c.Levels() < 3 {
+		return 0
+	}
+	m1, m2 := minUpDegree(c, 1), minUpDegree(c, 2)
+	return m1 + m1*m2
+}
+
+// minUpDegree returns the smallest up-degree among the switches of level
+// lev.
+func minUpDegree(c *topology.Clos, lev int) int {
+	m := len(c.Up(c.SwitchID(lev, 0)))
+	for i := 1; i < c.LevelSize(lev); i++ {
+		m = min(m, len(c.Up(c.SwitchID(lev, i))))
+	}
+	return m
 }
 
 // finishCovers builds cover_r for r = 1..l-1 over the completed up-wiring,
@@ -173,20 +197,25 @@ func (u *UpDown) NextUp(s int32, rem int, dst int, r *rng.Rand) int32 {
 }
 
 // NextDown picks uniformly at random a child of s whose descendants include
-// leaf dst, or -1 when none exists.
+// leaf dst, or -1 when none exists. It draws exactly what a reservoir
+// sample over Down(s) in port order would draw — Intn(c) for c = 2..k over
+// the k qualifying ports — so the choice and the stream's state match
+// probing every child. When all k ports lead to one child (every down hop
+// of an XGFT, whose children's subtrees are disjoint) the child is returned
+// without locating its port in Down(s).
 func (u *UpDown) NextDown(s int32, dst int, r *rng.Rand) int32 {
-	desc := u.cover[0]
-	chosen := int32(-1)
-	count := 0
-	for _, ch := range u.c.Down(s) {
-		if desc[ch].Get(dst) {
-			count++
-			if count == 1 || r.Intn(count) == 0 {
-				chosen = ch
-			}
-		}
+	var sc downScratch
+	down := u.c.Down(s)
+	kids, ok := u.downFrontier(s, len(down), dst, &sc)
+	if ok && len(kids) > 0 && kids[0] == kids[len(kids)-1] {
+		reservoir(len(kids), r)
+		return kids[0]
 	}
-	return chosen
+	ports := u.locatePorts(down, dst, kids, ok, sc.ports[:0])
+	if len(ports) == 0 {
+		return -1
+	}
+	return down[ports[reservoir(len(ports), r)]]
 }
 
 // NextUpPort is NextUp but returns the index into Clos.Up(s) of the chosen
@@ -237,45 +266,159 @@ func (u *UpDown) NextUpPortHash(s int32, rem int, dst int, key uint32) int {
 }
 
 // NextDownPortHash deterministically picks among the children leading to
-// dst, keyed like NextUpPortHash.
+// dst, keyed like NextUpPortHash: the qualifying port at position key
+// modulo their count, in port order.
 func (u *UpDown) NextDownPortHash(s int32, dst int, key uint32) int {
-	desc := u.cover[0]
-	count := 0
-	for _, ch := range u.c.Down(s) {
-		if desc[ch].Get(dst) {
-			count++
-		}
-	}
-	if count == 0 {
+	var sc downScratch
+	ports := u.downPorts(s, dst, &sc)
+	if len(ports) == 0 {
 		return -1
 	}
-	want := int(key % uint32(count))
-	idx := 0
-	for i, ch := range u.c.Down(s) {
-		if desc[ch].Get(dst) {
-			if idx == want {
-				return i
-			}
-			idx++
-		}
-	}
-	return -1
+	return ports[key%uint32(len(ports))]
 }
 
 // NextDownPort is NextDown returning the index into Clos.Down(s), or -1.
+// It consumes the same draws as NextDown.
 func (u *UpDown) NextDownPort(s int32, dst int, r *rng.Rand) int {
-	desc := u.cover[0]
-	chosen := -1
-	count := 0
-	for i, ch := range u.c.Down(s) {
-		if desc[ch].Get(dst) {
-			count++
-			if count == 1 || r.Intn(count) == 0 {
-				chosen = i
+	var sc downScratch
+	ports := u.downPorts(s, dst, &sc)
+	if len(ports) == 0 {
+		return -1
+	}
+	return ports[reservoir(len(ports), r)]
+}
+
+// reservoir replays a uniform reservoir sample over k candidates seen in
+// order: it draws Intn(c) for c = 2..k, keeping candidate c-1 whenever the
+// draw is 0, and returns the kept candidate's position (-1 when k == 0).
+func reservoir(k int, r *rng.Rand) int {
+	if k == 0 {
+		return -1
+	}
+	w := 0
+	for c := 2; c <= k; c++ {
+		if r.Intn(c) == 0 {
+			w = c - 1
+		}
+	}
+	return w
+}
+
+// downScratch is the stack-resident working space of one down-hop
+// selection: two frontier buffers and the located ports. Frontiers and
+// port lists larger than these arrays spill to the heap through append.
+type downScratch struct {
+	a, b  [32]int32
+	ports [8]int
+}
+
+// downPorts returns, in ascending port order, the indices into Down(s) of
+// the children whose descendants contain leaf dst, built in sc. Every
+// down-hop picker goes through it.
+func (u *UpDown) downPorts(s int32, dst int, sc *downScratch) []int {
+	down := u.c.Down(s)
+	kids, ok := u.downFrontier(s, len(down), dst, sc)
+	return u.locatePorts(down, dst, kids, ok, sc.ports[:0])
+}
+
+// downFrontier enumerates the children of s whose descendants contain leaf
+// dst from the destination side instead of testing every child's
+// descendant set. The level-j ancestors of dst are A_1 = {dst} and A_{j+1}
+// = the union of Up over A_j, deduplicated; a child of s qualifies exactly
+// when it is in A_{lev(s)-1}, and it is listed once per link to s, i.e.
+// once per occurrence of s in its up-list. The result is ascending by
+// switch id, so each child's parallel links are adjacent.
+//
+// The walk's cost is the up-list entries it reads. Each step is charged
+// before it reads anything, duplicate ancestors included, so a walk that
+// cannot pay stops early. When the cost would exceed budget — the length
+// of Down(s), what probing every child costs — the walk reports ok = false
+// and the caller probes instead. Above level 2 the walk first compares
+// budget with walkFloor, so a switch whose children cannot pay even for
+// the cheapest walk (a random folded Clos or fat-tree root) probes without
+// reading any up-list. On a wide switch over
+// narrow up-paths (an XGFT root with thousands of children and a handful of
+// dst ancestors) the walk reads a few dozen entries; on a random folded
+// Clos root it gives up after a few up-lists.
+func (u *UpDown) downFrontier(s int32, budget, dst int, sc *downScratch) (kids []int32, ok bool) {
+	c := u.c
+	lev := c.LevelOf(s)
+	if lev < 2 {
+		return nil, true
+	}
+	if lev >= 3 && u.walkFloor > budget {
+		return nil, false
+	}
+	leaf := c.SwitchID(1, dst)
+	if budget -= len(c.Up(leaf)); budget < 0 {
+		return nil, false
+	}
+	cur := append(sc.a[:0], leaf)
+	next := sc.b[:0]
+	for j := 1; j < lev-1; j++ {
+		// Charge the up-lists of A_{j+1} before gathering it.
+		for _, a := range cur {
+			for _, p := range c.Up(a) {
+				if budget -= len(c.Up(p)); budget < 0 {
+					return nil, false
+				}
+			}
+		}
+		next = next[:0]
+		for _, a := range cur {
+			next = append(next, c.Up(a)...)
+		}
+		slices.Sort(next)
+		next = slices.Compact(next)
+		cur, next = next, cur
+	}
+	// cur is A_{lev-1}; next is the other buffer and free to overwrite.
+	kids = next[:0]
+	for _, a := range cur {
+		for _, p := range c.Up(a) {
+			if p == s {
+				kids = append(kids, a)
 			}
 		}
 	}
-	return chosen
+	return kids, true
+}
+
+// locatePorts appends to ports, in ascending order, the positions in down
+// (the down-list of some switch) of the children in kids as downFrontier
+// returned them. With ok false it falls back to probing each child's
+// descendant set for dst. kids lists every qualifying link, so the scan
+// stops as soon as it has found that many ports.
+func (u *UpDown) locatePorts(down []int32, dst int, kids []int32, ok bool, ports []int) []int {
+	if !ok {
+		desc := u.cover[0]
+		for i, ch := range down {
+			if desc[ch].Get(dst) {
+				ports = append(ports, i)
+			}
+		}
+		return ports
+	}
+	if len(kids) == 0 {
+		return ports
+	}
+	want := len(ports) + len(kids)
+	lo, hi := kids[0], kids[len(kids)-1]
+	for i, ch := range down {
+		if ch < lo || ch > hi {
+			continue
+		}
+		if lo != hi {
+			if _, found := slices.BinarySearch(kids, ch); !found {
+				continue
+			}
+		}
+		ports = append(ports, i)
+		if len(ports) == want {
+			break
+		}
+	}
+	return ports
 }
 
 // Descendants returns the descendant leaf set of switch s (immutable).

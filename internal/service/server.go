@@ -95,6 +95,29 @@ func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, apiError{Error: msg})
 }
 
+// maxBodyBytes caps every POST body. The largest legitimate one is a full
+// /v1/paths batch: 8,192 pairs of 7-digit leaf indices take about 150 KB
+// compact and under 400 KB indented.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it writes the error response — 413 for an oversized body, 400
+// for malformed JSON — and reports false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+		return false
+	}
+	s.writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+	return false
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
@@ -187,8 +210,7 @@ func (s *Server) summarize(t *Topology, cached bool) TopologySummary {
 
 func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	var sp Spec
-	if err := json.NewDecoder(r.Body).Decode(&sp); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+	if !s.decodeBody(w, r, &sp) {
 		return
 	}
 	t, cached, err := s.cache.Get(sp)
@@ -419,8 +441,7 @@ type PathsResponse struct {
 
 func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 	var req PathsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.Seed == 0 {
@@ -538,8 +559,7 @@ type ExpandResponse struct {
 
 func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	var req ExpandRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.Increments == 0 {
@@ -644,8 +664,7 @@ type ThroughputResponse struct {
 
 func (s *Server) handleThroughput(w http.ResponseWriter, r *http.Request) {
 	var req ThroughputRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.Matrix == "" {

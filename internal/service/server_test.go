@@ -467,3 +467,47 @@ func TestThroughputEndpoint(t *testing.T) {
 		t.Errorf("negative load: HTTP %d, want 400", code)
 	}
 }
+
+// TestOversizedBodyRejected checks every POST endpoint answers 413 to a
+// body over maxBodyBytes, and that the cap still admits a full /v1/paths
+// batch: 8,192 pairs of 7-digit leaf indices, indented, reach the handler
+// and fail its range check (400), not the size cap.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t)
+	sum := buildTopology(t, ts.URL, Spec{Kind: "rfc", Radix: 8, Levels: 3, Leaves: 16, Seed: 1})
+	huge := `{"key":"` + strings.Repeat("k", maxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/topology", "/v1/paths", "/v1/expand", "/v1/throughput"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e apiError
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("POST %s: decode error body: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(e.Error, "exceeds") {
+			t.Errorf("POST %s with a %d-byte body: HTTP %d %q, want 413", path, len(huge), resp.StatusCode, e.Error)
+		}
+	}
+
+	req := PathsRequest{Key: sum.Key, Pairs: make([][2]int, maxPathsPerRequest)}
+	for i := range req.Pairs {
+		req.Pairs[i] = [2]int{2097151, 2097151}
+	}
+	payload, err := json.MarshalIndent(req, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(payload) >= maxBodyBytes {
+		t.Fatalf("full indented batch is %d bytes, over the %d-byte cap", len(payload), maxBodyBytes)
+	}
+	resp, err := http.Post(ts.URL+"/v1/paths", "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("full %d-byte batch: HTTP %d, want 400 from the leaf range check", len(payload), resp.StatusCode)
+	}
+}
