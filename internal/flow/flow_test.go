@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rfclos/internal/core"
+	"rfclos/internal/graph"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
 	"rfclos/internal/topology"
@@ -358,6 +359,36 @@ func TestTurnIndexMatchesCoverResolution(t *testing.T) {
 	for i := range a.Rates {
 		if a.Rates[i] != b.Rates[i] {
 			t.Fatalf("turn-index path resolution diverged at flow %d", i)
+		}
+	}
+}
+
+// TestNewRRNErrorUnchanged pins NewRRN's error strings: rfcd returns them
+// verbatim as the 422 body of /v1/throughput on an rrn build.
+func TestNewRRNErrorUnchanged(t *testing.T) {
+	isolated, err := topology.NewRRN(32, 4, 2, rng.New(77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range append([]int32(nil), isolated.G.Neighbors(5)...) {
+		isolated.G.RemoveEdge(5, int(u))
+	}
+	path := &topology.RRN{G: graph.New(300), Degree: 2, TermsPerSwitch: 1}
+	for v := 0; v+1 < 300; v++ {
+		path.G.AddEdge(v, v+1)
+	}
+	for _, tc := range []struct {
+		name string
+		r    *topology.RRN
+		want string
+	}{
+		{"isolated switch", isolated, "flow: RRN switch 5 unreachable from 0 (distance -1)"},
+		{"path of 300", path, "flow: RRN switch 256 unreachable from 0 (distance 256)"},
+	} {
+		for _, workers := range []int{1, 2} {
+			if _, err := NewRRN(tc.r, workers); err == nil || err.Error() != tc.want {
+				t.Errorf("%s workers=%d: error %v, want %q", tc.name, workers, err, tc.want)
+			}
 		}
 	}
 }

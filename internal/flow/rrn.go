@@ -1,18 +1,19 @@
 package flow
 
 import (
+	"errors"
 	"fmt"
 
-	"rfclos/internal/engine"
+	"rfclos/internal/graph"
 	"rfclos/internal/rng"
 	"rfclos/internal/topology"
 )
 
 // RRNNetwork routes matrix flows over a random regular network along random
-// ECMP-shortest paths. Construction precomputes one BFS distance row per
-// switch (in parallel; rows are independent, so the table is deterministic
-// for any worker count), and Resolve walks greedily from the source switch,
-// choosing uniformly among neighbours one hop closer to the destination.
+// ECMP-shortest paths. Construction precomputes the all-pairs hop table
+// (graph.HopTable, the same for any worker count), and Resolve walks
+// greedily from the source switch, choosing uniformly among neighbours one
+// hop closer to the destination.
 //
 // Directed link ids mirror ClosNetwork: [0, T) injection, [T, 2T) ejection,
 // then one id per (switch, adjacency slot) — each direction of a wire is
@@ -29,8 +30,8 @@ type RRNNetwork struct {
 	links    int
 }
 
-// NewRRN builds the adapter, running the per-destination BFS sweep on up to
-// `workers` goroutines (0 = one per CPU).
+// NewRRN builds the adapter, computing the all-pairs hop table
+// (graph.HopTable) on up to `workers` goroutines (0 = one per CPU).
 func NewRRN(r *topology.RRN, workers int) (*RRNNetwork, error) {
 	n := r.N()
 	net := &RRNNetwork{r: r, adjStart: make([]int32, n+1)}
@@ -39,17 +40,11 @@ func NewRRN(r *topology.RRN, workers int) (*RRNNetwork, error) {
 	}
 	net.termBase = int32(r.Terminals())
 	net.links = int(2*net.termBase + net.adjStart[n])
-	rows, err := engine.Run(n, workers, func(d int) ([]uint8, error) {
-		dist := r.G.BFS(d, nil)
-		row := make([]uint8, n)
-		for v, dv := range dist {
-			if dv < 0 || dv > 255 {
-				return nil, fmt.Errorf("flow: RRN switch %d unreachable from %d (distance %d)", v, d, dv)
-			}
-			row[v] = uint8(dv)
-		}
-		return row, nil
-	})
+	rows, _, err := r.G.HopTable(workers)
+	var he *graph.HopError
+	if errors.As(err, &he) {
+		return nil, fmt.Errorf("flow: RRN switch %d unreachable from %d (distance %d)", he.To, he.From, he.Dist)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 )
 
@@ -111,12 +112,26 @@ func (c *Cache) Get(sp Spec) (*Topology, bool, error) {
 
 	c.reg.Add(metricCacheMisses, 1)
 	c.reg.Add(metricBuilds, 1)
-	topo, err := c.build(norm)
+	// A panicking build settles the entry as failed, so its followers are
+	// released and a later request retries; the panic then propagates.
+	var topo *Topology
+	err = errBuildPanicked
+	defer func() { c.settle(e, topo, err) }()
+	topo, err = c.build(norm)
 	if topo != nil {
 		c.reg.Add(metricBuildNS, topo.BuildNS)
 		c.reg.Add(metricIndexNS, topo.IndexNS)
 	}
+	return topo, false, err
+}
 
+// errBuildPanicked is the error followers of a panicked build receive.
+var errBuildPanicked = errors.New("service: topology build panicked")
+
+// settle publishes a finished build to its entry and its followers: a
+// failed build leaves the cache, a ready one is charged against the byte
+// budget.
+func (c *Cache) settle(e *cacheEntry, topo *Topology, err error) {
 	c.mu.Lock()
 	e.topo, e.err = topo, err
 	e.done = true
@@ -125,9 +140,9 @@ func (c *Cache) Get(sp Spec) (*Topology, bool, error) {
 		// Drop the failed entry (unless a newer entry took the key, which
 		// cannot happen while we are in the map — we only insert under lock
 		// and the key still points at e).
-		if el, ok := c.items[key]; ok && el.Value.(*cacheEntry) == e {
+		if el, ok := c.items[e.key]; ok && el.Value.(*cacheEntry) == e {
 			c.ll.Remove(el)
-			delete(c.items, key)
+			delete(c.items, e.key)
 		}
 	} else {
 		// Charge the finished build against the byte budget (the cost is
@@ -141,7 +156,6 @@ func (c *Cache) Get(sp Spec) (*Topology, bool, error) {
 	}
 	c.mu.Unlock()
 	close(e.ready)
-	return topo, false, err
 }
 
 // Lookup returns the cached topology named by key (the content address),

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -129,6 +130,54 @@ func TestCacheBuildErrorsNotCached(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatalf("cache holds %d entries after failures, want 0", c.Len())
+	}
+}
+
+// TestCacheBuildPanicSettles checks a panicking build still settles its
+// entry: a follower waiting on the flight gets an error instead of hanging,
+// the panic reaches the builder's caller, and the next request rebuilds.
+func TestCacheBuildPanicSettles(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	var builds atomic.Int64
+	build := func(sp Spec) (*Topology, error) {
+		if builds.Add(1) == 1 {
+			close(started)
+			<-release
+			panic("boom")
+		}
+		return Build(sp)
+	}
+	c := NewCache(4, 0, build, nil)
+	leader := make(chan any)
+	go func() {
+		defer func() { leader <- recover() }()
+		c.Get(stubSpec(0))
+	}()
+	<-started
+	follower := make(chan error)
+	go func() {
+		_, _, err := c.Get(stubSpec(0))
+		follower <- err
+	}()
+	// The follower joins the flight: its hit is counted before it waits.
+	for c.reg.Value(metricCacheHits) == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	if p := <-leader; p != "boom" {
+		t.Fatalf("leader recovered %v, want the build's panic", p)
+	}
+	if err := <-follower; !errors.Is(err, errBuildPanicked) {
+		t.Fatalf("follower error = %v, want %v", err, errBuildPanicked)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("cache holds %d entries after the panic, want 0", c.Len())
+	}
+	if _, cached, err := c.Get(stubSpec(0)); err != nil || cached {
+		t.Fatalf("rebuild after panic: cached=%v err=%v", cached, err)
+	}
+	if n := c.BuildsFor(mustNormalize(t, stubSpec(0)).Key()); n != 2 {
+		t.Fatalf("%d builds started, want 2", n)
 	}
 }
 

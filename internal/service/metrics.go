@@ -19,6 +19,7 @@ const (
 	metricBuildNS        = "rfcd_build_ns_total"
 	metricIndexNS        = "rfcd_index_ns_total"
 	metricHTTPErrors     = "rfcd_http_errors_total"
+	metricPanics         = "rfcd_panics_total"
 	// metricCacheBytes is a gauge, not a monotonic counter: it tracks the
 	// estimated resident bytes of ready cached builds (incremented on
 	// insertion, decremented on eviction).

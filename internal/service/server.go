@@ -76,11 +76,18 @@ func (s *Server) Metrics() *Registry { return s.reg }
 
 // route registers a handler with a per-endpoint request counter. The
 // metric label is the pattern's path with wildcards intact, so cardinality
-// stays fixed.
+// stays fixed. A handler panic is counted in rfcd_panics_total and answered
+// with a 500 apiError instead of dropping the connection.
 func (s *Server) route(pattern string, h http.HandlerFunc) {
 	ctr := s.reg.Counter(requestMetric(pattern))
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		ctr.Add(1)
+		defer func() {
+			if p := recover(); p != nil {
+				s.reg.Add(metricPanics, 1)
+				s.writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p))
+			}
+		}()
 		h(w, r)
 	})
 }
@@ -102,9 +109,11 @@ const maxBodyBytes = 1 << 20
 
 // decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
 // On failure it writes the error response — 413 for an oversized body, 400
-// for malformed JSON — and reports false.
+// for malformed JSON or a field v does not declare — and reports false.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	if err == nil {
 		return true
 	}
@@ -685,7 +694,7 @@ func (s *Server) handleThroughput(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Folded Clos builds reuse the cached router and precomputed turn index;
-	// RRNs pay a per-request BFS table (no routing state is cached for them).
+	// RRNs pay a per-request hop table (no routing state is cached for them).
 	var net flow.Network
 	if t.RRN != nil {
 		rn, err := flow.NewRRN(t.RRN, 0)

@@ -511,3 +511,49 @@ func TestOversizedBodyRejected(t *testing.T) {
 		t.Errorf("full %d-byte batch: HTTP %d, want 400 from the leaf range check", len(payload), resp.StatusCode)
 	}
 }
+
+// TestUnknownFieldRejected checks a POST body naming a field the request
+// type does not declare is a 400, not silently ignored.
+func TestUnknownFieldRejected(t *testing.T) {
+	srv, ts := newTestServer(t)
+	body := `{"kind":"cft","radix":4,"levels":2,"leafs":8}`
+	resp, err := http.Post(ts.URL+"/v1/topology", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e apiError
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("decode error body: %v", err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `unknown field "leafs"`) {
+		t.Errorf("POST /v1/topology %s: HTTP %d %q, want 400 naming the field", body, resp.StatusCode, e.Error)
+	}
+	if got := srv.Cache().Len(); got != 0 {
+		t.Errorf("rejected request left %d cache entries", got)
+	}
+}
+
+// TestHandlerPanicIsolated drives a panicking handler through route: the
+// client gets a 500 apiError, the panic is counted, and the server keeps
+// answering.
+func TestHandlerPanicIsolated(t *testing.T) {
+	srv, ts := newTestServer(t)
+	srv.route("GET /panic", func(http.ResponseWriter, *http.Request) { panic("boom") })
+	for i := 1; i <= 2; i++ {
+		code, body := getBody(t, ts.URL, "/panic")
+		if want := `{"error":"internal error: boom"}` + "\n"; code != http.StatusInternalServerError || string(body) != want {
+			t.Errorf("GET /panic #%d: HTTP %d %q, want 500 %q", i, code, body, want)
+		}
+		reg := srv.Metrics()
+		if got := reg.Value(metricPanics); got != int64(i) {
+			t.Errorf("after %d panics %s = %d", i, metricPanics, got)
+		}
+		if got := reg.Value(metricHTTPErrors); got != int64(i) {
+			t.Errorf("after %d panics %s = %d", i, metricHTTPErrors, got)
+		}
+	}
+	if code, _ := getBody(t, ts.URL, "/healthz"); code != http.StatusOK {
+		t.Errorf("healthz after panics: HTTP %d", code)
+	}
+}

@@ -86,7 +86,8 @@ func (sp Spec) Normalize() (Spec, error) {
 		if err := p.Validate(); err != nil {
 			return sp, err
 		}
-		if p.Switches() > maxSwitches {
+		// Bound the factors first: their product can overflow int.
+		if p.Levels > maxSwitches || p.Leaves > maxSwitches || p.Switches() > maxSwitches {
 			return sp, fmt.Errorf("service: %v exceeds the %d-switch serving limit", p, maxSwitches)
 		}
 	case "cft":

@@ -24,6 +24,9 @@ func TestMinimalRouterContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := rrn.G.Diameter(); diameter != want {
+		t.Fatalf("MinimalRouter diameter %d, want %d", diameter, want)
+	}
 	cfg := Config{VCs: 16, WarmupCycles: 10, MeasureCycles: 10}
 	sim, err := New(rrn, traffic.NewUniform(rrn.Terminals()), cfg)
 	if err != nil {

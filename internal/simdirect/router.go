@@ -12,31 +12,21 @@ import (
 // the hop count, doubling as the VC index.
 type minimalRouter struct {
 	g    *topology.RRN
-	dist [][]int32 // all-pairs hop distances
+	dist [][]uint8 // all-pairs hop distances (graph.HopTable)
 	tps  int32
 }
 
 // MinimalRouter builds the shortest-path ECMP policy for the unified engine,
-// computing all-pairs distance tables. It returns the network diameter so
-// callers can size the VC count; it fails when the graph is disconnected.
+// computing the all-pairs hop table on one goroutine (callers already run
+// one simulation per engine job). It returns the network diameter so
+// callers can size the VC count; it fails when the graph is disconnected
+// or a distance exceeds graph.MaxHops.
 func MinimalRouter(rrn *topology.RRN) (simcore.Router, int, error) {
-	g := rrn.G
-	n := g.N()
-	r := &minimalRouter{g: rrn, tps: int32(rrn.TermsPerSwitch)}
-	r.dist = make([][]int32, n)
-	diameter := 0
-	for v := 0; v < n; v++ {
-		r.dist[v] = g.BFS(v, nil)
-		for _, d := range r.dist[v] {
-			if d < 0 {
-				return nil, 0, fmt.Errorf("simdirect: network disconnected")
-			}
-			if int(d) > diameter {
-				diameter = int(d)
-			}
-		}
+	dist, diameter, err := rrn.G.HopTable(1)
+	if err != nil {
+		return nil, 0, fmt.Errorf("simdirect: %w", err)
 	}
-	return r, diameter, nil
+	return &minimalRouter{g: rrn, dist: dist, tps: int32(rrn.TermsPerSwitch)}, diameter, nil
 }
 
 // NewPacket starts every packet at hop 0; a connected network (checked at

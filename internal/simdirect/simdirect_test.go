@@ -1,8 +1,10 @@
 package simdirect
 
 import (
+	"errors"
 	"testing"
 
+	"rfclos/internal/graph"
 	"rfclos/internal/rng"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
@@ -66,6 +68,18 @@ func TestDirectSaturation(t *testing.T) {
 	// sustain a solid fraction of full load under uniform traffic.
 	if r.AcceptedLoad < 0.4 {
 		t.Errorf("accepted %v at saturation, suspiciously low", r.AcceptedLoad)
+	}
+}
+
+func TestMinimalRouterRejectsDisconnected(t *testing.T) {
+	rrn := buildRRN(t, 64, 4, 2)
+	for _, u := range append([]int32(nil), rrn.G.Neighbors(3)...) {
+		rrn.G.RemoveEdge(3, int(u))
+	}
+	_, _, err := MinimalRouter(rrn)
+	var he *graph.HopError
+	if !errors.As(err, &he) || he.To != 3 || he.Dist != -1 {
+		t.Fatalf("MinimalRouter on a network with switch 3 cut off: error %v", err)
 	}
 }
 
