@@ -3,12 +3,13 @@
 // rests on. Deterministic packages must draw randomness only from
 // internal/rng streams derived from seeds and job coordinates — never from
 // the wall clock, math/rand, Go's randomized map iteration order, or
-// order-dependent stream splitting inside parallel workers. On top of the
-// per-function rules, the interprocedural handler-purity pass walks a
-// whole-program call graph: HTTP handlers and exhibit Run functions must
-// reach only deterministic sources, with a witness path in each
-// diagnostic. Lock discipline is left to the race detector (`go test
-// -race`), not to annotations.
+// order-dependent stream splitting inside parallel workers. The rules are
+// per-function; rfcd's service packages are on the deterministic list, and
+// every module package a deterministic package imports is deterministic
+// too (internal/obs, the telemetry package, aside), so the rules also cover
+// everything an HTTP handler or an exhibit Run function can reach. Lock
+// discipline is left to the race detector (`go test -race`), not to
+// annotations.
 //
 // Usage:
 //
@@ -56,9 +57,6 @@ func main() {
 
 	if *rules {
 		for _, r := range lint.Rules() {
-			fmt.Printf("%-20s %s\n", r.Name, r.Doc)
-		}
-		for _, r := range lint.GraphRules() {
 			fmt.Printf("%-20s %s\n", r.Name, r.Doc)
 		}
 		return

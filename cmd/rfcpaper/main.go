@@ -39,6 +39,7 @@ import (
 	"rfclos/internal/analysis"
 	"rfclos/internal/engine"
 	"rfclos/internal/exhibit"
+	"rfclos/internal/obs"
 )
 
 func main() {
@@ -126,7 +127,7 @@ func (r runner) progress() func(string) {
 	if r.quiet {
 		return nil
 	}
-	return engine.Progress(func(s string) { fmt.Fprintln(os.Stderr, "  ...", s) })
+	return obs.Progress(func(s string) { fmt.Fprintln(os.Stderr, "  ...", s) })
 }
 
 // outPath names an exhibit's JSON file; sharded partials carry the shard in

@@ -38,7 +38,7 @@ type SimOptions struct {
 	Shard engine.Shard
 	// Progress, when non-nil, receives one line per completed job. It is
 	// called from worker goroutines, so it must be safe for concurrent use
-	// when Workers != 1 (engine.Progress builds a safe, counting sink).
+	// when Workers != 1 (obs.Progress builds a safe, counting sink).
 	Progress func(string)
 }
 

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -89,35 +87,5 @@ func TestWorkersResolution(t *testing.T) {
 	}
 	if w := Workers(-2); w < 1 {
 		t.Errorf("Workers(-2) = %d, want >= 1", w)
-	}
-}
-
-func TestProgressCountsAndSerializes(t *testing.T) {
-	var mu []string
-	sink := Progress(func(s string) { mu = append(mu, s) })
-	// Concurrent emissions must all arrive, each with a distinct counter.
-	_, err := Run(25, 8, func(job int) (int, error) {
-		sink(fmt.Sprintf("job %d", job))
-		return 0, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mu) != 25 {
-		t.Fatalf("got %d progress lines, want 25", len(mu))
-	}
-	seen := map[string]bool{}
-	for _, line := range mu {
-		if !strings.HasPrefix(line, "[") {
-			t.Fatalf("line %q lacks counter prefix", line)
-		}
-		counter := line[1:strings.Index(line, " ")]
-		if seen[counter] {
-			t.Fatalf("duplicate counter %s", counter)
-		}
-		seen[counter] = true
-	}
-	if Progress(nil) != nil {
-		t.Error("Progress(nil) should be nil")
 	}
 }

@@ -8,9 +8,8 @@ import (
 	"testing"
 )
 
-// TestJSONGolden pins the -json report byte-for-byte over the puritypkg
-// fixture, whose handler-purity findings carry witness paths: versioned
-// header, module-root-relative slash paths, two-space indent, trailing
+// TestJSONGolden pins the -json report byte-for-byte over the nondet
+// fixture: versioned header, module-root-relative slash paths, two-space indent, trailing
 // newline. Regenerate with
 //
 //	RFCLINT_UPDATE_GOLDEN=1 go test ./internal/lint -run TestJSONGolden
@@ -19,7 +18,7 @@ import (
 func TestJSONGolden(t *testing.T) {
 	ld := newTestLoader(t)
 	cfg := fixtureConfig(t, ld.Module)
-	dir := filepath.Join("testdata", "src", "puritypkg")
+	dir := filepath.Join("testdata", "src", "nondet")
 	findings, err := Run(cfg, ld, []string{dir})
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +28,7 @@ func TestJSONGolden(t *testing.T) {
 	if err := report.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "golden", "purity_report.json")
+	golden := filepath.Join("testdata", "golden", "nondet_report.json")
 	if os.Getenv("RFCLINT_UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
@@ -73,7 +72,7 @@ func sampleReport() *Report {
 		Module:   "example.com/m",
 		Packages: 2,
 		Findings: []JSONFinding{
-			{File: "a/a.go", Line: 3, Col: 1, Rule: "handler-purity", Msg: "clock"},
+			{File: "a/a.go", Line: 3, Col: 1, Rule: "nondet-source", Msg: "clock"},
 			{File: "b/b.go", Line: 9, Col: 2, Rule: "map-range-order", Msg: "unsorted"},
 		},
 	}
@@ -84,8 +83,8 @@ func sampleReport() *Report {
 func TestBaselineApply(t *testing.T) {
 	r := sampleReport()
 	b := &Baseline{Version: BaselineVersion, Accept: []BaselineEntry{
-		{File: "a/a.go", Rule: "handler-purity", Msg: "clock"},
-		{File: "gone.go", Rule: "handler-purity", Msg: "fixed long ago"},
+		{File: "a/a.go", Rule: "nondet-source", Msg: "clock"},
+		{File: "gone.go", Rule: "nondet-source", Msg: "fixed long ago"},
 	}}
 	stale := b.Apply(r)
 	if r.Baselined != 1 {
@@ -139,8 +138,8 @@ func TestBaselineVersionCheck(t *testing.T) {
 }
 
 // TestRepoBaselineEmpty pins the repository policy: the checked-in baseline
-// exists, parses, and accepts nothing — every rule, handler-purity
-// included, runs tree-wide with no parked violations.
+// exists, parses, and accepts nothing — every rule runs tree-wide with no
+// parked violations.
 func TestRepoBaselineEmpty(t *testing.T) {
 	ld := newTestLoader(t)
 	b, err := LoadBaseline(filepath.Join(ld.Root, "lint-baseline.json"))

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/build"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,19 +18,13 @@ import (
 // diagnostics.
 
 // fixtureConfig mirrors DefaultConfig but points the deterministic list at
-// the fixture packages (freepkg is deliberately left off it). serverpkg is
-// listed as BOTH deterministic and a server package, proving the Server
-// entry overrides the deterministic set.
+// the fixture packages (freepkg is deliberately left off it).
 func fixtureConfig(t *testing.T, module string) *Config {
 	t.Helper()
-	det := []string{"nondet", "maprange", "splitpar", "seedcoord", "serverpkg", "leafsetpkg", "csrpkg", "flowpkg"}
+	det := []string{"nondet", "maprange", "splitpar", "seedcoord", "leafsetpkg", "csrpkg", "flowpkg"}
 	cfg := &Config{
-		Module:     module,
-		Server:     []string{module + "/internal/lint/testdata/src/serverpkg"},
-		AllowFiles: []string{"testdata/src/nondet/allowed_file.go"},
-		RngPkg:     module + "/internal/rng",
-		EnginePkg:  module + "/internal/engine",
-		ExhibitPkg: module + "/internal/lint/testdata/src/puritypkg",
+		RngPkg:    module + "/internal/rng",
+		EnginePkg: module + "/internal/engine",
 	}
 	for _, d := range det {
 		cfg.Deterministic = append(cfg.Deterministic, module+"/internal/lint/testdata/src/"+d)
@@ -113,7 +108,7 @@ func sortedSet(s map[string]bool) []string {
 func TestFixtures(t *testing.T) {
 	ld := newTestLoader(t)
 	cfg := fixtureConfig(t, ld.Module)
-	for _, pkg := range []string{"nondet", "maprange", "splitpar", "seedcoord", "freepkg", "serverpkg", "leafsetpkg", "csrpkg", "flowpkg", "puritypkg"} {
+	for _, pkg := range []string{"nondet", "maprange", "splitpar", "seedcoord", "freepkg", "leafsetpkg", "csrpkg", "flowpkg"} {
 		t.Run(pkg, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", pkg)
 			findings, err := Run(cfg, ld, []string{dir})
@@ -167,37 +162,34 @@ func TestDefaultConfigPackagesExist(t *testing.T) {
 			t.Errorf("deterministic package %s has no Go files at %s (err=%v)", path, dir, err)
 		}
 	}
-	for _, path := range cfg.Server {
-		dir := ld.dirOf(path)
-		ok, err := hasGoFiles(dir)
-		if err != nil || !ok {
-			t.Errorf("server package %s has no Go files at %s (err=%v)", path, dir, err)
+	for _, path := range []string{cfg.RngPkg, cfg.EnginePkg} {
+		if !cfg.IsDeterministic(path) {
+			t.Errorf("%s is not on the deterministic list", path)
 		}
-	}
-	for _, suf := range cfg.AllowFiles {
-		if _, err := os.Stat(filepath.Join(ld.Root, filepath.FromSlash(suf))); err != nil {
-			t.Errorf("allowlisted file %s missing: %v", suf, err)
-		}
-	}
-	if ok, err := hasGoFiles(ld.dirOf(cfg.ExhibitPkg)); err != nil || !ok {
-		t.Errorf("exhibit package %s has no Go files (err=%v)", cfg.ExhibitPkg, err)
 	}
 }
 
-// TestServerOverridesDeterministic pins the precedence rule directly.
-func TestServerOverridesDeterministic(t *testing.T) {
-	cfg := &Config{
-		Deterministic: []string{"m/a", "m/b"},
-		Server:        []string{"m/b", "m/c"},
-	}
-	for path, want := range map[string]bool{
-		"m/a": true,  // deterministic only
-		"m/b": false, // both listed: Server wins
-		"m/c": false, // server only
-		"m/d": false, // unlisted
-	} {
-		if got := cfg.IsDeterministic(path); got != want {
-			t.Errorf("IsDeterministic(%q) = %v, want %v", path, got, want)
+// TestDeterministicImportClosure pins the fact the per-function rules'
+// coverage rests on: every module package a deterministic package imports
+// is itself deterministic, or is internal/obs, whose API hands no time
+// value back. So every function an exhibit Run or an rfcd handler can
+// reach sits in a package the rules check. rfcd and rfcpaper, where
+// responses and reports start, are held to the same closure.
+func TestDeterministicImportClosure(t *testing.T) {
+	ld := newTestLoader(t)
+	cfg := DefaultConfig(ld.Module)
+	obs := ld.Module + "/internal/obs"
+	roots := append([]string{ld.Module + "/cmd/rfcd", ld.Module + "/cmd/rfcpaper"}, cfg.Deterministic...)
+	for _, path := range roots {
+		bp, err := build.ImportDir(ld.dirOf(path), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, imp := range bp.Imports {
+			inModule := imp == ld.Module || strings.HasPrefix(imp, ld.Module+"/")
+			if inModule && imp != obs && !cfg.IsDeterministic(imp) {
+				t.Errorf("%s imports %s, which is not deterministic", path, imp)
+			}
 		}
 	}
 }
@@ -217,36 +209,6 @@ func TestExpandSkipsTestdata(t *testing.T) {
 	for _, d := range dirs {
 		if strings.Contains(filepath.ToSlash(d), "/testdata/") {
 			t.Errorf("Expand descended into testdata: %s", d)
-		}
-	}
-}
-
-// TestWitnessPath pins the diagnostic contract of handler-purity: every
-// finding names its entry point and, for multi-hop reaches, carries the
-// call chain so the report is checkable by eye.
-func TestWitnessPath(t *testing.T) {
-	ld := newTestLoader(t)
-	cfg := fixtureConfig(t, ld.Module)
-	findings, err := Run(cfg, ld, []string{filepath.Join("testdata", "src", "puritypkg")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var deep *Finding
-	for i, f := range findings {
-		if strings.HasSuffix(f.Pos.Filename, "handlers.go") && strings.Contains(f.Msg, "time.Since") {
-			deep = &findings[i]
-		}
-	}
-	if deep == nil {
-		t.Fatal("no finding for the time.Since fact in handlerDeep's closure")
-	}
-	for _, want := range []string{
-		"reached from HTTP handler puritypkg.handlerDeep",
-		"via puritypkg.handlerDeep -> puritypkg.hop1 -> puritypkg.hop2",
-		"pure function of (kind, params, seed)",
-	} {
-		if !strings.Contains(deep.Msg, want) {
-			t.Errorf("witness diagnostic %q missing %q", deep.Msg, want)
 		}
 	}
 }

@@ -158,19 +158,6 @@ func (ld *Loader) LoadDir(dir string) (*Package, error) {
 	return ld.load(path, nil)
 }
 
-// Loaded returns the cached package for a module-internal import path, or
-// nil if it has not been (successfully) loaded. It never triggers a load.
-func (ld *Loader) Loaded(path string) *Package {
-	ld.mu.Lock()
-	e, ok := ld.cache[path]
-	ld.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	<-e.ready
-	return e.pkg
-}
-
 // load type-checks the module-internal package with the given import path,
 // caching results (and errors) by path. stack is the chain of module
 // packages currently being checked on this goroutine, for cycle detection.

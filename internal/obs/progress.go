@@ -1,4 +1,4 @@
-package engine
+package obs
 
 import (
 	"fmt"
@@ -15,9 +15,7 @@ import (
 //
 // The prefix reflects completion order and timing, which naturally vary
 // across runs and worker counts; progress output is diagnostic and is not
-// part of the engine's determinism contract (reports are). This file is
-// therefore the one sanctioned wall-clock reader in a deterministic package:
-// rfclint's nondet-source rule exempts it via Config.AllowFiles.
+// part of the determinism contract (reports are).
 func Progress(sink func(string)) func(string) {
 	if sink == nil {
 		return nil

@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"errors"
 	"sync"
+
+	"rfclos/internal/obs"
 )
 
 // Cache is the content-addressed topology cache: builds are keyed by the
@@ -20,7 +22,7 @@ import (
 // to every request that joined the failing flight).
 type Cache struct {
 	build func(Spec) (*Topology, error)
-	reg   *Registry
+	reg   *obs.Registry
 
 	mu       sync.Mutex
 	cap      int
@@ -60,8 +62,8 @@ const DefaultCacheBytes = 8 << 30
 // most maxBytes of estimated topology memory (0 means DefaultCacheBytes,
 // negative means unlimited), building misses with build (nil means the
 // package-level Build). reg, when non-nil, receives hit/miss/eviction/build
-// counters, build+index timings, and the resident-byte gauge.
-func NewCache(capacity int, maxBytes int64, build func(Spec) (*Topology, error), reg *Registry) *Cache {
+// counters and the resident-byte gauge.
+func NewCache(capacity int, maxBytes int64, build func(Spec) (*Topology, error), reg *obs.Registry) *Cache {
 	if capacity <= 0 {
 		capacity = 64
 	}
@@ -72,7 +74,7 @@ func NewCache(capacity int, maxBytes int64, build func(Spec) (*Topology, error),
 		build = Build
 	}
 	if reg == nil {
-		reg = NewRegistry()
+		reg = obs.NewRegistry()
 	}
 	return &Cache{
 		build:    build,
@@ -118,10 +120,6 @@ func (c *Cache) Get(sp Spec) (*Topology, bool, error) {
 	err = errBuildPanicked
 	defer func() { c.settle(e, topo, err) }()
 	topo, err = c.build(norm)
-	if topo != nil {
-		c.reg.Add(metricBuildNS, topo.BuildNS)
-		c.reg.Add(metricIndexNS, topo.IndexNS)
-	}
 	return topo, false, err
 }
 

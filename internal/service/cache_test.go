@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"rfclos/internal/obs"
 )
 
 // stubSpec returns a valid tiny spec whose canonical string varies with i.
@@ -72,7 +74,7 @@ func mustNormalize(t *testing.T, sp Spec) Spec {
 // TestCacheLRUEviction fills the cache past capacity and checks the oldest
 // ready entries are evicted while recently used ones survive.
 func TestCacheLRUEviction(t *testing.T) {
-	reg := NewRegistry()
+	reg := obs.NewRegistry()
 	c := NewCache(2, 0, nil, reg)
 	keys := make([]string, 3)
 	for i := 0; i < 2; i++ {
@@ -296,7 +298,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 	build := func(sp Spec) (*Topology, error) {
 		return &Topology{Key: sp.Key(), Spec: sp, Clos: base.Clos}, nil
 	}
-	reg := NewRegistry()
+	reg := obs.NewRegistry()
 	const capacity, nkeys, workers, rounds = 3, 12, 4, 200
 	c := NewCache(capacity, -1, build, reg)
 	keys := make([]string, nkeys)

@@ -9,6 +9,7 @@ import (
 
 	"rfclos/internal/core"
 	"rfclos/internal/flow"
+	"rfclos/internal/obs"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
 	"rfclos/internal/topology"
@@ -35,18 +36,18 @@ type Options struct {
 // API over it. Create with New, mount via Handler.
 type Server struct {
 	cache *Cache
-	reg   *Registry
+	reg   *obs.Registry
 	mux   *http.ServeMux
 }
 
 // New returns a ready-to-serve Server.
 func New(opts Options) *Server {
-	reg := NewRegistry()
+	reg := obs.NewRegistry()
 	denseBudget := opts.DenseIndexBytes
 	if denseBudget == 0 {
 		denseBudget = DefaultDenseIndexBytes
 	}
-	build := func(sp Spec) (*Topology, error) { return BuildIndexed(sp, denseBudget) }
+	build := func(sp Spec) (*Topology, error) { return BuildIndexed(sp, denseBudget, reg) }
 	s := &Server{
 		cache: NewCache(opts.CacheSize, opts.CacheBytes, build, reg),
 		reg:   reg,
@@ -72,7 +73,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Cache() *Cache { return s.cache }
 
 // Metrics exposes the counter registry.
-func (s *Server) Metrics() *Registry { return s.reg }
+func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // route registers a handler with a per-endpoint request counter. The
 // metric label is the pattern's path with wildcards intact, so cardinality
@@ -391,20 +392,10 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("src/dst must be leaf-switch indices in [0, %d)", n1))
 		return
 	}
-	// O(1) turn lookup from the precomputed index when present, cover-set
-	// computation otherwise; then materialise the random shortest up/down
-	// path from the query seed.
-	var turn int
-	if t.Index != nil {
-		turn = t.Index.MinTurn(src, dst)
-	} else {
-		turn = t.Router.MinTurn(src, dst)
-	}
+	turn, path := t.Path(src, dst, seed)
 	resp.MinTurn = &turn
 	resp.Routable = turn >= 0
 	if turn >= 0 {
-		stream := rng.At(seed, rng.StringCoord("rfcd/path"), uint64(src), uint64(dst))
-		path := t.Router.PathAt(src, dst, turn, stream)
 		resp.Path = path
 		resp.Hops = len(path) - 1
 	}
@@ -502,20 +493,9 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("pair (%d,%d): src/dst must be leaf-switch indices in [0, %d)", src, dst, n1))
 			return
 		}
-		var turn int
-		if t.Index != nil {
-			turn = t.Index.MinTurn(src, dst)
-		} else {
-			turn = t.Router.MinTurn(src, dst)
-		}
-		res := PathResult{Src: src, Dst: dst, Routable: turn >= 0}
-		mt := turn
-		res.MinTurn = &mt
+		turn, path := t.Path(src, dst, req.Seed)
+		res := PathResult{Src: src, Dst: dst, MinTurn: &turn, Routable: turn >= 0}
 		if turn >= 0 {
-			// The same per-pair stream GET /v1/path derives, so batch and
-			// single-path responses agree byte for byte.
-			stream := rng.At(req.Seed, rng.StringCoord("rfcd/path"), uint64(src), uint64(dst))
-			path := t.Router.PathAt(src, dst, turn, stream)
 			res.Path = path
 			res.Hops = len(path) - 1
 		}

@@ -8,17 +8,17 @@
 //
 // Every response body is a pure function of the request parameters and
 // seeds (the sole exception is the "cached" flag, which reflects server
-// cache state); wall-clock measurements appear only in /metrics. The
-// package is an explicitly non-deterministic (server) package in the
-// rfclint configuration — see internal/lint.DefaultConfig.
+// cache state). The package is on rfclint's deterministic list (see
+// internal/lint.DefaultConfig): it reads no clock itself, and build
+// timings reach /metrics only through internal/obs.Registry.Time.
 package service
 
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"rfclos/internal/core"
+	"rfclos/internal/obs"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
 	"rfclos/internal/topology"
@@ -187,28 +187,23 @@ type Topology struct {
 
 	Routable bool
 	Attempts int // rfc: generation attempts used
-
-	// BuildNS and IndexNS record the wall-clock cost of the build and of
-	// the route-index precomputation. They feed /metrics only — response
-	// bodies stay pure functions of (params, seed).
-	BuildNS int64
-	IndexNS int64
 }
 
 // Build constructs the topology a normalized spec describes with the
-// default dense-index budget. The network is a pure function of the spec —
-// the same spec always yields an identical network; only the
-// BuildNS/IndexNS timing fields vary between runs.
+// default dense-index budget. The network is a pure function of the spec:
+// the same spec always yields an identical network.
 func Build(sp Spec) (*Topology, error) {
-	return BuildIndexed(sp, DefaultDenseIndexBytes)
+	return BuildIndexed(sp, DefaultDenseIndexBytes, nil)
 }
 
 // BuildIndexed is Build with an explicit dense-index byte budget: folded
 // Clos topologies whose N1² turn table fits in denseIndexBytes carry the
 // dense tier, larger ones (up to maxSuccinctLeaves) the succinct tier.
-// denseIndexBytes <= 0 means the dense table is always used.
-func BuildIndexed(sp Spec, denseIndexBytes int) (*Topology, error) {
-	start := time.Now() //rfclint:allow handler-purity -- build duration feeds /metrics counters, never response bytes
+// denseIndexBytes <= 0 means the dense table is always used. A successful
+// build adds its wall-clock cost, and that of the index step, to reg's
+// rfcd_build_ns_total and rfcd_index_ns_total; reg may be nil.
+func BuildIndexed(sp Spec, denseIndexBytes int, reg *obs.Registry) (*Topology, error) {
+	stopBuild := reg.Time(metricBuildNS)
 	t := &Topology{Key: sp.Key(), Canon: sp.Canonical(), Spec: sp}
 	// Every deterministic folded Clos kind builds through the streaming
 	// path: the builder seals CSR level pairs bottom-up and the attached
@@ -253,14 +248,34 @@ func BuildIndexed(sp Spec, denseIndexBytes int) (*Topology, error) {
 			t.Router = rs.Finish(t.Clos)
 			t.Routable = t.Router.Routable()
 		}
-		if t.Clos.LevelSize(1) <= maxSuccinctLeaves {
-			ixStart := time.Now() //rfclint:allow handler-purity -- index duration feeds /metrics counters, never response bytes
-			t.Index = routing.NewTurnIndex(t.Router, denseIndexBytes)
-			t.IndexNS = time.Since(ixStart).Nanoseconds() //rfclint:allow handler-purity -- metrics-only timing
-		}
 	}
-	t.BuildNS = time.Since(start).Nanoseconds() //rfclint:allow handler-purity -- metrics-only timing
+	stopIndex := reg.Time(metricIndexNS)
+	if t.Clos != nil && t.Clos.LevelSize(1) <= maxSuccinctLeaves {
+		t.Index = routing.NewTurnIndex(t.Router, denseIndexBytes)
+	}
+	stopIndex()
+	stopBuild()
 	return t, nil
+}
+
+// Path answers a leaf-to-leaf route query on a folded Clos build: the
+// minimal turn level between leaf switches src and dst (negative when
+// unroutable) and, when routable, the random shortest up/down path drawn
+// from seed's "rfcd/path" stream for the pair. The turn comes from the
+// precomputed index when present, from the cover sets otherwise. GET
+// /v1/path and POST /v1/paths both answer through it, so single and batch
+// responses agree byte for byte.
+func (t *Topology) Path(src, dst int, seed uint64) (turn int, path []int32) {
+	if t.Index != nil {
+		turn = t.Index.MinTurn(src, dst)
+	} else {
+		turn = t.Router.MinTurn(src, dst)
+	}
+	if turn < 0 {
+		return turn, nil
+	}
+	stream := rng.At(seed, rng.StringCoord("rfcd/path"), uint64(src), uint64(dst))
+	return turn, t.Router.PathAt(src, dst, turn, stream)
 }
 
 // Terminals returns the compute-node count of the build.

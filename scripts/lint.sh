@@ -6,9 +6,9 @@
 #                    "Determinism invariants"): the per-function rules (no
 #                    wall-clock/math-rand in deterministic packages, no
 #                    order-sensitive map ranges, no rng.Split in parallel
-#                    workers, no duplicated StringCoord coordinates) plus
-#                    the interprocedural handler-purity pass over the
-#                    whole call graph. The run emits the versioned JSON
+#                    workers, no duplicated StringCoord coordinates),
+#                    applied to every package an exhibit or an rfcd
+#                    handler can reach. The run emits the versioned JSON
 #                    report, filters it through the checked-in (empty)
 #                    baseline, and a separate parse step re-asserts the
 #                    report is clean — so a silent output regression in
