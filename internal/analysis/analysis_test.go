@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"rfclos/internal/core"
+	"rfclos/internal/engine"
 	"rfclos/internal/graph"
+	"rfclos/internal/metrics"
 	"rfclos/internal/rng"
 	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
@@ -42,9 +44,16 @@ func TestFaultsToDisconnectKnownGraphs(t *testing.T) {
 	if got := FaultsToDisconnect(k5, r); got < 4 {
 		t.Errorf("K5 disconnected after %d removals, want >= 4", got)
 	}
-	if avg := AverageFaultsToDisconnect(cyc, 20, r); avg != 2.0/8.0 {
+	if avg := meanFraction(disconnectObs(cyc, 20, 0, 1, engine.Shard{}), cyc.M()); avg != 2.0/8.0 {
 		t.Errorf("average fraction = %v, want 0.25", avg)
 	}
+}
+
+// meanFraction is the mean of a trial cell's observations as a fraction of
+// m links, the quantity Table 3 and Figure 11 report.
+func meanFraction(obs []metrics.Obs, m int) float64 {
+	s := metrics.SummarizeObs(obs)
+	return s.Mean() / float64(m)
 }
 
 func TestUpDownFaultToleranceOFTIsZero(t *testing.T) {
@@ -70,8 +79,7 @@ func TestUpDownFaultToleranceCFTPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rng.New(3)
-	tol := AverageUpDownFaultTolerance(c, 3, r)
+	tol := meanFraction(upDownFaultObs(c, 3, 0, 3, engine.Shard{}), c.Wires())
 	if tol <= 0 || tol >= 1 {
 		t.Errorf("CFT tolerance = %v, want in (0,1)", tol)
 	}
@@ -90,8 +98,8 @@ func TestRFCToleratesMoreThanCFTAtEqualRadix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cftTol := AverageUpDownFaultTolerance(cft, 4, r)
-	rfcTol := AverageUpDownFaultTolerance(rfc, 4, r)
+	cftTol := meanFraction(upDownFaultObs(cft, 4, 0, 4, engine.Shard{}), cft.Wires())
+	rfcTol := meanFraction(upDownFaultObs(rfc, 4, 0, 4, engine.Shard{}), rfc.Wires())
 	if rfcTol <= cftTol {
 		t.Errorf("RFC tolerance %v not above CFT tolerance %v", rfcTol, cftTol)
 	}

@@ -32,39 +32,6 @@ func FaultsToDisconnect(g *graph.Graph, r *rng.Rand) int {
 	return 0
 }
 
-// AverageFaultsToDisconnect averages FaultsToDisconnect over trials and
-// returns the mean fraction of links whose removal disconnects the network.
-// The trials draw from the shared generator in sequence; parallel callers
-// use AverageFaultsToDisconnectSeeded instead.
-func AverageFaultsToDisconnect(g *graph.Graph, trials int, r *rng.Rand) float64 {
-	if g.M() == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := 0; i < trials; i++ {
-		sum += float64(FaultsToDisconnect(g, r))
-	}
-	return sum / float64(trials) / float64(g.M())
-}
-
-// AverageFaultsToDisconnectSeeded is AverageFaultsToDisconnect with the
-// removal trials fanned out over a worker pool: trial i draws its removal
-// order from rng.At(seed, i), so the mean is a pure function of (g, trials,
-// seed), identical for every worker count. workers <= 0 means one per CPU.
-func AverageFaultsToDisconnectSeeded(g *graph.Graph, trials, workers int, seed uint64) float64 {
-	if g.M() == 0 || trials <= 0 {
-		return 0
-	}
-	counts, _ := engine.Run(trials, workers, func(i int) (int, error) {
-		return FaultsToDisconnect(g, rng.At(seed, uint64(i))), nil
-	})
-	sum := 0.0
-	for _, n := range counts {
-		sum += float64(n)
-	}
-	return sum / float64(trials) / float64(g.M())
-}
-
 // disconnectObs fans this shard's FaultsToDisconnect trials out over the
 // worker pool and returns the per-trial removal counts as job-indexed
 // observations (trial i drawing from rng.At(seed, i)), ready for a mergeable
@@ -126,40 +93,6 @@ func FaultsUntilUpDownLost(c *topology.Clos, r *rng.Rand) int {
 		}
 	}
 	return lo
-}
-
-// AverageUpDownFaultTolerance averages FaultsUntilUpDownLost over trials and
-// returns the mean tolerated fraction of links. The trials draw from the
-// shared generator in sequence; parallel callers use
-// AverageUpDownFaultToleranceSeeded instead.
-func AverageUpDownFaultTolerance(c *topology.Clos, trials int, r *rng.Rand) float64 {
-	if c.Wires() == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := 0; i < trials; i++ {
-		sum += float64(FaultsUntilUpDownLost(c, r))
-	}
-	return sum / float64(trials) / float64(c.Wires())
-}
-
-// AverageUpDownFaultToleranceSeeded is AverageUpDownFaultTolerance with the
-// removal trials fanned out over a worker pool: trial i draws its removal
-// order from rng.At(seed, i), so the mean is a pure function of (c, trials,
-// seed), identical for every worker count. Each trial clones the topology
-// per probe and only reads c, so concurrent trials are safe.
-func AverageUpDownFaultToleranceSeeded(c *topology.Clos, trials, workers int, seed uint64) float64 {
-	if c.Wires() == 0 || trials <= 0 {
-		return 0
-	}
-	counts, _ := engine.Run(trials, workers, func(i int) (int, error) {
-		return FaultsUntilUpDownLost(c, rng.At(seed, uint64(i))), nil
-	})
-	sum := 0.0
-	for _, n := range counts {
-		sum += float64(n)
-	}
-	return sum / float64(trials) / float64(c.Wires())
 }
 
 // RemoveRandomLinks deletes n uniformly random links from c (in place) and

@@ -85,8 +85,7 @@ type simPoint struct{ lat, thr float64 }
 // stream returns the job's deterministic RNG, a pure function of the root
 // seed and the job coordinates (network name, pattern name, load, rep).
 // Using names rather than positional indices keeps a network/pattern's
-// streams stable under sweep-grid reshuffles, and makes a stand-alone
-// LoadSweep reproduce the corresponding slice of a ScenarioSweep.
+// streams stable under sweep-grid reshuffles.
 func (j simJob) stream(seed uint64) *rng.Rand {
 	return rng.At(seed, rng.StringCoord(j.net), rng.StringCoord(j.pattern),
 		math.Float64bits(j.load), uint64(j.rep))
@@ -128,28 +127,6 @@ func loadRepJobs(n netUnderTest, pattern string, opts SimOptions) []simJob {
 		}
 	}
 	return jobs
-}
-
-// LoadSweep measures latency and accepted throughput across offered loads
-// for one network and one traffic pattern. It returns one latency series
-// and one throughput series, each point averaged over opts.Reps runs with
-// distinct coordinate-derived seeds (and distinct pattern instances for the
-// fixed patterns). The (load × rep) grid runs on opts.Workers workers; the
-// returned series are identical for any worker count.
-func LoadSweep(c *topology.Clos, ud *routing.UpDown, netName, patName string, opts SimOptions) (lat, thr metrics.Series, err error) {
-	opts = opts.withDefaults()
-	jobs := loadRepJobs(netUnderTest{netName, c, ud}, patName, opts)
-	points, err := runSimJobs(jobs, opts)
-	if err != nil {
-		return metrics.Series{}, metrics.Series{}, err
-	}
-	var latC, thrC metrics.Collector
-	for i, p := range points {
-		latC.Add(jobs[i].load, p.lat)
-		thrC.Add(jobs[i].load, p.thr)
-	}
-	return latC.Series(netName + "/" + patName + "/latency"),
-		thrC.Series(netName + "/" + patName + "/throughput"), nil
 }
 
 // buildScenarioNets constructs a scenario's networks with per-network

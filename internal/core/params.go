@@ -80,12 +80,6 @@ func ParamsForTerminals(radix, levels, t int) Params {
 	return Params{Radix: radix, Levels: levels, Leaves: n1}
 }
 
-// MaxParams returns the largest realizable RFC (per the Theorem 4.2
-// threshold) for the given radix and level count.
-func MaxParams(radix, levels int) Params {
-	return Params{Radix: radix, Levels: levels, Leaves: MaxLeaves(radix, levels)}
-}
-
 // String summarises the parameters.
 func (p Params) String() string {
 	return fmt.Sprintf("RFC(R=%d, l=%d, N1=%d, T=%d)", p.Radix, p.Levels, p.Leaves, p.Terminals())

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"rfclos/internal/engine"
 	"rfclos/internal/graph"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
@@ -103,34 +102,6 @@ func EstimateUpDownProbability(p Params, trials int, r *rng.Rand) (float64, erro
 			return 0, err
 		}
 		if routing.New(c).Routable() {
-			ok++
-		}
-	}
-	return float64(ok) / float64(trials), nil
-}
-
-// EstimateUpDownProbabilityParallel is EstimateUpDownProbability with the
-// trials fanned out on a worker pool. Each trial generates its RFC from a
-// stream derived from (seed, trial index), so the estimate is a pure
-// function of (p, trials, seed) — identical for any worker count.
-// workers <= 0 means one per CPU.
-func EstimateUpDownProbabilityParallel(p Params, trials, workers int, seed uint64) (float64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	oks, err := engine.Run(trials, workers, func(i int) (bool, error) {
-		c, err := Generate(p, rng.At(seed, uint64(i)))
-		if err != nil {
-			return false, err
-		}
-		return routing.New(c).Routable(), nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	ok := 0
-	for _, v := range oks {
-		if v {
 			ok++
 		}
 	}

@@ -21,21 +21,6 @@ func ThresholdRadix(n1, levels int) float64 {
 	return 2 * math.Pow(float64(n1)*math.Log(float64(n1)), 1/d)
 }
 
-// ThresholdRadixExact returns the unsimplified Theorem 4.2 radix at offset
-// x: 2 (N_l (ln C(N1,2) + x))^(1/(2(l-1))) with N_l = N1/2.
-func ThresholdRadixExact(n1, levels int, x float64) float64 {
-	if n1 < 2 {
-		return 0
-	}
-	nl := float64(n1) / 2
-	arg := nl * (lnBinom2(n1) + x)
-	if arg <= 0 {
-		return 0
-	}
-	d := 2 * float64(levels-1)
-	return 2 * math.Pow(arg, 1/d)
-}
-
 // XParam inverts Theorem 4.2: it returns the offset x implied by using
 // radix R on an l-level RFC with N1 leaves, i.e. x = Δ^{2(l-1)}/N_l −
 // ln C(N1,2). Positive x means the network sits above the threshold

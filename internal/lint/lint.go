@@ -1,27 +1,27 @@
-// Package lint is rfclint's engine: a small, stdlib-only static analyzer
-// that enforces this repository's determinism invariants. Every exhibit —
-// the Theorem 4.2 trials, the Figure 8-12 sweeps, Table 3, and the
-// byte-identical shard merges — and every rfcd response rely on
-// deterministic packages drawing randomness only from coordinate-derived
-// rng streams, never from wall-clock time, Go's randomized map iteration
-// order, or order-dependent stream splitting inside parallel workers. The
-// rules here turn that convention into a build gate.
+// Package lint is rfclint's engine: a small static analyzer, built on the
+// standard library alone, that enforces this repository's determinism
+// invariants. Every exhibit — the Theorem 4.2 trials, the Figure 8-12
+// sweeps, Table 3, and the byte-identical shard merges — and every rfcd
+// response rely on deterministic packages drawing randomness only from
+// coordinate-derived rng streams, never from wall-clock time, Go's
+// randomized map iteration order, or a parent stream shared by parallel
+// workers. The rules here turn that convention into a build gate.
 //
 // The analyzer loads packages with go/parser and type-checks them with
 // go/types through a hybrid importer (module packages from source, standard
 // library via go/importer's source mode), so it needs nothing outside the
 // standard library and the checked-out tree.
 //
-// Findings can be suppressed per line with a `//rfclint:allow <rule>`
-// comment on the offending line or the line directly above it; see
-// suppress.go.
+// Run reports every finding: there is no suppression comment and no accept
+// list, so an intentional exception has to be restructured away.
 package lint
 
 import (
 	"fmt"
 	"go/token"
 	"sort"
-	"sync"
+
+	"rfclos/internal/engine"
 )
 
 // Config selects which packages the determinism rules apply to. Paths are
@@ -112,8 +112,7 @@ func (f Finding) String() string {
 type Rule struct {
 	Name string
 	Doc  string
-	// Check returns the rule's findings for pkg (suppression is applied by
-	// the driver, not the rule).
+	// Check returns the rule's findings for pkg; Run reports all of them.
 	Check func(cfg *Config, pkg *Package) []Finding
 }
 
@@ -132,7 +131,7 @@ func Rules() []Rule {
 		},
 		{
 			Name:  "split-in-parallel",
-			Doc:   "rng.Split or a captured parent rng stream inside a worker closure passed to engine.Run/RunShard; derive streams from job coordinates instead",
+			Doc:   "a captured parent rng stream inside a worker closure passed to engine.Run/RunShard; derive streams from job coordinates instead",
 			Check: checkSplitInParallel,
 		},
 		{
@@ -144,41 +143,25 @@ func Rules() []Rule {
 }
 
 // Run loads every package directory in dirs (see Loader) and applies every
-// rule, returning the unsuppressed findings sorted by position. A load or
-// type-check failure is an error: the linter refuses to bless a tree it
-// could not fully analyze.
+// rule, returning the findings sorted by position. Packages are loaded and
+// checked in parallel, one worker per CPU; the output does not depend on
+// the worker count. A load or type-check failure is an error (the one of
+// the lowest-index directory): the linter refuses to bless a tree it could
+// not fully analyze.
 func Run(cfg *Config, ld *Loader, dirs []string) ([]Finding, error) {
-	return RunParallel(cfg, ld, dirs, 1)
-}
-
-// RunParallel is Run with up to workers packages loaded and checked
-// concurrently. Output is deterministic regardless of worker count:
-// findings are sorted at the end.
-func RunParallel(cfg *Config, ld *Loader, dirs []string, workers int) ([]Finding, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	perPkg := make([][]Finding, len(dirs))
-	errs := make([]error, len(dirs))
-	runWorkers(len(dirs), workers, func(i int) {
+	perPkg, err := engine.Run(len(dirs), 0, func(i int) ([]Finding, error) {
 		pkg, err := ld.LoadDir(dirs[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		allow := allowIndex(pkg)
-		for _, rule := range Rules() {
-			for _, f := range rule.Check(cfg, pkg) {
-				if !allow.suppressed(f) {
-					perPkg[i] = append(perPkg[i], f)
-				}
-			}
-		}
-	})
-	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+		var fs []Finding
+		for _, rule := range Rules() {
+			fs = append(fs, rule.Check(cfg, pkg)...)
+		}
+		return fs, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	var all []Finding
 	for _, fs := range perPkg {
@@ -198,33 +181,4 @@ func RunParallel(cfg *Config, ld *Loader, dirs []string, workers int) ([]Finding
 		return a.Rule < b.Rule
 	})
 	return all, nil
-}
-
-// runWorkers runs fn(0..n-1) on up to workers goroutines.
-func runWorkers(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }

@@ -13,9 +13,8 @@ import (
 // The fixture packages under testdata/src declare their expected
 // diagnostics inline: a `//lintwant:<rule>` marker on a line means exactly
 // one finding of that rule is expected there. Packages also contain
-// non-firing and //rfclint:allow-suppressed cases, which must produce no
-// findings — the set comparison below catches both missed and spurious
-// diagnostics.
+// non-firing cases, which must produce no findings — the set comparison
+// below catches both missed and spurious diagnostics.
 
 // fixtureConfig mirrors DefaultConfig but points the deterministic list at
 // the fixture packages (freepkg is deliberately left off it).

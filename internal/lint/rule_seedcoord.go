@@ -18,8 +18,8 @@ import (
 // are assumed to be distinguished by their dynamic part.
 //
 // The first occurrence anchors the label; every later duplicate site is
-// flagged, pointing back at the anchor. Intentional stream sharing is
-// annotated at the duplicate site with //rfclint:allow seed-coord-literal.
+// flagged, pointing back at the anchor. Intentional stream sharing goes
+// through one helper that holds the label, so the literal appears once.
 
 func checkSeedCoordLiteral(cfg *Config, pkg *Package) []Finding {
 	if !cfg.IsDeterministic(pkg.Path) {

@@ -5,13 +5,12 @@ import (
 	"go/types"
 )
 
-// split-in-parallel: rng.Split derives a child stream from the parent's
-// *current state*, so its result depends on everything drawn before it —
-// inside an engine.Run/RunShard worker closure that order is the job
-// completion order, which varies with the worker count. The same goes for
-// drawing directly from a generator captured from the enclosing scope. Both
-// break the workers=1 == workers=N byte-identity contract. Worker closures
-// must derive their streams from job coordinates via rng.At/rng.DeriveSeed.
+// split-in-parallel: drawing from a generator captured from the enclosing
+// scope inside an engine.Run/RunShard worker closure makes each job's draws
+// depend on the job completion order, which varies with the worker count.
+// That breaks the workers=1 == workers=N byte-identity contract. Worker
+// closures must derive their streams from job coordinates via
+// rng.At/rng.DeriveSeed.
 
 // enginePoolFuncs are the worker-pool entry points whose closures are
 // checked.
@@ -41,38 +40,29 @@ func checkSplitInParallel(cfg *Config, pkg *Package) []Finding {
 	return out
 }
 
-// checkWorkerClosure flags Split calls and uses of captured parent
-// generators inside one worker closure.
+// checkWorkerClosure flags uses of captured parent generators inside one
+// worker closure.
 func checkWorkerClosure(cfg *Config, pkg *Package, lit *ast.FuncLit) []Finding {
 	var out []Finding
 	reported := map[types.Object]bool{}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if f, ok := calleeObj(pkg.Info, n).(*types.Func); ok &&
-				f.Name() == "Split" && objInPkg(f, cfg.RngPkg) {
-				out = append(out, pkg.finding(n.Pos(), "split-in-parallel",
-					"rng.Split inside a parallel worker is order-dependent; "+
-						"derive the job's stream from its coordinates with rng.At/DeriveSeed"))
-			}
-		case *ast.Ident:
-			obj := pkg.Info.Uses[n]
-			v, ok := obj.(*types.Var)
-			if !ok || v.IsField() || reported[obj] {
-				return true
-			}
-			if !isRngRand(cfg, v.Type()) {
-				return true
-			}
-			// Declared outside the closure means it is a captured parent
-			// stream; anything declared by the closure itself (params or
-			// locals, e.g. r := rng.At(...)) is job-local and fine.
-			if v.Pos() < lit.Pos() || v.Pos() > lit.Body.End() {
-				reported[obj] = true
-				out = append(out, pkg.finding(n.Pos(), "split-in-parallel",
-					"parallel worker uses rng stream "+v.Name()+" captured from the enclosing scope; "+
-						"derive a job-local stream from its coordinates with rng.At/DeriveSeed"))
-			}
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		obj := pkg.Info.Uses[id]
+		v, ok := obj.(*types.Var)
+		if !ok || v.IsField() || reported[obj] || !isRngRand(cfg, v.Type()) {
+			return true
+		}
+		// Declared outside the closure means it is a captured parent
+		// stream; anything declared by the closure itself (params or
+		// locals, e.g. r := rng.At(...)) is job-local and fine.
+		if v.Pos() < lit.Pos() || v.Pos() > lit.Body.End() {
+			reported[obj] = true
+			out = append(out, pkg.finding(id.Pos(), "split-in-parallel",
+				"parallel worker uses rng stream "+v.Name()+" captured from the enclosing scope; "+
+					"derive a job-local stream from its coordinates with rng.At/DeriveSeed"))
 		}
 		return true
 	})

@@ -7,16 +7,6 @@ import (
 	"rfclos/internal/rng"
 )
 
-// splitInWorker derives a child stream with Split inside the worker: the
-// child depends on how many draws happened before it, i.e. on scheduling.
-func splitInWorker(seed uint64) ([]int, error) {
-	return engine.Run(8, 4, func(job int) (int, error) {
-		r := rng.At(seed, uint64(job))
-		child := r.Split() //lintwant:split-in-parallel
-		return child.Intn(100), nil
-	})
-}
-
 // capturedParent draws from a generator captured from the enclosing scope:
 // jobs then race for positions in one shared stream.
 func capturedParent(parent *rng.Rand) ([]int, error) {

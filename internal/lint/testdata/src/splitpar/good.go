@@ -14,9 +14,3 @@ func coordinateSeeded(seed uint64) ([]int, error) {
 		return r.Intn(100), nil
 	})
 }
-
-// splitOutsideWorker may use Split freely in sequential code.
-func splitOutsideWorker(parent *rng.Rand) int {
-	child := parent.Split()
-	return child.Intn(100)
-}

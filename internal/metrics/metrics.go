@@ -1,14 +1,10 @@
 // Package metrics provides the latency and throughput accounting used by
 // the network simulator and the experiment harness: streaming summaries,
-// logarithmic latency histograms with quantile estimates, and multi-run
-// aggregation.
+// logarithmic latency histograms with quantile estimates, and job-indexed
+// multi-run aggregation (obs.go).
 package metrics
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Summary accumulates a stream of float64 observations.
 type Summary struct {
@@ -50,26 +46,6 @@ func (s *Summary) StdDev() float64 {
 		v = 0
 	}
 	return math.Sqrt(v)
-}
-
-// Merge folds other into s.
-func (s *Summary) Merge(other Summary) {
-	if other.N == 0 {
-		return
-	}
-	if s.N == 0 {
-		*s = other
-		return
-	}
-	if other.Min < s.Min {
-		s.Min = other.Min
-	}
-	if other.Max > s.Max {
-		s.Max = other.Max
-	}
-	s.N += other.N
-	s.Sum += other.Sum
-	s.SumSq += other.SumSq
 }
 
 // Histogram is a logarithmic-bucket histogram for positive integer latency
@@ -120,108 +96,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.sum.Max
-}
-
-// Merge folds other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for i := range h.buckets {
-		h.buckets[i] += other.buckets[i]
-	}
-	h.sum.Merge(other.sum)
-}
-
-// Series is a named sequence of (x, y) points with optional y spread,
-// the unit the experiment harness emits for each curve of a figure.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Point is one measurement: X is the sweep coordinate (offered load, faults,
-// terminal count...), Y the response, and YErr an optional spread (stddev
-// across repetitions).
-type Point struct {
-	X, Y, YErr float64
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y, yerr float64) {
-	s.Points = append(s.Points, Point{X: x, Y: y, YErr: yerr})
-}
-
-// Sort orders points by X.
-func (s *Series) Sort() {
-	sort.Slice(s.Points, func(i, j int) bool { return s.Points[i].X < s.Points[j].X })
-}
-
-// Format renders the series as aligned text rows: name, x, y, yerr.
-func (s *Series) Format() string {
-	out := ""
-	for _, p := range s.Points {
-		out += fmt.Sprintf("%-28s %12.4f %12.4f %12.4f\n", s.Name, p.X, p.Y, p.YErr)
-	}
-	return out
-}
-
-// Collector aggregates per-job observations into one Summary per distinct
-// sweep coordinate x. It is the merge stage of the parallel experiment
-// engine: jobs (one per repetition per sweep point) run in any order across
-// workers, and the collector folds their results into per-point statistics
-// whose values do not depend on completion order.
-//
-// Determinism of the emitted Series ordering comes from feeding observations
-// in job-index order (engine.Run returns results indexed by job), which
-// fixes the first-seen order of the x keys; the aggregated values themselves
-// are order-independent (Summary.Merge is commutative in the quantities
-// Series reports). The zero value is ready to use. A Collector is not safe
-// for concurrent use — collect after the parallel phase, not during it.
-type Collector struct {
-	order []float64
-	sums  map[float64]*Summary
-}
-
-// Add records one observation y at sweep coordinate x.
-func (c *Collector) Add(x, y float64) {
-	s := c.at(x)
-	s.Add(y)
-}
-
-// AddSummary folds a pre-aggregated per-job Summary into coordinate x,
-// for jobs that already reduce several observations internally.
-func (c *Collector) AddSummary(x float64, s Summary) {
-	c.at(x).Merge(s)
-}
-
-func (c *Collector) at(x float64) *Summary {
-	if c.sums == nil {
-		c.sums = make(map[float64]*Summary)
-	}
-	s, ok := c.sums[x]
-	if !ok {
-		s = &Summary{}
-		c.sums[x] = s
-		c.order = append(c.order, x)
-	}
-	return s
-}
-
-// Merge folds other into c: summaries at shared coordinates are merged,
-// new coordinates are appended in other's order. The aggregated values are
-// independent of the order in which collectors are merged.
-func (c *Collector) Merge(other *Collector) {
-	for _, x := range other.order {
-		c.at(x).Merge(*other.sums[x])
-	}
-}
-
-// Series renders the collected statistics as a named series: one point per
-// distinct x in first-Add order, with Y the mean and YErr the sample
-// standard deviation across that coordinate's observations.
-func (c *Collector) Series(name string) Series {
-	s := Series{Name: name}
-	for _, x := range c.order {
-		sum := c.sums[x]
-		s.Add(x, sum.Mean(), sum.StdDev())
-	}
-	return s
 }

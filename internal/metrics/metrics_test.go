@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -20,27 +19,6 @@ func TestSummary(t *testing.T) {
 	var empty Summary
 	if empty.Mean() != 0 || empty.StdDev() != 0 {
 		t.Error("empty summary should yield zeros")
-	}
-}
-
-func TestSummaryMerge(t *testing.T) {
-	var a, b, whole Summary
-	for i := 1; i <= 10; i++ {
-		whole.Add(float64(i))
-		if i <= 5 {
-			a.Add(float64(i))
-		} else {
-			b.Add(float64(i))
-		}
-	}
-	a.Merge(b)
-	if a.N != whole.N || a.Mean() != whole.Mean() || a.Min != whole.Min || a.Max != whole.Max {
-		t.Errorf("merge mismatch: %+v vs %+v", a, whole)
-	}
-	var empty Summary
-	empty.Merge(a)
-	if empty.N != a.N {
-		t.Error("merge into empty failed")
 	}
 }
 
@@ -65,34 +43,5 @@ func TestHistogram(t *testing.T) {
 	h.Add(-5) // clamped to zero
 	if h.N() != 1001 {
 		t.Error("negative value not recorded")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for i := 0; i < 100; i++ {
-		a.Add(10)
-		b.Add(1000)
-	}
-	a.Merge(&b)
-	if a.N() != 200 {
-		t.Fatalf("merged N = %d", a.N())
-	}
-	if m := a.Mean(); math.Abs(m-505) > 1e-9 {
-		t.Errorf("merged mean = %v", m)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	s := Series{Name: "cft-uniform"}
-	s.Add(0.5, 0.49, 0.01)
-	s.Add(0.1, 0.1, 0)
-	s.Sort()
-	if s.Points[0].X != 0.1 {
-		t.Error("sort failed")
-	}
-	out := s.Format()
-	if !strings.Contains(out, "cft-uniform") || len(strings.Split(strings.TrimSpace(out), "\n")) != 2 {
-		t.Errorf("format output unexpected: %q", out)
 	}
 }

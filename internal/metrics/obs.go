@@ -53,11 +53,11 @@ func SummarizeObs(obs []Obs) Summary {
 	return s
 }
 
-// JobCollector aggregates job-indexed observations per sweep coordinate x,
-// the shard-aware successor of Collector: Expect registers that a job feeds
-// coordinate x (run or not — it sizes the completeness contract), Observe
-// records the value of a job this process actually ran. Coordinates keep
-// first-Expect order, like Collector. The zero value is ready to use.
+// JobCollector aggregates job-indexed observations per sweep coordinate x:
+// Expect registers that a job feeds coordinate x (run or not — it sizes the
+// completeness contract), Observe records the value of a job this process
+// actually ran. Coordinates keep first-Expect order. The zero value is ready
+// to use.
 type JobCollector struct {
 	order []float64
 	cells map[float64]*jobCell

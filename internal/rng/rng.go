@@ -6,7 +6,8 @@
 //
 // The generator is xoshiro256**, seeded through splitmix64 as its authors
 // recommend. Independent sub-streams for concurrent or structurally separate
-// uses (e.g. one stream per simulated switch) are derived with Split.
+// uses (e.g. one stream per sweep job) are derived from coordinates with At
+// or DeriveSeed.
 package rng
 
 import "math"
@@ -40,18 +41,6 @@ func New(seed uint64) *Rand {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
 	return r
-}
-
-// Split derives an independent child generator. The child's stream is a
-// function of the parent's current state, and the parent is advanced, so
-// successive Splits give distinct streams.
-//
-// Split is inherently order-dependent: the k-th Split of a parent depends on
-// everything drawn from the parent before it. Parallel experiment code that
-// must produce identical results for any worker count should instead derive
-// streams from job coordinates with At or DeriveSeed.
-func (r *Rand) Split() *Rand {
-	return New(r.Uint64() ^ 0xa0761d6478bd642f)
 }
 
 // DeriveSeed deterministically maps a root seed plus a tuple of job

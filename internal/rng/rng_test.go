@@ -28,15 +28,6 @@ func TestSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(7)
-	c1 := parent.Split()
-	c2 := parent.Split()
-	if c1.Uint64() == c2.Uint64() && c1.Uint64() == c2.Uint64() {
-		t.Fatal("split children produced identical streams")
-	}
-}
-
 func TestUint64nRange(t *testing.T) {
 	r := New(3)
 	for _, n := range []uint64{1, 2, 3, 7, 10, 100, 1 << 20, 1<<63 + 3} {

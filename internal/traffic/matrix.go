@@ -222,64 +222,3 @@ func ScaleMatrix(m []Demand, load float64) []Demand {
 	}
 	return out
 }
-
-// MatrixPattern adapts a traffic matrix to the packet Pattern interface so
-// the cycle-accurate backend can consume the same generated matrices: each
-// packet from source s picks a destination among s's flows with probability
-// proportional to the flow rates.
-type MatrixPattern struct {
-	name  string
-	start []int32   // CSR offsets: flows of source s are [start[s], start[s+1])
-	dst   []int32   // destination per flow, grouped by source
-	cum   []float64 // per-source cumulative rates, grouped like dst
-}
-
-// NewMatrixPattern builds the adapter over t terminals. The matrix need not
-// be sorted; flows are grouped by source with a counting pass, preserving
-// per-source matrix order.
-func NewMatrixPattern(name string, t int, m []Demand) *MatrixPattern {
-	p := &MatrixPattern{name: name, start: make([]int32, t+1),
-		dst: make([]int32, len(m)), cum: make([]float64, len(m))}
-	for _, d := range m {
-		p.start[d.Src+1]++
-	}
-	for s := 0; s < t; s++ {
-		p.start[s+1] += p.start[s]
-	}
-	next := append([]int32(nil), p.start[:t]...)
-	for _, d := range m {
-		i := next[d.Src]
-		next[d.Src]++
-		p.dst[i] = d.Dst
-		p.cum[i] = d.Rate
-	}
-	for s := 0; s < t; s++ {
-		for i := p.start[s] + 1; i < p.start[s+1]; i++ {
-			p.cum[i] += p.cum[i-1]
-		}
-	}
-	return p
-}
-
-// Name implements Pattern.
-func (p *MatrixPattern) Name() string { return p.name }
-
-// Dest implements Pattern: a rate-weighted choice among src's flows, or -1
-// when src has none.
-func (p *MatrixPattern) Dest(src int, r *rng.Rand) int {
-	lo, hi := p.start[src], p.start[src+1]
-	if lo == hi {
-		return -1
-	}
-	total := p.cum[hi-1]
-	if total <= 0 {
-		return -1
-	}
-	x := r.Float64() * total
-	for i := lo; i < hi; i++ {
-		if x < p.cum[i] {
-			return int(p.dst[i])
-		}
-	}
-	return int(p.dst[hi-1])
-}
