@@ -3,6 +3,7 @@ package routing_test
 import (
 	"testing"
 
+	"rfclos/internal/core"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
 	"rfclos/internal/topology"
@@ -42,23 +43,41 @@ func BenchmarkCoverBuild(b *testing.B) {
 
 // BenchmarkTurnIndexBuild measures index construction for both tiers and
 // reports the encoding density as bytes per ordered leaf pair (the dense
-// tier is 1.0 by definition).
+// tier is 1.0 by definition). Besides the 4096-leaf XGFT, the succinct
+// tier is timed on the 65,536-leaf XGFT rfcd's query benchmark serves,
+// where every row takes the run sweep, and on an 8,192-leaf radix-24 RFC,
+// whose sparse and bitset covers keep every row on the word sweep.
 func BenchmarkTurnIndexBuild(b *testing.B) {
+	perPair := func(b *testing.B, ix routing.TurnIndex) {
+		n := float64(ix.Leaves())
+		b.ReportMetric(float64(ix.SizeBytes())/(n*n), "bytes/pair")
+	}
+	succinct := func(u *routing.UpDown) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ResetTimer()
+			var ix routing.TurnIndex
+			for i := 0; i < b.N; i++ {
+				ix = routing.NewSuccinctTurnIndex(u)
+			}
+			perPair(b, ix)
+		}
+	}
 	u := benchUpDown(b)
-	n := float64(u.Clos().LevelSize(1)) * float64(u.Clos().LevelSize(1))
 	b.Run("dense", func(b *testing.B) {
 		var ix routing.TurnIndex
 		for i := 0; i < b.N; i++ {
 			ix = routing.NewMinTurnIndex(u)
 		}
-		b.ReportMetric(float64(ix.SizeBytes())/n, "bytes/pair")
+		perPair(b, ix)
 	})
-	b.Run("succinct", func(b *testing.B) {
-		var ix routing.TurnIndex
-		for i := 0; i < b.N; i++ {
-			ix = routing.NewSuccinctTurnIndex(u)
+	b.Run("succinct", succinct(u))
+	b.Run("succinct-xgft-64K", func(b *testing.B) { succinct(xgft64K(b))(b) })
+	b.Run("succinct-rfc", func(b *testing.B) {
+		c, err := core.Generate(core.Params{Radix: 24, Levels: 3, Leaves: 8192}, rng.New(1))
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(ix.SizeBytes())/n, "bytes/pair")
+		succinct(routing.New(c))(b)
 	})
 }
 

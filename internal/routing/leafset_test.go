@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
 	"rfclos/internal/rng"
@@ -244,4 +245,54 @@ func TestBitsetHelpers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzLeafSet draws a membership over a universe of 1 to 4,096 leaves and
+// checks every container the constructors pick for it against a plain
+// bitset: compressBitset over the bitset, leafSetFromRuns over its maximal
+// runs, and leafSetFromRange over its hull [lo, hi). data is read
+// as alternating gap and run lengths, so short values give sparse or
+// high-entropy sets, long ones runs, and invert turns either into the
+// nearly-full shapes the complement container holds.
+func FuzzLeafSet(f *testing.F) {
+	f.Fuzz(func(t *testing.T, size uint16, invert bool, data []byte) {
+		n := int(size%4096) + 1
+		member := make([]bool, n)
+		pos := 0
+		for i, x := range data {
+			if i%2 == 1 {
+				for j := pos; j < min(pos+int(x), n); j++ {
+					member[j] = true
+				}
+			}
+			pos += int(x)
+		}
+		ref := NewBitset(n)
+		var runs []uint64
+		cnt, lo, hi := 0, 0, 0
+		for i := range member {
+			if member[i] == invert {
+				continue
+			}
+			ref.Set(i)
+			cnt++
+			if k := len(runs) - 1; k >= 0 && runHi(runs[k]) == i {
+				runs[k] = packRun(runLo(runs[k]), i+1)
+			} else {
+				runs = append(runs, packRun(i, i+1))
+			}
+			if cnt == 1 {
+				lo = i
+			}
+			hi = i + 1
+		}
+		checkLeafSetMatchesBitset(t, compressBitset(slices.Clone(ref), n), ref, n)
+		checkLeafSetMatchesBitset(t, leafSetFromRuns(n, runs, cnt), ref, n)
+
+		hull := NewBitset(n)
+		for i := lo; i < hi; i++ {
+			hull.Set(i)
+		}
+		checkLeafSetMatchesBitset(t, leafSetFromRange(n, lo, hi), hull, n)
+	})
 }

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 )
@@ -56,11 +57,41 @@ const (
 	rowOverheadBytes = 104
 )
 
-// NewSuccinctTurnIndex builds the succinct index from u's cover sets in
-// O(levels · N1²/64) word operations plus O(exceptions) id writes. The
-// topology must have at most 15 levels (turn codes are nibbles); NewTurnIndex
-// guarantees this by selecting the dense tier otherwise.
+// rowSweep selects how a row's turn classes are computed. Both sweeps
+// produce identical rows; sweepWords and sweepRuns exist so tests can pin
+// that; NewSuccinctTurnIndex always uses sweepAuto.
+type rowSweep uint8
+
+const (
+	sweepAuto  rowSweep = iota // runs when cheap (see runSweepCost), words otherwise
+	sweepWords                 // N1-bit word sweep for every row
+	sweepRuns                  // sorted-run merge for every row
+)
+
+// runSweepCost is the word operations one run costs the run sweep,
+// relative to the word sweep's one operation per word per level: a row is
+// run-swept when runSweepCost times its covers' run bound is at most
+// words·(levels−1).
+const runSweepCost = 4
+
+// NewSuccinctTurnIndex builds the succinct index from u's cover sets. Each
+// row takes the cheaper of two sweeps:
+//
+//   - a row whose covers are interval-shaped (empty, full, run, sparse,
+//     comp) with at most words·(levels−1)/runSweepCost runs between them
+//     merges the covers' sorted runs against the runs of leaves already
+//     seen, in O(runs · log runs) plus one write per exception; the
+//     majority class costs only its count;
+//   - any other row (a bits cover, or many short runs) sweeps N1-bit
+//     words, O(levels · N1/64).
+//
+// The topology must have at most 15 levels (turn codes are nibbles);
+// NewTurnIndex guarantees this by selecting the dense tier otherwise.
 func NewSuccinctTurnIndex(u *UpDown) *SuccinctTurnIndex {
+	return newSuccinctTurnIndex(u, sweepAuto)
+}
+
+func newSuccinctTurnIndex(u *UpDown, sweep rowSweep) *SuccinctTurnIndex {
 	n := u.n1
 	l := len(u.cover)
 	if l-1 > maxSuccinctTurn {
@@ -71,42 +102,27 @@ func NewSuccinctTurnIndex(u *UpDown) *SuccinctTurnIndex {
 		levels: l,
 		rows:   make([]succinctRow, n),
 	}
-
-	words := (n + 63) / 64
-	seen := NewBitset(n)
-	exc := NewBitset(n)
-	// covBuf materialises one compressed cover set at a time as plain words
-	// for the delta computation below — the only transient dense state the
-	// build needs, reused across all (src, r) pairs.
-	covBuf := NewBitset(n)
-	deltas := make([]Bitset, l)
-	for r := 1; r < l; r++ {
-		deltas[r] = NewBitset(n)
-	}
-	counts := make([]int, l)
-	codeOf := make([]uint8, n)
-	dirBytes := NewRankDir(exc).SizeBytes()
-
+	b := newSuccinctBuilder(n, l)
+	words := b.words
+	covers := make([]LeafSet, l-1) // cover_r of the source leaf at r-1
 	for src := 0; src < n; src++ {
 		s := u.c.SwitchID(1, src)
-		seen.Clear()
-		seen.Set(src)
+		for r := 1; r < l; r++ {
+			covers[r-1] = u.cover[r][s]
+		}
+		runs := sweep == sweepRuns
+		if sweep == sweepAuto {
+			bound := coverRunBound(covers)
+			runs = bound >= 0 && runSweepCost*bound <= words*(l-1)
+		}
+		if runs {
+			b.sweepRuns(src, covers)
+		} else {
+			b.sweepWords(src, covers)
+		}
 		reachable := 0
 		for r := 1; r < l; r++ {
-			counts[r] = 0
-			cov := u.cover[r][s]
-			if cov == nil {
-				continue
-			}
-			cov.Fill(covBuf)
-			delta := deltas[r]
-			for i, w := range covBuf {
-				d := w &^ seen[i]
-				delta[i] = d
-				seen[i] |= d
-				counts[r] += bits.OnesCount64(d)
-			}
-			reachable += counts[r]
+			reachable += b.counts[r]
 		}
 		unreach := n - 1 - reachable
 		ix.unreachable += int64(unreach)
@@ -116,73 +132,294 @@ func NewSuccinctTurnIndex(u *UpDown) *SuccinctTurnIndex {
 		// deterministically.
 		maj, majCount := uint8(nibbleUnreachable), unreach
 		for r := 1; r < l; r++ {
-			if counts[r] > majCount {
-				maj, majCount = uint8(r), counts[r]
+			if b.counts[r] > majCount {
+				maj, majCount = uint8(r), b.counts[r]
 			}
 		}
 
-		// Exception membership + per-destination codes.
-		exc.Clear()
-		for r := 1; r < l; r++ {
-			if uint8(r) == maj || counts[r] == 0 {
-				continue
-			}
-			for i, d := range deltas[r] {
-				exc[i] |= d
-				for d != 0 {
-					b := bits.TrailingZeros64(d)
-					d &= d - 1
-					codeOf[i<<6+b] = uint8(r)
-				}
-			}
-		}
-		if maj != nibbleUnreachable && unreach > 0 {
-			for i := 0; i < words; i++ {
-				d := ^seen[i]
-				if i == words-1 {
-					if rem := uint(n) & 63; rem != 0 {
-						d &= (1 << rem) - 1
-					}
-				}
-				exc[i] |= d
-				for d != 0 {
-					b := bits.TrailingZeros64(d)
-					d &= d - 1
-					codeOf[i<<6+b] = nibbleUnreachable
-				}
-			}
-		}
-
-		exCount := n - 1 - majCount
 		row := &ix.rows[src]
 		row.majority = maj
-		if exCount > 0 {
+		if exCount := n - 1 - majCount; exCount > 0 {
 			row.codes = make([]uint8, (exCount+1)/2)
-			sparse := 4*exCount <= words*8+dirBytes
-			if sparse {
+			if 4*exCount <= words*8+b.dirBytes {
 				row.sparse = make([]int32, 0, exCount)
 			} else {
 				row.bits = make(Bitset, words)
-				copy(row.bits, exc)
-				row.rank = NewRankDir(row.bits)
 			}
-			k := 0
-			for i, w := range exc {
-				for w != 0 {
-					b := bits.TrailingZeros64(w)
-					w &= w - 1
-					dst := i<<6 + b
-					if sparse {
-						row.sparse = append(row.sparse, int32(dst))
-					}
-					row.codes[k/2] |= codeOf[dst] << (uint(k%2) * 4)
-					k++
-				}
+			if runs {
+				b.emitRuns(row, maj, unreach)
+			} else {
+				b.emitWords(row, maj, unreach)
+			}
+			if row.bits != nil {
+				row.rank = NewRankDir(row.bits)
 			}
 		}
 		ix.sizeBytes += rowOverheadBytes + len(row.sparse)*4 + len(row.bits)*8 + row.rank.SizeBytes() + len(row.codes)
 	}
 	return ix
+}
+
+// coverRunBound returns an upper bound on the runs the covers yield
+// between them, or -1 when one is a bits container (the run sweep would
+// have to scan its words anyway).
+func coverRunBound(covers []LeafSet) int {
+	bound := 0
+	for _, cov := range covers {
+		switch v := cov.(type) {
+		case nil, emptySet:
+		case fullSet:
+			bound++
+		case *runSet:
+			bound += len(v.runs)
+		case *sparseSet:
+			bound += len(v.ids)
+		case *compSet:
+			bound += len(v.holes) + 1
+		default:
+			return -1
+		}
+	}
+	return bound
+}
+
+// succinctBuilder holds the scratch state both row sweeps reuse across
+// rows. A sweep leaves counts[r] = |delta_r|, the destinations whose
+// minimal turn is r, for emit to encode.
+type succinctBuilder struct {
+	n, words int
+	dirBytes int
+	counts   []int
+
+	// Word sweep: seen and delta_r as N1-bit bitsets.
+	seen, exc, covBuf Bitset
+	deltas            []Bitset
+	codeOf            []uint8
+
+	// Run sweep: seen and delta_r as sorted maximal run lists.
+	seenRuns, nextRuns, covRuns []uint64
+	deltaRuns                   [][]uint64
+	excRuns                     []codedRun
+}
+
+// codedRun is one exception run [lo, hi) with the turn code its
+// destinations share.
+type codedRun struct {
+	run  uint64
+	code uint8
+}
+
+func newSuccinctBuilder(n, l int) *succinctBuilder {
+	b := &succinctBuilder{
+		n:         n,
+		words:     (n + 63) / 64,
+		dirBytes:  NewRankDir(NewBitset(n)).SizeBytes(),
+		counts:    make([]int, l),
+		seen:      NewBitset(n),
+		exc:       NewBitset(n),
+		covBuf:    NewBitset(n),
+		deltas:    make([]Bitset, l),
+		codeOf:    make([]uint8, n),
+		deltaRuns: make([][]uint64, l),
+	}
+	for r := 1; r < l; r++ {
+		b.deltas[r] = NewBitset(n)
+	}
+	return b
+}
+
+// sweepWords computes delta_r = cover_r \ (seen so far) over N1-bit words:
+// each cover is materialised in covBuf and masked against seen.
+func (b *succinctBuilder) sweepWords(src int, covers []LeafSet) {
+	seen, covBuf := b.seen, b.covBuf
+	seen.Clear()
+	seen.Set(src)
+	for k, cov := range covers {
+		r := k + 1
+		b.counts[r] = 0
+		if cov == nil {
+			continue
+		}
+		cov.Fill(covBuf)
+		delta := b.deltas[r]
+		cnt := 0
+		for i, w := range covBuf {
+			d := w &^ seen[i]
+			delta[i] = d
+			seen[i] |= d
+			cnt += bits.OnesCount64(d)
+		}
+		b.counts[r] = cnt
+	}
+}
+
+// emitWords writes row's exception membership and codes from the word
+// sweep's deltas: every class but maj, plus the unseen leaves as
+// unreachable unless unreachable is the majority.
+func (b *succinctBuilder) emitWords(row *succinctRow, maj uint8, unreach int) {
+	exc, codeOf, seen := b.exc, b.codeOf, b.seen
+	exc.Clear()
+	for r := 1; r < len(b.counts); r++ {
+		if uint8(r) == maj || b.counts[r] == 0 {
+			continue
+		}
+		for i, d := range b.deltas[r] {
+			exc[i] |= d
+			for d != 0 {
+				bit := bits.TrailingZeros64(d)
+				d &= d - 1
+				codeOf[i<<6+bit] = uint8(r)
+			}
+		}
+	}
+	if maj != nibbleUnreachable && unreach > 0 {
+		for i := range exc {
+			d := ^seen[i]
+			if i == len(exc)-1 {
+				if rem := uint(b.n) & 63; rem != 0 {
+					d &= (1 << rem) - 1
+				}
+			}
+			exc[i] |= d
+			for d != 0 {
+				bit := bits.TrailingZeros64(d)
+				d &= d - 1
+				codeOf[i<<6+bit] = nibbleUnreachable
+			}
+		}
+	}
+	if row.bits != nil {
+		copy(row.bits, exc)
+	}
+	k, sparse := 0, row.sparse != nil
+	for i, w := range exc {
+		for w != 0 {
+			bit := bits.TrailingZeros64(w)
+			w &= w - 1
+			dst := i<<6 + bit
+			if sparse {
+				row.sparse = append(row.sparse, int32(dst))
+			}
+			row.codes[k/2] |= codeOf[dst] << (uint(k%2) * 4)
+			k++
+		}
+	}
+}
+
+// sweepRuns computes delta_r = cover_r \ (seen so far) by merging sorted
+// run lists, touching only the covers' runs and the runs seen so far.
+func (b *succinctBuilder) sweepRuns(src int, covers []LeafSet) {
+	b.seenRuns = append(b.seenRuns[:0], packRun(src, src+1))
+	for k, cov := range covers {
+		r := k + 1
+		b.deltaRuns[r] = b.deltaRuns[r][:0]
+		b.counts[r] = 0
+		if cov == nil {
+			continue
+		}
+		runs := b.covRuns[:0]
+		if v, ok := cov.(*runSet); ok {
+			runs = v.runs
+		} else {
+			cov.Runs(func(lo, hi int) bool {
+				runs = append(runs, packRun(lo, hi))
+				return true
+			})
+			b.covRuns = runs
+		}
+		b.deltaRuns[r], b.counts[r] = subtractRuns(b.deltaRuns[r], runs, b.seenRuns)
+		b.nextRuns = unionRuns(b.nextRuns[:0], b.seenRuns, runs)
+		b.seenRuns, b.nextRuns = b.nextRuns, b.seenRuns
+	}
+}
+
+// emitRuns writes row's exception membership and codes from the run
+// sweep's deltas, with the same classes as emitWords: the exception runs
+// are gathered, sorted by position and expanded once.
+func (b *succinctBuilder) emitRuns(row *succinctRow, maj uint8, unreach int) {
+	exc := b.excRuns[:0]
+	for r := 1; r < len(b.counts); r++ {
+		if uint8(r) == maj {
+			continue
+		}
+		for _, run := range b.deltaRuns[r] {
+			exc = append(exc, codedRun{run, uint8(r)})
+		}
+	}
+	if maj != nibbleUnreachable && unreach > 0 {
+		lo := 0
+		for _, run := range b.seenRuns {
+			if lo < runLo(run) {
+				exc = append(exc, codedRun{packRun(lo, runLo(run)), nibbleUnreachable})
+			}
+			lo = runHi(run)
+		}
+		if lo < b.n {
+			exc = append(exc, codedRun{packRun(lo, b.n), nibbleUnreachable})
+		}
+	}
+	slices.SortFunc(exc, func(x, y codedRun) int { return cmp.Compare(x.run, y.run) })
+	b.excRuns = exc
+	k, sparse := 0, row.sparse != nil
+	for _, e := range exc {
+		lo, hi := runLo(e.run), runHi(e.run)
+		if !sparse {
+			row.bits.SetRange(lo, hi)
+		}
+		for dst := lo; dst < hi; dst++ {
+			if sparse {
+				row.sparse = append(row.sparse, int32(dst))
+			}
+			row.codes[k/2] |= e.code << (uint(k%2) * 4)
+			k++
+		}
+	}
+}
+
+// subtractRuns appends the runs of cov \ seen to dst and returns it with
+// their member count. Both inputs are sorted disjoint run lists.
+func subtractRuns(dst, cov, seen []uint64) ([]uint64, int) {
+	cnt, i := 0, 0
+	for _, c := range cov {
+		lo, hi := runLo(c), runHi(c)
+		for i < len(seen) && runHi(seen[i]) <= lo {
+			i++
+		}
+		for j := i; lo < hi && j < len(seen) && runLo(seen[j]) < hi; j++ {
+			if sl := runLo(seen[j]); sl > lo {
+				dst = append(dst, packRun(lo, sl))
+				cnt += sl - lo
+			}
+			lo = max(lo, runHi(seen[j]))
+		}
+		if lo < hi {
+			dst = append(dst, packRun(lo, hi))
+			cnt += hi - lo
+		}
+	}
+	return dst, cnt
+}
+
+// unionRuns appends the maximal runs of a ∪ b to dst. Both inputs are
+// sorted disjoint run lists; packed runs order by lo.
+func unionRuns(dst, a, b []uint64) []uint64 {
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		var r uint64
+		if j == len(b) || i < len(a) && a[i] < b[j] {
+			r, i = a[i], i+1
+		} else {
+			r, j = b[j], j+1
+		}
+		if k := len(dst) - 1; k >= 0 && runLo(r) <= runHi(dst[k]) {
+			if runHi(r) > runHi(dst[k]) {
+				dst[k] = packRun(runLo(dst[k]), runHi(r))
+			}
+			continue
+		}
+		dst = append(dst, r)
+	}
+	return dst
 }
 
 // nibbleAt extracts the i-th 4-bit code.

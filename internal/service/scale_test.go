@@ -21,9 +21,10 @@ func scaleSpec() Spec {
 // TestLargeTopologySuccinctServing is the scale acceptance test: a 64K-leaf
 // topology builds, gets a succinct index at ≤ 10% of the dense footprint
 // (asserted via SizeBytes), and answers GET /v1/path through rfcd's handler
-// stack — all without the dense N1² table. It allocates ~2 GiB and runs for
-// tens of seconds, so it is skipped under -short; CI runs it as a dedicated
-// smoke step under GOMEMLIMIT.
+// stack — all without the dense N1² table. The succinct index builds from
+// the covers' runs, so the whole test takes well under a second; it is
+// still skipped under -short with the other large builds, and CI runs the
+// three as a dedicated smoke step under GOMEMLIMIT.
 func TestLargeTopologySuccinctServing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-topology smoke test skipped in -short mode")

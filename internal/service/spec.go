@@ -61,12 +61,15 @@ const maxSwitches = 1 << 21
 const DefaultDenseIndexBytes = 64 << 20
 
 // maxSuccinctLeaves bounds the leaf count for which even the succinct index
-// is precomputed: its build walks O(levels·N1²/64) words, which at 512K
-// leaves is tens of seconds of CPU. The compressed cover representation
-// (routing.LeafSet) keeps the router itself far below this, so the bound
-// covers the paper's 200K-terminal scenario C with headroom. Beyond it,
-// path queries fall back to the cover-set MinTurn, which is O(levels) per
-// query with no precomputation.
+// is precomputed. Its build costs O(runs · log runs + exceptions) per row
+// when the covers are interval-shaped (every structured tree), but rows
+// with high-entropy covers keep an O(levels·N1/64) word sweep, so a large
+// random fabric still costs O(levels·N1²/64) words; and every row costs
+// about 100 bytes of bookkeeping whatever the topology. The bound covers
+// the paper's 200K-terminal scenario C with headroom and fixes which
+// builds report an index in their summaries. Beyond it, path queries fall
+// back to the cover-set MinTurn, which is O(levels) per query with no
+// precomputation.
 const maxSuccinctLeaves = 1 << 19
 
 // Normalize validates sp, fills kind-specific defaults and canonicalises
