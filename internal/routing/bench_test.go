@@ -45,8 +45,8 @@ func BenchmarkCoverBuild(b *testing.B) {
 // reports the encoding density as bytes per ordered leaf pair (the dense
 // tier is 1.0 by definition). Besides the 4096-leaf XGFT, the succinct
 // tier is timed on the 65,536-leaf XGFT rfcd's query benchmark serves,
-// where every row takes the run sweep, and on an 8,192-leaf radix-24 RFC,
-// whose sparse and bitset covers keep every row on the word sweep.
+// whose covers are a few runs each, and on an 8,192-leaf radix-24 RFC,
+// whose sparse and bitset covers yield many short runs.
 func BenchmarkTurnIndexBuild(b *testing.B) {
 	perPair := func(b *testing.B, ix routing.TurnIndex) {
 		n := float64(ix.Leaves())

@@ -1,8 +1,6 @@
 package routing
 
 import (
-	"cmp"
-	"math/bits"
 	"slices"
 )
 
@@ -57,41 +55,14 @@ const (
 	rowOverheadBytes = 104
 )
 
-// rowSweep selects how a row's turn classes are computed. Both sweeps
-// produce identical rows; sweepWords and sweepRuns exist so tests can pin
-// that; NewSuccinctTurnIndex always uses sweepAuto.
-type rowSweep uint8
-
-const (
-	sweepAuto  rowSweep = iota // runs when cheap (see runSweepCost), words otherwise
-	sweepWords                 // N1-bit word sweep for every row
-	sweepRuns                  // sorted-run merge for every row
-)
-
-// runSweepCost is the word operations one run costs the run sweep,
-// relative to the word sweep's one operation per word per level: a row is
-// run-swept when runSweepCost times its covers' run bound is at most
-// words·(levels−1).
-const runSweepCost = 4
-
 // NewSuccinctTurnIndex builds the succinct index from u's cover sets. Each
-// row takes the cheaper of two sweeps:
-//
-//   - a row whose covers are interval-shaped (empty, full, run, sparse,
-//     comp) with at most words·(levels−1)/runSweepCost runs between them
-//     merges the covers' sorted runs against the runs of leaves already
-//     seen, in O(runs · log runs) plus one write per exception; the
-//     majority class costs only its count;
-//   - any other row (a bits cover, or many short runs) sweeps N1-bit
-//     words, O(levels · N1/64).
+// row merges the source leaf's covers, as sorted runs, against the runs of
+// leaves already seen, in O(levels · runs) plus one write per exception:
+// the majority class costs only its count.
 //
 // The topology must have at most 15 levels (turn codes are nibbles);
 // NewTurnIndex guarantees this by selecting the dense tier otherwise.
 func NewSuccinctTurnIndex(u *UpDown) *SuccinctTurnIndex {
-	return newSuccinctTurnIndex(u, sweepAuto)
-}
-
-func newSuccinctTurnIndex(u *UpDown, sweep rowSweep) *SuccinctTurnIndex {
 	n := u.n1
 	l := len(u.cover)
 	if l-1 > maxSuccinctTurn {
@@ -103,23 +74,13 @@ func newSuccinctTurnIndex(u *UpDown, sweep rowSweep) *SuccinctTurnIndex {
 		rows:   make([]succinctRow, n),
 	}
 	b := newSuccinctBuilder(n, l)
-	words := b.words
 	covers := make([]LeafSet, l-1) // cover_r of the source leaf at r-1
 	for src := 0; src < n; src++ {
 		s := u.c.SwitchID(1, src)
 		for r := 1; r < l; r++ {
 			covers[r-1] = u.cover[r][s]
 		}
-		runs := sweep == sweepRuns
-		if sweep == sweepAuto {
-			bound := coverRunBound(covers)
-			runs = bound >= 0 && runSweepCost*bound <= words*(l-1)
-		}
-		if runs {
-			b.sweepRuns(src, covers)
-		} else {
-			b.sweepWords(src, covers)
-		}
+		b.sweep(src, covers)
 		reachable := 0
 		for r := 1; r < l; r++ {
 			reachable += b.counts[r]
@@ -141,16 +102,12 @@ func newSuccinctTurnIndex(u *UpDown, sweep rowSweep) *SuccinctTurnIndex {
 		row.majority = maj
 		if exCount := n - 1 - majCount; exCount > 0 {
 			row.codes = make([]uint8, (exCount+1)/2)
-			if 4*exCount <= words*8+b.dirBytes {
+			if 4*exCount <= b.words*8+b.dirBytes {
 				row.sparse = make([]int32, 0, exCount)
 			} else {
-				row.bits = make(Bitset, words)
+				row.bits = make(Bitset, b.words)
 			}
-			if runs {
-				b.emitRuns(row, maj, unreach)
-			} else {
-				b.emitWords(row, maj, unreach)
-			}
+			b.emit(row, maj, unreach)
 			if row.bits != nil {
 				row.rank = NewRankDir(row.bits)
 			}
@@ -160,209 +117,97 @@ func newSuccinctTurnIndex(u *UpDown, sweep rowSweep) *SuccinctTurnIndex {
 	return ix
 }
 
-// coverRunBound returns an upper bound on the runs the covers yield
-// between them, or -1 when one is a bits container (the run sweep would
-// have to scan its words anyway).
-func coverRunBound(covers []LeafSet) int {
-	bound := 0
-	for _, cov := range covers {
-		switch v := cov.(type) {
-		case nil, emptySet:
-		case fullSet:
-			bound++
-		case *runSet:
-			bound += len(v.runs)
-		case *sparseSet:
-			bound += len(v.ids)
-		case *compSet:
-			bound += len(v.holes) + 1
-		default:
-			return -1
-		}
-	}
-	return bound
-}
-
-// succinctBuilder holds the scratch state both row sweeps reuse across
-// rows. A sweep leaves counts[r] = |delta_r|, the destinations whose
-// minimal turn is r, for emit to encode.
+// succinctBuilder holds the scratch state the row sweep reuses across
+// rows: seen and delta_r as sorted maximal run lists. A sweep leaves
+// counts[r] = |delta_r|, the destinations whose minimal turn is r, for
+// emit to encode.
 type succinctBuilder struct {
 	n, words int
 	dirBytes int
 	counts   []int
 
-	// Word sweep: seen and delta_r as N1-bit bitsets.
-	seen, exc, covBuf Bitset
-	deltas            []Bitset
-	codeOf            []uint8
-
-	// Run sweep: seen and delta_r as sorted maximal run lists.
-	seenRuns, nextRuns, covRuns []uint64
-	deltaRuns                   [][]uint64
-	excRuns                     []codedRun
+	seen, next, covRuns, gaps []uint64
+	deltas                    [][]uint64
+	classes                   []codedRuns
+	// addCovRun appends to covRuns. It is made once, so the cover's Runs
+	// callback costs no allocation per row.
+	addCovRun func(lo, hi int) bool
 }
 
-// codedRun is one exception run [lo, hi) with the turn code its
-// destinations share.
-type codedRun struct {
-	run  uint64
+// codedRuns is one exception class: a sorted run list whose destinations
+// share one turn code.
+type codedRuns struct {
+	runs []uint64
 	code uint8
 }
 
 func newSuccinctBuilder(n, l int) *succinctBuilder {
 	b := &succinctBuilder{
-		n:         n,
-		words:     (n + 63) / 64,
-		dirBytes:  NewRankDir(NewBitset(n)).SizeBytes(),
-		counts:    make([]int, l),
-		seen:      NewBitset(n),
-		exc:       NewBitset(n),
-		covBuf:    NewBitset(n),
-		deltas:    make([]Bitset, l),
-		codeOf:    make([]uint8, n),
-		deltaRuns: make([][]uint64, l),
+		n:        n,
+		words:    (n + 63) / 64,
+		dirBytes: NewRankDir(NewBitset(n)).SizeBytes(),
+		counts:   make([]int, l),
+		deltas:   make([][]uint64, l),
 	}
-	for r := 1; r < l; r++ {
-		b.deltas[r] = NewBitset(n)
+	b.addCovRun = func(lo, hi int) bool {
+		b.covRuns = append(b.covRuns, packRun(lo, hi))
+		return true
 	}
 	return b
 }
 
-// sweepWords computes delta_r = cover_r \ (seen so far) over N1-bit words:
-// each cover is materialised in covBuf and masked against seen.
-func (b *succinctBuilder) sweepWords(src int, covers []LeafSet) {
-	seen, covBuf := b.seen, b.covBuf
-	seen.Clear()
-	seen.Set(src)
+// sweep computes delta_r = cover_r \ (seen so far) by merging sorted run
+// lists, touching only the covers' runs and the runs seen so far.
+func (b *succinctBuilder) sweep(src int, covers []LeafSet) {
+	b.seen = append(b.seen[:0], packRun(src, src+1))
 	for k, cov := range covers {
 		r := k + 1
+		b.deltas[r] = b.deltas[r][:0]
 		b.counts[r] = 0
 		if cov == nil {
 			continue
 		}
-		cov.Fill(covBuf)
-		delta := b.deltas[r]
-		cnt := 0
-		for i, w := range covBuf {
-			d := w &^ seen[i]
-			delta[i] = d
-			seen[i] |= d
-			cnt += bits.OnesCount64(d)
-		}
-		b.counts[r] = cnt
-	}
-}
-
-// emitWords writes row's exception membership and codes from the word
-// sweep's deltas: every class but maj, plus the unseen leaves as
-// unreachable unless unreachable is the majority.
-func (b *succinctBuilder) emitWords(row *succinctRow, maj uint8, unreach int) {
-	exc, codeOf, seen := b.exc, b.codeOf, b.seen
-	exc.Clear()
-	for r := 1; r < len(b.counts); r++ {
-		if uint8(r) == maj || b.counts[r] == 0 {
-			continue
-		}
-		for i, d := range b.deltas[r] {
-			exc[i] |= d
-			for d != 0 {
-				bit := bits.TrailingZeros64(d)
-				d &= d - 1
-				codeOf[i<<6+bit] = uint8(r)
-			}
-		}
-	}
-	if maj != nibbleUnreachable && unreach > 0 {
-		for i := range exc {
-			d := ^seen[i]
-			if i == len(exc)-1 {
-				if rem := uint(b.n) & 63; rem != 0 {
-					d &= (1 << rem) - 1
-				}
-			}
-			exc[i] |= d
-			for d != 0 {
-				bit := bits.TrailingZeros64(d)
-				d &= d - 1
-				codeOf[i<<6+bit] = nibbleUnreachable
-			}
-		}
-	}
-	if row.bits != nil {
-		copy(row.bits, exc)
-	}
-	k, sparse := 0, row.sparse != nil
-	for i, w := range exc {
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			w &= w - 1
-			dst := i<<6 + bit
-			if sparse {
-				row.sparse = append(row.sparse, int32(dst))
-			}
-			row.codes[k/2] |= codeOf[dst] << (uint(k%2) * 4)
-			k++
-		}
-	}
-}
-
-// sweepRuns computes delta_r = cover_r \ (seen so far) by merging sorted
-// run lists, touching only the covers' runs and the runs seen so far.
-func (b *succinctBuilder) sweepRuns(src int, covers []LeafSet) {
-	b.seenRuns = append(b.seenRuns[:0], packRun(src, src+1))
-	for k, cov := range covers {
-		r := k + 1
-		b.deltaRuns[r] = b.deltaRuns[r][:0]
-		b.counts[r] = 0
-		if cov == nil {
-			continue
-		}
-		runs := b.covRuns[:0]
+		var runs []uint64
 		if v, ok := cov.(*runSet); ok {
 			runs = v.runs
 		} else {
-			cov.Runs(func(lo, hi int) bool {
-				runs = append(runs, packRun(lo, hi))
-				return true
-			})
-			b.covRuns = runs
+			b.covRuns = b.covRuns[:0]
+			cov.Runs(b.addCovRun)
+			runs = b.covRuns
 		}
-		b.deltaRuns[r], b.counts[r] = subtractRuns(b.deltaRuns[r], runs, b.seenRuns)
-		b.nextRuns = unionRuns(b.nextRuns[:0], b.seenRuns, runs)
-		b.seenRuns, b.nextRuns = b.nextRuns, b.seenRuns
+		b.deltas[r], b.counts[r] = subtractRuns(b.deltas[r], runs, b.seen)
+		b.next = unionRuns(b.next[:0], b.seen, runs)
+		b.seen, b.next = b.next, b.seen
 	}
 }
 
-// emitRuns writes row's exception membership and codes from the run
-// sweep's deltas, with the same classes as emitWords: the exception runs
-// are gathered, sorted by position and expanded once.
-func (b *succinctBuilder) emitRuns(row *succinctRow, maj uint8, unreach int) {
-	exc := b.excRuns[:0]
+// emit writes row's exception membership and codes from the sweep's
+// deltas: every class but maj, plus the unseen leaves as unreachable unless
+// unreachable is the majority. Each class is a sorted run list and the
+// classes are disjoint, so a merge over their heads visits the exception
+// runs in position order.
+func (b *succinctBuilder) emit(row *succinctRow, maj uint8, unreach int) {
+	classes := b.classes[:0]
 	for r := 1; r < len(b.counts); r++ {
-		if uint8(r) == maj {
-			continue
-		}
-		for _, run := range b.deltaRuns[r] {
-			exc = append(exc, codedRun{run, uint8(r)})
+		if uint8(r) != maj && len(b.deltas[r]) > 0 {
+			classes = append(classes, codedRuns{b.deltas[r], uint8(r)})
 		}
 	}
 	if maj != nibbleUnreachable && unreach > 0 {
-		lo := 0
-		for _, run := range b.seenRuns {
-			if lo < runLo(run) {
-				exc = append(exc, codedRun{packRun(lo, runLo(run)), nibbleUnreachable})
-			}
-			lo = runHi(run)
-		}
-		if lo < b.n {
-			exc = append(exc, codedRun{packRun(lo, b.n), nibbleUnreachable})
-		}
+		b.gaps, _ = subtractRuns(b.gaps[:0], []uint64{packRun(0, b.n)}, b.seen)
+		classes = append(classes, codedRuns{b.gaps, nibbleUnreachable})
 	}
-	slices.SortFunc(exc, func(x, y codedRun) int { return cmp.Compare(x.run, y.run) })
-	b.excRuns = exc
+	b.classes = classes
 	k, sparse := 0, row.sparse != nil
-	for _, e := range exc {
-		lo, hi := runLo(e.run), runHi(e.run)
+	for len(classes) > 0 {
+		m := 0
+		for i := 1; i < len(classes); i++ {
+			if classes[i].runs[0] < classes[m].runs[0] {
+				m = i
+			}
+		}
+		c := &classes[m]
+		lo, hi := runLo(c.runs[0]), runHi(c.runs[0])
 		if !sparse {
 			row.bits.SetRange(lo, hi)
 		}
@@ -370,8 +215,12 @@ func (b *succinctBuilder) emitRuns(row *succinctRow, maj uint8, unreach int) {
 			if sparse {
 				row.sparse = append(row.sparse, int32(dst))
 			}
-			row.codes[k/2] |= e.code << (uint(k%2) * 4)
+			row.codes[k/2] |= c.code << (uint(k%2) * 4)
 			k++
+		}
+		if c.runs = c.runs[1:]; len(c.runs) == 0 {
+			classes[m] = classes[len(classes)-1]
+			classes = classes[:len(classes)-1]
 		}
 	}
 }

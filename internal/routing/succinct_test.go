@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -71,43 +70,63 @@ func checkAgreement(t *testing.T, u *UpDown, sx *SuccinctTurnIndex) {
 
 // TestSuccinctMatchesDense is the same-answers property test the tentpole is
 // pinned by: dense and succinct MinTurn agree on every ordered pair, for
-// structured and randomized topologies, healthy and faulted.
+// structured and randomized topologies (including sub-threshold RFCs whose
+// rows are mostly unreachable), each healthy and with 1/50, 1/10 and 1/3 of
+// the links removed.
 func TestSuccinctMatchesDense(t *testing.T) {
-	builds := []struct {
-		name string
-		c    *topology.Clos
-	}{}
+	type build struct {
+		name     string
+		c        *topology.Clos
+		mostlyUn bool // some healthy row's majority class must be "unreachable"
+	}
+	var builds []build
 	add := func(name string, c *topology.Clos, err error) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		builds = append(builds, struct {
-			name string
-			c    *topology.Clos
-		}{name, c})
+		builds = append(builds, build{name: name, c: c})
 	}
 	cft, err := topology.NewCFT(8, 3)
 	add("cft-8-3", cft, err)
+	cft64, err := topology.NewCFT(6, 4)
+	add("cft-6-4", cft64, err)
 	xg, err := topology.NewXGFT([]int{4, 8, 6}, []int{1, 3, 2}, 16)
 	add("xgft-3lvl", xg, err)
+	xg4096, err := topology.NewXGFT([]int{4, 64, 64}, []int{1, 4, 2}, 72)
+	add("xgft-4096", xg4096, err)
 	add("rfc-3lvl", randomFoldedClos(t, []int{24, 12, 6}, 3, 101), nil)
+	add("rfc-48", randomFoldedClos(t, []int{48, 48, 24}, 8, 5), nil)
 	add("rfc-4lvl", randomFoldedClos(t, []int{16, 16, 8, 4}, 2, 202), nil)
+	builds = append(builds,
+		build{"rfc-3lvl-sub", randomFoldedClos(t, []int{256, 256, 128}, 2, 303), true},
+		build{"rfc-4lvl-sub", randomFoldedClos(t, []int{128, 128, 128, 64}, 2, 404), true})
 
 	for _, tc := range builds {
 		t.Run(tc.name, func(t *testing.T) {
 			u := New(tc.c)
-			checkAgreement(t, u, NewSuccinctTurnIndex(u))
+			sx := NewSuccinctTurnIndex(u)
+			checkAgreement(t, u, sx)
+			if tc.mostlyUn && !slices.ContainsFunc(sx.rows, func(r succinctRow) bool {
+				return r.majority == nibbleUnreachable
+			}) {
+				t.Fatal("no row has an unreachable majority")
+			}
 
-			// Fault a third of the links (possibly disconnecting pairs or
+			// Fault a share of the links (possibly disconnecting pairs or
 			// whole leaves), rebuild, and re-check.
 			r := rng.New(7)
-			links := tc.c.Links()
-			r.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
-			for _, l := range links[:len(links)/3] {
-				tc.c.RemoveLink(l.A, l.B)
+			for _, div := range []int{50, 10, 3} {
+				t.Run(fmt.Sprintf("cut1of%d", div), func(t *testing.T) {
+					f := tc.c.Clone()
+					links := f.Links()
+					r.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+					for _, l := range links[:len(links)/div] {
+						f.RemoveLink(l.A, l.B)
+					}
+					u := New(f)
+					checkAgreement(t, u, NewSuccinctTurnIndex(u))
+				})
 			}
-			u.Rebuild()
-			checkAgreement(t, u, NewSuccinctTurnIndex(u))
 		})
 	}
 }
@@ -217,7 +236,8 @@ func hashRows(ix *SuccinctTurnIndex) string {
 
 // TestSuccinctGolden64K pins the succinct index of the 65,536-leaf XGFT
 // rfcd's query benchmark serves: the row hash and SizeBytes were captured
-// from the word-sweep builder, so any change to row encoding shows here.
+// from the earlier N1-bit word-sweep builder, so any change to row encoding
+// shows here.
 func TestSuccinctGolden64K(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64K-leaf index build skipped in -short mode")
@@ -232,83 +252,5 @@ func TestSuccinctGolden64K(t *testing.T) {
 	}
 	if got, want := hashRows(ix), "5453042d7570445b870638a3b5896fd3b68b613100a3d63a14b31e2a58fd94ba"; got != want {
 		t.Errorf("row hash = %s, want %s", got, want)
-	}
-}
-
-// TestRowSweepsAgree builds every row with the word sweep and with the run
-// sweep, and the auto choice between them, and requires identical indexes:
-// rows, SizeBytes and UnreachablePairs. The cases cover structured and
-// random fabrics, sub-threshold RFCs whose rows are mostly unreachable,
-// each healthy and with 1/50, 1/10 and 1/3 of the links removed, and a
-// leaf cut off from every parent.
-func TestRowSweepsAgree(t *testing.T) {
-	type build struct {
-		name     string
-		c        *topology.Clos
-		mostlyUn bool // some row's majority class must be "unreachable"
-	}
-	var builds []build
-	for _, tc := range []struct {
-		name     string
-		mk       func() (*topology.Clos, error)
-		mostlyUn bool
-	}{
-		{"cft-8-3", func() (*topology.Clos, error) { return topology.NewCFT(8, 3) }, false},
-		{"cft-6-4", func() (*topology.Clos, error) { return topology.NewCFT(6, 4) }, false},
-		{"xgft-3lvl", func() (*topology.Clos, error) {
-			return topology.NewXGFT([]int{4, 8, 6}, []int{1, 3, 2}, 16)
-		}, false},
-		{"xgft-4096", func() (*topology.Clos, error) {
-			return topology.NewXGFT([]int{4, 64, 64}, []int{1, 4, 2}, 72)
-		}, false},
-		{"rfc-3lvl", func() (*topology.Clos, error) { return randomFoldedClos(t, []int{24, 12, 6}, 3, 101), nil }, false},
-		{"rfc-48", func() (*topology.Clos, error) { return randomFoldedClos(t, []int{48, 48, 24}, 8, 5), nil }, false},
-		{"rfc-4lvl", func() (*topology.Clos, error) { return randomFoldedClos(t, []int{16, 16, 8, 4}, 2, 202), nil }, false},
-		{"rfc-3lvl-sub", func() (*topology.Clos, error) { return randomFoldedClos(t, []int{256, 256, 128}, 2, 303), nil }, true},
-		{"rfc-4lvl-sub", func() (*topology.Clos, error) { return randomFoldedClos(t, []int{128, 128, 128, 64}, 2, 404), nil }, true},
-	} {
-		c, err := tc.mk()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		builds = append(builds, build{tc.name, c, tc.mostlyUn})
-		for _, div := range []int{50, 10, 3} {
-			f := c.Clone()
-			links := f.Links()
-			r := rng.New(uint64(div))
-			r.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
-			for _, l := range links[:len(links)/div] {
-				f.RemoveLink(l.A, l.B)
-			}
-			builds = append(builds, build{fmt.Sprintf("%s-cut1of%d", tc.name, div), f, tc.mostlyUn})
-		}
-	}
-	dead, err := topology.NewCFT(8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf := dead.SwitchID(1, 0)
-	for _, p := range slices.Clone(dead.Up(leaf)) {
-		dead.RemoveLink(leaf, p)
-	}
-	builds = append(builds, build{"cft-8-3-dead-leaf", dead, true})
-
-	for _, tc := range builds {
-		t.Run(tc.name, func(t *testing.T) {
-			u := New(tc.c)
-			words := newSuccinctTurnIndex(u, sweepWords)
-			if runs := newSuccinctTurnIndex(u, sweepRuns); !reflect.DeepEqual(runs, words) {
-				t.Fatalf("run sweep differs from word sweep (SizeBytes %d vs %d, UnreachablePairs %d vs %d)",
-					runs.SizeBytes(), words.SizeBytes(), runs.UnreachablePairs(), words.UnreachablePairs())
-			}
-			if auto := NewSuccinctTurnIndex(u); !reflect.DeepEqual(auto, words) {
-				t.Fatal("auto sweep differs from word sweep")
-			}
-			if tc.mostlyUn && !slices.ContainsFunc(words.rows, func(r succinctRow) bool {
-				return r.majority == nibbleUnreachable
-			}) {
-				t.Fatal("no row has an unreachable majority")
-			}
-		})
 	}
 }

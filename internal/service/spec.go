@@ -61,11 +61,11 @@ const maxSwitches = 1 << 21
 const DefaultDenseIndexBytes = 64 << 20
 
 // maxSuccinctLeaves bounds the leaf count for which even the succinct index
-// is precomputed. Its build costs O(runs · log runs + exceptions) per row
-// when the covers are interval-shaped (every structured tree), but rows
-// with high-entropy covers keep an O(levels·N1/64) word sweep, so a large
-// random fabric still costs O(levels·N1²/64) words; and every row costs
-// about 100 bytes of bookkeeping whatever the topology. The bound covers
+// is precomputed. Its build costs O(levels·runs + exceptions) per row,
+// which is small for structured trees but grows with the covers' entropy:
+// a large random fabric's covers hold O(N1) short runs, so its build is
+// still O(levels·N1²) in the worst case. Every row also costs about 100
+// bytes of bookkeeping whatever the topology. The bound covers
 // the paper's 200K-terminal scenario C with headroom and fixes which
 // builds report an index in their summaries. Beyond it, path queries fall
 // back to the cover-set MinTurn, which is O(levels) per query with no
