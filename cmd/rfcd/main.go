@@ -57,7 +57,10 @@ func main() {
 	flag.Parse()
 
 	if *selfcheck {
-		if err := client.Selfcheck(os.Stdout); err != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		err := client.Selfcheck(ctx, os.Stdout)
+		cancel()
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "rfcd: selfcheck failed:", err)
 			os.Exit(1)
 		}

@@ -2,12 +2,14 @@
 // enforces the invariants every exhibit's byte-identical reproducibility
 // rests on. Deterministic packages must draw randomness only from
 // internal/rng streams derived from seeds and job coordinates — never from
-// the wall clock, math/rand, Go's randomized map iteration order, or a
-// parent stream shared by parallel workers. The rules are per-function;
-// rfcd's service packages are on the deterministic list, and every module
-// package a deterministic package imports is deterministic too
-// (internal/obs, the telemetry package, aside), so the rules also cover
-// everything an HTTP handler or an exhibit Run function can reach. Lock
+// Go's randomized map iteration order or a parent stream shared by
+// parallel workers. The rules are per-function; rfcd's service packages
+// are on the deterministic list, and every module package a deterministic
+// package imports is deterministic too (internal/obs, the telemetry
+// package, aside), so the rules also cover everything an HTTP handler or
+// an exhibit Run function can reach. That no deterministic package imports
+// math/rand, crypto/rand or time (so none reads the wall clock) is checked
+// by internal/lint's TestDeterministicImportClosure, not by a rule. Lock
 // discipline is left to the race detector (`go test -race`), not to
 // annotations.
 //
@@ -15,14 +17,16 @@
 //
 //	rfclint [-rules] [packages]
 //
-// Packages are directories relative to the current module; a trailing
-// "/..." walks recursively (default "./..."). Findings print one per line
-// as file:line:col: rule: message. A clean run prints the single line
-// "rfclint: N packages clean". There is no suppression comment and no
-// accept list: every finding fails the run. See the "Determinism
-// invariants" section of DESIGN.md.
+// Packages are go tool patterns resolved from the current directory
+// (default "./...", which skips testdata and nested modules); rfclint
+// lists them with `go list -export -deps`, so it needs the go command on
+// PATH. Findings print one per line as file:line:col: rule: message. A
+// clean run prints the single line "rfclint: N packages clean". There is
+// no suppression comment and no accept list: every finding fails the run.
+// See the "Determinism invariants" section of DESIGN.md.
 //
-// Exit status: 0 clean, 1 findings, 2 usage or analysis error.
+// Exit status: 0 clean, 1 findings, 2 usage or analysis error (a package
+// go list reports broken, or a type error).
 package main
 
 import (
@@ -50,29 +54,20 @@ func main() {
 		return
 	}
 
-	cwd, err := os.Getwd()
-	if err != nil {
-		fatal(err)
-	}
-	root, err := lint.FindModuleRoot(cwd)
-	if err != nil {
-		fatal(err)
-	}
-	ld, err := lint.NewLoader(root)
-	if err != nil {
-		fatal(err)
-	}
-
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	dirs, err := lint.Expand(cwd, patterns)
+	pkgs, err := lint.Load("", patterns...)
 	if err != nil {
 		fatal(err)
 	}
-
-	findings, err := lint.Run(lint.DefaultConfig(ld.Module), ld, dirs)
+	module := ""
+	if len(pkgs) > 0 {
+		module = pkgs[0].Module
+	}
+	findings := lint.Run(lint.DefaultConfig(module), pkgs)
+	cwd, err := os.Getwd()
 	if err != nil {
 		fatal(err)
 	}
@@ -86,7 +81,7 @@ func main() {
 	if len(findings) > 0 {
 		os.Exit(1)
 	}
-	fmt.Printf("rfclint: %d packages clean\n", len(dirs))
+	fmt.Printf("rfclint: %d packages clean\n", len(pkgs))
 }
 
 func fatal(err error) {

@@ -3,14 +3,15 @@
 // invariants. Every exhibit — the Theorem 4.2 trials, the Figure 8-12
 // sweeps, Table 3, and the byte-identical shard merges — and every rfcd
 // response rely on deterministic packages drawing randomness only from
-// coordinate-derived rng streams, never from wall-clock time, Go's
-// randomized map iteration order, or a parent stream shared by parallel
-// workers. The rules here turn that convention into a build gate.
+// coordinate-derived rng streams, never from Go's randomized map iteration
+// order or a parent stream shared by parallel workers. The rules here turn
+// that convention into a build gate. That no deterministic package imports
+// math/rand, crypto/rand or time is an import check over the same package
+// listing (TestDeterministicImportClosure), not a rule.
 //
-// The analyzer loads packages with go/parser and type-checks them with
-// go/types through a hybrid importer (module packages from source, standard
-// library via go/importer's source mode), so it needs nothing outside the
-// standard library and the checked-out tree.
+// Load lists packages with one `go list -export -deps` call and
+// type-checks each listed package's files with go/types, resolving every
+// import from the export data go list wrote.
 //
 // Run reports every finding: there is no suppression comment and no accept
 // list, so an intentional exception has to be restructured away.
@@ -20,8 +21,6 @@ import (
 	"fmt"
 	"go/token"
 	"sort"
-
-	"rfclos/internal/engine"
 )
 
 // Config selects which packages the determinism rules apply to. Paths are
@@ -120,11 +119,6 @@ type Rule struct {
 func Rules() []Rule {
 	return []Rule{
 		{
-			Name:  "nondet-source",
-			Doc:   "deterministic packages must not import math/rand or crypto/rand, or call time.Now/time.Since",
-			Check: checkNondetSource,
-		},
-		{
 			Name:  "map-range-order",
 			Doc:   "ranging over a map with order-sensitive effects (append, rng draws, report/observation writes) in the body",
 			Check: checkMapRangeOrder,
@@ -142,30 +136,14 @@ func Rules() []Rule {
 	}
 }
 
-// Run loads every package directory in dirs (see Loader) and applies every
-// rule, returning the findings sorted by position. Packages are loaded and
-// checked in parallel, one worker per CPU; the output does not depend on
-// the worker count. A load or type-check failure is an error (the one of
-// the lowest-index directory): the linter refuses to bless a tree it could
-// not fully analyze.
-func Run(cfg *Config, ld *Loader, dirs []string) ([]Finding, error) {
-	perPkg, err := engine.Run(len(dirs), 0, func(i int) ([]Finding, error) {
-		pkg, err := ld.LoadDir(dirs[i])
-		if err != nil {
-			return nil, err
-		}
-		var fs []Finding
-		for _, rule := range Rules() {
-			fs = append(fs, rule.Check(cfg, pkg)...)
-		}
-		return fs, nil
-	})
-	if err != nil {
-		return nil, err
-	}
+// Run applies every rule to every package and returns the findings sorted
+// by position.
+func Run(cfg *Config, pkgs []*Package) []Finding {
 	var all []Finding
-	for _, fs := range perPkg {
-		all = append(all, fs...)
+	for _, pkg := range pkgs {
+		for _, rule := range Rules() {
+			all = append(all, rule.Check(cfg, pkg)...)
+		}
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
@@ -180,5 +158,5 @@ func Run(cfg *Config, ld *Loader, dirs []string) ([]Finding, error) {
 		}
 		return a.Rule < b.Rule
 	})
-	return all, nil
+	return all
 }

@@ -1,12 +1,13 @@
 package lint
 
 import (
-	"go/build"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -16,32 +17,68 @@ import (
 // non-firing cases, which must produce no findings — the set comparison
 // below catches both missed and spurious diagnostics.
 
+// fixtures are the fixture packages TestFixtures checks.
+var fixtures = []string{"maprange", "splitpar", "seedcoord", "freepkg", "leafsetpkg", "csrpkg", "flowpkg"}
+
 // fixtureConfig mirrors DefaultConfig but points the deterministic list at
 // the fixture packages (freepkg is deliberately left off it).
-func fixtureConfig(t *testing.T, module string) *Config {
-	t.Helper()
-	det := []string{"nondet", "maprange", "splitpar", "seedcoord", "leafsetpkg", "csrpkg", "flowpkg"}
+func fixtureConfig(module string) *Config {
 	cfg := &Config{
 		RngPkg:    module + "/internal/rng",
 		EnginePkg: module + "/internal/engine",
 	}
-	for _, d := range det {
-		cfg.Deterministic = append(cfg.Deterministic, module+"/internal/lint/testdata/src/"+d)
+	for _, d := range fixtures {
+		if d != "freepkg" {
+			cfg.Deterministic = append(cfg.Deterministic, module+"/internal/lint/testdata/src/"+d)
+		}
 	}
 	return cfg
 }
 
-func newTestLoader(t *testing.T) *Loader {
+// loadFixtures loads the named fixture packages, in the given order.
+func loadFixtures(t *testing.T, names ...string) []*Package {
 	t.Helper()
-	root, err := FindModuleRoot(".")
+	patterns := make([]string, len(names))
+	for i, n := range names {
+		patterns[i] = "./testdata/src/" + n
+	}
+	pkgs, err := Load(".", patterns...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld, err := NewLoader(root)
+	if len(pkgs) != len(names) {
+		t.Fatalf("loaded %d packages for %d fixtures", len(pkgs), len(names))
+	}
+	byName := map[string]*Package{}
+	for _, p := range pkgs {
+		byName[filepath.Base(p.Path)] = p
+	}
+	for i, n := range names {
+		pkgs[i] = byName[n]
+	}
+	return pkgs
+}
+
+// loadRepo loads the whole module ("./..." from its root) once for every
+// test that needs it.
+var loadRepo = sync.OnceValues(func() ([]*Package, error) { return Load("../..", "./...") })
+
+// repoPackages returns the module's packages, and the same indexed by
+// import path.
+func repoPackages(t *testing.T) ([]*Package, map[string]*Package) {
+	t.Helper()
+	pkgs, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ld
+	if len(pkgs) == 0 {
+		t.Fatal("./... matched no packages")
+	}
+	byPath := map[string]*Package{}
+	for _, p := range pkgs {
+		byPath[p.Path] = p
+	}
+	return pkgs, byPath
 }
 
 // wantMarkers scans a fixture directory for //lintwant markers and returns
@@ -105,16 +142,12 @@ func sortedSet(s map[string]bool) []string {
 }
 
 func TestFixtures(t *testing.T) {
-	ld := newTestLoader(t)
-	cfg := fixtureConfig(t, ld.Module)
-	for _, pkg := range []string{"nondet", "maprange", "splitpar", "seedcoord", "freepkg", "leafsetpkg", "csrpkg", "flowpkg"} {
-		t.Run(pkg, func(t *testing.T) {
-			dir := filepath.Join("testdata", "src", pkg)
-			findings, err := Run(cfg, ld, []string{dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := wantMarkers(t, dir)
+	pkgs := loadFixtures(t, fixtures...)
+	cfg := fixtureConfig(pkgs[0].Module)
+	for i, name := range fixtures {
+		t.Run(name, func(t *testing.T) {
+			findings := Run(cfg, pkgs[i:i+1])
+			want := wantMarkers(t, filepath.Join("testdata", "src", name))
 			got := findingKeys(findings)
 			for _, k := range sortedSet(want) {
 				if !got[k] {
@@ -133,18 +166,27 @@ func TestFixtures(t *testing.T) {
 // TestFindingString pins the file:line:col: rule: message diagnostic form
 // CI and editors rely on.
 func TestFindingString(t *testing.T) {
-	ld := newTestLoader(t)
-	cfg := fixtureConfig(t, ld.Module)
-	findings, err := Run(cfg, ld, []string{filepath.Join("testdata", "src", "nondet")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := loadFixtures(t, "maprange")
+	findings := Run(fixtureConfig(pkgs[0].Module), pkgs)
 	if len(findings) == 0 {
-		t.Fatal("expected findings in the nondet fixture")
+		t.Fatal("expected findings in the maprange fixture")
 	}
 	s := findings[0].String()
-	if !strings.Contains(s, "bad.go:") || !strings.Contains(s, ": nondet-source: ") {
+	if !strings.Contains(s, "bad.go:") || !strings.Contains(s, ": map-range-order: ") {
 		t.Errorf("diagnostic %q not in file:line:col: rule: message form", s)
+	}
+}
+
+// TestLoadRefusesTypeErrors pins the property the gate rests on: go list
+// -e carries on past a package that does not compile, so Load itself must
+// fail on one, naming it, rather than lint the rest of the tree clean.
+func TestLoadRefusesTypeErrors(t *testing.T) {
+	_, err := Load(".", "./testdata/src/maprange", "./testdata/src/broken")
+	if err == nil {
+		t.Fatal("loading a package with a type error succeeded")
+	}
+	if !strings.Contains(err.Error(), "testdata/src/broken") {
+		t.Errorf("error %q does not name the broken package", err)
 	}
 }
 
@@ -152,13 +194,11 @@ func TestFindingString(t *testing.T) {
 // package moves: a renamed directory would otherwise silently drop out of
 // the lint gate.
 func TestDefaultConfigPackagesExist(t *testing.T) {
-	ld := newTestLoader(t)
-	cfg := DefaultConfig(ld.Module)
+	pkgs, byPath := repoPackages(t)
+	cfg := DefaultConfig(pkgs[0].Module)
 	for _, path := range cfg.Deterministic {
-		dir := ld.dirOf(path)
-		ok, err := hasGoFiles(dir)
-		if err != nil || !ok {
-			t.Errorf("deterministic package %s has no Go files at %s (err=%v)", path, dir, err)
+		if byPath[path] == nil {
+			t.Errorf("deterministic package %s is not in the ./... listing", path)
 		}
 	}
 	for _, path := range []string{cfg.RngPkg, cfg.EnginePkg} {
@@ -168,46 +208,50 @@ func TestDefaultConfigPackagesExist(t *testing.T) {
 	}
 }
 
-// TestDeterministicImportClosure pins the fact the per-function rules'
-// coverage rests on: every module package a deterministic package imports
-// is itself deterministic, or is internal/obs, whose API hands no time
-// value back. So every function an exhibit Run or an rfcd handler can
-// reach sits in a package the rules check. rfcd and rfcpaper, where
-// responses and reports start, are held to the same closure.
+// nondetImports are the packages no deterministic package may import: all
+// randomness comes from internal/rng streams derived from a seed and job
+// coordinates, and no result may depend on the wall clock.
+var nondetImports = []string{"math/rand", "math/rand/v2", "crypto/rand", "time"}
+
+// TestDeterministicImportClosure pins the facts the per-function rules'
+// coverage and the determinism contract rest on. Every module package a
+// deterministic package imports is itself deterministic, or is
+// internal/obs, whose API hands no time value back, so every function an
+// exhibit Run or an rfcd handler can reach sits in a package the rules
+// check; rfcd and rfcpaper, where responses and reports start, are held to
+// the same closure. And no deterministic package imports math/rand,
+// crypto/rand or time, so none can draw OS entropy or read the clock.
 func TestDeterministicImportClosure(t *testing.T) {
-	ld := newTestLoader(t)
-	cfg := DefaultConfig(ld.Module)
-	obs := ld.Module + "/internal/obs"
-	roots := append([]string{ld.Module + "/cmd/rfcd", ld.Module + "/cmd/rfcpaper"}, cfg.Deterministic...)
+	pkgs, byPath := repoPackages(t)
+	module := pkgs[0].Module
+	cfg := DefaultConfig(module)
+	obs := module + "/internal/obs"
+	roots := append([]string{module + "/cmd/rfcd", module + "/cmd/rfcpaper"}, cfg.Deterministic...)
 	for _, path := range roots {
-		bp, err := build.ImportDir(ld.dirOf(path), 0)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
+		p := byPath[path]
+		if p == nil {
+			t.Fatalf("%s is not in the ./... listing", path)
 		}
-		for _, imp := range bp.Imports {
-			inModule := imp == ld.Module || strings.HasPrefix(imp, ld.Module+"/")
+		for _, imp := range p.Imports {
+			inModule := imp == module || strings.HasPrefix(imp, module+"/")
 			if inModule && imp != obs && !cfg.IsDeterministic(imp) {
 				t.Errorf("%s imports %s, which is not deterministic", path, imp)
+			}
+			if cfg.IsDeterministic(path) && slices.Contains(nondetImports, imp) {
+				t.Errorf("deterministic package %s imports %s", path, imp)
 			}
 		}
 	}
 }
 
-// TestExpandSkipsTestdata checks the ./... walk never descends into
-// testdata (the go tool convention), so fixture violations cannot fail a
-// tree-wide run.
-func TestExpandSkipsTestdata(t *testing.T) {
-	ld := newTestLoader(t)
-	dirs, err := Expand(ld.Root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dirs) == 0 {
-		t.Fatal("Expand found no packages")
-	}
-	for _, d := range dirs {
-		if strings.Contains(filepath.ToSlash(d), "/testdata/") {
-			t.Errorf("Expand descended into testdata: %s", d)
+// TestLoadSkipsTestdata checks that a ./... load never includes a package
+// under testdata (the go tool convention), so fixture violations and the
+// broken fixture cannot fail a tree-wide run.
+func TestLoadSkipsTestdata(t *testing.T) {
+	pkgs, _ := repoPackages(t)
+	for _, p := range pkgs {
+		if strings.Contains(p.Path, "/testdata/") {
+			t.Errorf("./... loaded a testdata package: %s", p.Path)
 		}
 	}
 }
@@ -215,16 +259,13 @@ func TestExpandSkipsTestdata(t *testing.T) {
 // TestSelfGate lints the analyzer and its command with the repository
 // configuration: rfclint must hold itself to the rules it enforces.
 func TestSelfGate(t *testing.T) {
-	ld := newTestLoader(t)
-	dirs := []string{
-		filepath.Join(ld.Root, "internal", "lint"),
-		filepath.Join(ld.Root, "cmd", "rfclint"),
+	pkgs, byPath := repoPackages(t)
+	module := pkgs[0].Module
+	self := []*Package{byPath[module+"/internal/lint"], byPath[module+"/cmd/rfclint"]}
+	if self[0] == nil || self[1] == nil {
+		t.Fatal("internal/lint or cmd/rfclint is not in the ./... listing")
 	}
-	findings, err := Run(DefaultConfig(ld.Module), ld, dirs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
+	for _, f := range Run(DefaultConfig(module), self) {
 		t.Errorf("%s", f)
 	}
 }
@@ -235,16 +276,8 @@ func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tree-wide lint skipped under -short")
 	}
-	ld := newTestLoader(t)
-	dirs, err := Expand(ld.Root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := Run(DefaultConfig(ld.Module), ld, dirs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
+	pkgs, _ := repoPackages(t)
+	for _, f := range Run(DefaultConfig(pkgs[0].Module), pkgs) {
 		t.Errorf("%s", f)
 	}
 }

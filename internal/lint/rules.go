@@ -41,7 +41,7 @@ func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 }
 
 // pkgFuncCall reports whether the call invokes the package-level function
-// pkgPath.name (e.g. time.Now), resolved through the type checker so
+// pkgPath.name (e.g. rng.StringCoord), resolved through the type checker so
 // aliased imports are still caught.
 func pkgFuncCall(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
 	obj := calleeObj(info, call)

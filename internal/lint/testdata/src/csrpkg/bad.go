@@ -1,13 +1,5 @@
 package csrpkg
 
-import "time"
-
-// sealStamped records when the level was sealed — forbidden in the
-// deterministic class: the store's contents must not depend on wall time.
-func sealStamped() int64 {
-	return time.Now().UnixNano() //lintwant:nondet-source
-}
-
 // exportOverlay flattens the overlay in map order: the emitted link list
 // differs between runs, which would break byte-stable exports.
 func exportOverlay(ovl map[int32][]int32) [][2]int32 {

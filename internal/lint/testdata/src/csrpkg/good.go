@@ -2,8 +2,8 @@
 // + mutation overlay) as a deterministic-class fixture: the sanctioned
 // idioms — counting-sort sealing over flat pair buffers, keyed overlay
 // lookups, order-insensitive overlay folds — must lint clean, while the
-// violations a store like this invites (ranging over the overlay map to
-// export, stamping seals with the wall clock) must still fire.
+// violation a store like this invites (ranging over the overlay map to
+// export) must still fire.
 package csrpkg
 
 // sealLevel is the emitter's counting-sort seal: two ordered passes over

@@ -2,8 +2,8 @@
 // (internal/flow) as a deterministic-class fixture: the sanctioned idioms —
 // serial water-filling over index-ordered flow slices, keyed saturation
 // lookups, commutative folds over link-load maps — must lint clean, while
-// the violations a solver like this invites (timing rounds with the wall
-// clock, ranging over a rate map to emit results) must still fire.
+// the violation a solver like this invites (ranging over a rate map to
+// emit results) must still fire.
 package flowpkg
 
 // waterFillRound advances every unfrozen flow by the round's fair share in

@@ -1,13 +1,5 @@
 package flowpkg
 
-import "time"
-
-// roundStamped times a water-filling round off the wall clock — forbidden
-// in the deterministic class: solver output must not depend on when it ran.
-func roundStamped() int64 {
-	return time.Now().UnixNano() //lintwant:nondet-source
-}
-
 // emitRates flattens the per-flow rate map in map order: the emitted rate
 // list differs between runs, which would break byte-stable reports.
 func emitRates(rates map[int]float64) []float64 {

@@ -1,13 +1,5 @@
 package leafsetpkg
 
-import "time"
-
-// buildTimed stamps a cover build with the wall clock — forbidden in the
-// deterministic class (build output must not depend on when it ran).
-func buildTimed() int64 {
-	return time.Now().UnixNano() //lintwant:nondet-source
-}
-
 // histogramByName tallies containers through a map and then ranges over it,
 // so the histogram order varies run to run.
 func histogramByName(kinds []string) []string {

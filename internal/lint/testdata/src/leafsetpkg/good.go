@@ -2,7 +2,7 @@
 // (internal/routing's LeafSet types) as a deterministic-class fixture: the
 // sanctioned idioms — fixed-order container histograms instead of map
 // ranges, seeded rng streams for sampling — must lint clean, and the usual
-// wall-clock and map-iteration violations must still fire.
+// map-iteration violations must still fire.
 package leafsetpkg
 
 import "rfclos/internal/rng"

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"slices"
 	"strings"
-	"time"
 
 	"rfclos/internal/service"
 	"rfclos/internal/topology"
@@ -21,8 +20,9 @@ import (
 // /v1/path responses are byte-identical across repeats, exports match the
 // offline encoders, and /metrics reflects the traffic. It is the smoke
 // test `rfcd -selfcheck` and CI run; any violation is returned as an
-// error. Progress lines go to out (nil discards them).
-func Selfcheck(out io.Writer) error {
+// error. Every request runs under ctx, so the caller sets the deadline.
+// Progress lines go to out (nil discards them).
+func Selfcheck(ctx context.Context, out io.Writer) error {
 	if out == nil {
 		out = io.Discard
 	}
@@ -35,8 +35,6 @@ func Selfcheck(out io.Writer) error {
 	go hs.Serve(ln)
 	defer hs.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
 	c := New("http://" + ln.Addr().String())
 	step := func(format string, args ...any) { fmt.Fprintf(out, "selfcheck: "+format+"\n", args...) }
 

@@ -31,18 +31,9 @@ func Export(c *Clos, format string, w io.Writer) error {
 	}
 }
 
-// rrnJSON is the on-disk schema for a random regular network, mirroring
-// closJSON: parameters plus an explicit edge list. As with closJSON, the
-// struct is the decode side; WriteJSON streams the identical encoding.
-type rrnJSON struct {
-	N              int      `json:"n"`
-	Degree         int      `json:"degree"`
-	TermsPerSwitch int      `json:"terms_per_switch"`
-	Edges          [][2]int `json:"edges"`
-}
-
-// WriteJSON serialises the network with each undirected edge listed once,
-// streamed in the canonical Edges order. An edgeless network emits
+// WriteJSON serialises the network as {"n","degree","terms_per_switch",
+// "edges"} with each undirected edge listed once, streamed in the
+// canonical Edges order. An edgeless network emits
 // "edges":[] (not null), keeping the schema's array type stable.
 func (r *RRN) WriteJSON(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)

@@ -2,29 +2,18 @@ package topology
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 )
 
-// closJSON is the on-disk schema for a folded Clos network. Links are
-// stored as [lower, upper] global switch id pairs. WriteJSON streams the
-// same schema by hand (its output is pinned byte-identical to
-// encoding/json's by TestStreamedExportGoldens); this struct remains the
-// decode side.
-type closJSON struct {
-	Radix        int      `json:"radix"`
-	TermsPerLeaf int      `json:"terms_per_leaf"`
-	LevelSizes   []int    `json:"level_sizes"`
-	Links        [][2]int `json:"links"`
-}
-
 // WriteJSON serialises the network, streaming links from EdgeSeq so memory
-// stays constant regardless of topology size. The format round-trips
-// through ReadJSON and is stable for storage and interchange; output is
-// byte-identical to encoding/json's compact encoding of closJSON (with
-// "links":[] rather than null for the degenerate edgeless case).
+// stays constant regardless of topology size. The schema is
+// {"radix","terms_per_leaf","level_sizes","links"}, each link a
+// [lower, upper] global switch id pair; it is stable for storage and
+// interchange. Output is byte-identical to encoding/json's compact
+// encoding of that object (with "links":[] rather than null for the
+// degenerate edgeless case), as TestStreamedExportGoldens pins.
 func (c *Clos) WriteJSON(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	buf := make([]byte, 0, 32)
@@ -55,50 +44,6 @@ func (c *Clos) WriteJSON(w io.Writer) error {
 	}
 	bw.WriteString("]}\n")
 	return bw.Flush()
-}
-
-// ReadJSON deserialises a network written by WriteJSON, validating its
-// structure.
-func ReadJSON(r io.Reader) (*Clos, error) {
-	var in closJSON
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&in); err != nil {
-		return nil, fmt.Errorf("topology: decoding: %w", err)
-	}
-	c, err := NewEmpty(in.LevelSizes, in.TermsPerLeaf, in.Radix)
-	if err != nil {
-		return nil, err
-	}
-	// Bucket links by lower-endpoint level, then seal one emitter per level
-	// pair. Bucketing preserves file order within each pair, and the
-	// emitter's stable grouping preserves order within each switch, so the
-	// loaded adjacency matches what link-by-link AddLink produced — but the
-	// graph lands in the immutable CSR base instead of the overlay.
-	total := int32(c.NumSwitches())
-	buckets := make([][]int32, c.Levels())
-	for i, l := range in.Links {
-		a, b := int32(l[0]), int32(l[1])
-		if a < 0 || a >= total || b < 0 || b >= total {
-			return nil, fmt.Errorf("topology: link %d (%d-%d) out of range", i, a, b)
-		}
-		la := c.LevelOf(a)
-		if c.LevelOf(b) != la+1 {
-			return nil, fmt.Errorf("topology: link %d (%d-%d) not between adjacent levels", i, a, b)
-		}
-		buckets[la-1] = append(buckets[la-1], a, b)
-	}
-	for lev := 1; lev < c.Levels(); lev++ {
-		pairs := buckets[lev-1]
-		e := c.WireLevel(lev, len(pairs)/2)
-		for j := 0; j+1 < len(pairs); j += 2 {
-			e.Link(pairs[j], pairs[j+1])
-		}
-		e.Seal()
-	}
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("topology: loaded network invalid: %w", err)
-	}
-	return c, nil
 }
 
 // WriteDOT emits the network in Graphviz DOT format, one rank per level,

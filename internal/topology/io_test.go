@@ -2,9 +2,52 @@ package topology
 
 import (
 	"bytes"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// closJSON is the schema WriteJSON streams. Links are [lower, upper]
+// global switch id pairs.
+type closJSON struct {
+	Radix        int      `json:"radix"`
+	TermsPerLeaf int      `json:"terms_per_leaf"`
+	LevelSizes   []int    `json:"level_sizes"`
+	Links        [][2]int `json:"links"`
+}
+
+// checkJSONDescribes decodes a WriteJSON document with encoding/json and
+// checks it describes c: the same radix, terms per leaf, level sizes and
+// links (compared as sorted lists, so a lost, extra or duplicated link
+// fails).
+func checkJSONDescribes(t *testing.T, c *Clos, doc []byte) {
+	t.Helper()
+	var got closJSON
+	if err := json.Unmarshal(doc, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Radix != c.Radix || got.TermsPerLeaf != c.TermsPerLeaf {
+		t.Errorf("radix, terms per leaf = %d, %d, want %d, %d", got.Radix, got.TermsPerLeaf, c.Radix, c.TermsPerLeaf)
+	}
+	sizes := make([]int, c.Levels())
+	for lev := 1; lev <= c.Levels(); lev++ {
+		sizes[lev-1] = c.LevelSize(lev)
+	}
+	if !slices.Equal(got.LevelSizes, sizes) {
+		t.Errorf("level sizes = %v, want %v", got.LevelSizes, sizes)
+	}
+	want := make([][2]int, 0, c.Wires())
+	for _, l := range c.Links() {
+		want = append(want, [2]int{int(l.A), int(l.B)})
+	}
+	byPair := func(a, b [2]int) int { return slices.Compare(a[:], b[:]) }
+	slices.SortFunc(want, byPair)
+	slices.SortFunc(got.Links, byPair)
+	if !slices.Equal(got.Links, want) {
+		t.Errorf("decoded links (%d) differ from the network's (%d)", len(got.Links), len(want))
+	}
+}
 
 func TestJSONRoundTrip(t *testing.T) {
 	orig, err := NewCFT(8, 3)
@@ -15,44 +58,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := orig.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Radix != orig.Radix || loaded.TermsPerLeaf != orig.TermsPerLeaf ||
-		loaded.Levels() != orig.Levels() || loaded.Terminals() != orig.Terminals() {
-		t.Errorf("metadata mismatch: %v vs %v", loaded, orig)
-	}
-	a, b := orig.Links(), loaded.Links()
-	if len(a) != len(b) {
-		t.Fatalf("link counts differ: %d vs %d", len(a), len(b))
-	}
-	seen := map[Link]bool{}
-	for _, l := range a {
-		seen[l] = true
-	}
-	for _, l := range b {
-		if !seen[l] {
-			t.Fatalf("link %v not in original", l)
-		}
-	}
-	if err := loaded.ValidateRadixRegular(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReadJSONRejectsCorrupt(t *testing.T) {
-	cases := []string{
-		`not json`,
-		`{"radix":4,"terms_per_leaf":2,"level_sizes":[2,2],"links":[[0,99]]}`, // out of range
-		`{"radix":4,"terms_per_leaf":2,"level_sizes":[2,2],"links":[[0,1]]}`,  // same level link
-		`{"radix":4,"terms_per_leaf":2,"level_sizes":[2,2],"links":[]}`,       // unwired (invalid Clos)
-	}
-	for i, c := range cases {
-		if _, err := ReadJSON(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: corrupt input accepted", i)
-		}
-	}
+	checkJSONDescribes(t, orig, buf.Bytes())
 }
 
 func TestWriteEdgeList(t *testing.T) {

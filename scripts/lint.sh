@@ -4,11 +4,15 @@
 #   2. go vet      — the standard suspicious-construct checks
 #   3. rfclint     — the determinism invariants (see DESIGN.md,
 #                    "Determinism invariants"): the per-function rules (no
-#                    wall-clock/math-rand in deterministic packages, no
 #                    order-sensitive map ranges, no captured parent rng
 #                    stream in parallel workers, no duplicated StringCoord
 #                    coordinates), applied to every package an exhibit or
-#                    an rfcd handler can reach. rfclint has no suppression
+#                    an rfcd handler can reach. That deterministic packages
+#                    import no math/rand, crypto/rand or time is checked by
+#                    go test (internal/lint TestDeterministicImportClosure).
+#                    rfclint type-checks what `go list ./...` lists, so the
+#                    nested perfbench module is not linted (CI vets and
+#                    tests it in its own step). rfclint has no suppression
 #                    comment and no accept list. The gate passes only when
 #                    it exits 0 and its whole output is the single line
 #                    "rfclint: N packages clean" (N >= 1), so a silent
