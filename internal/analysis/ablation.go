@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rfclos/internal/engine"
-	"rfclos/internal/metrics"
 	"rfclos/internal/rng"
 	"rfclos/internal/simnet"
 	"rfclos/internal/traffic"
@@ -25,11 +24,11 @@ type AblationOptions struct {
 	Shard engine.Shard
 }
 
-// ablationSpec is one knob setting of the ablation grid.
-type ablationSpec struct {
-	knob   string
-	value  int
-	mutate func(*simnet.Config)
+// ablationKnob is one knob of the ablation grid and the values it takes.
+type ablationKnob struct {
+	name   string
+	values []float64
+	set    func(c *simnet.Config, v int)
 }
 
 // Ablations quantifies the simulator/routing design choices DESIGN.md calls
@@ -63,39 +62,37 @@ func Ablations(opts AblationOptions) (*Report, error) {
 		return nil, err
 	}
 
-	var specs []ablationSpec
-	for _, vcs := range []int{1, 2, 4, 8} {
-		vcs := vcs
-		specs = append(specs, ablationSpec{"virtual-channels", vcs, func(c *simnet.Config) { c.VCs = vcs }})
+	knobs := []ablationKnob{
+		{"virtual-channels", []float64{1, 2, 4, 8}, func(c *simnet.Config, v int) { c.VCs = v }},
+		{"buffer-packets", []float64{1, 2, 4, 8}, func(c *simnet.Config, v int) { c.BufferPackets = v }},
+		{"request-refresh", []float64{1, 4, 16}, func(c *simnet.Config, v int) { c.RequestRefresh = v }},
+		// Routing policy: 0 = random per-request (Table 2), 1 = deterministic
+		// D-mod-K flow hashing.
+		{"hash-routing", []float64{0, 1}, func(c *simnet.Config, v int) { c.HashRouting = v == 1 }},
+		// Reception model: 0 = 1 phit/cycle NIC, 1 = infinite sink.
+		{"infinite-sink", []float64{0, 1}, func(c *simnet.Config, v int) { c.InfiniteSink = v == 1 }},
 	}
-	for _, buf := range []int{1, 2, 4, 8} {
-		buf := buf
-		specs = append(specs, ablationSpec{"buffer-packets", buf, func(c *simnet.Config) { c.BufferPackets = buf }})
+	groups := make([]gridGroup, len(knobs))
+	for i, k := range knobs {
+		groups[i] = gridGroup{name: k.name, xs: k.values}
 	}
-	for _, rr := range []int{1, 4, 16} {
-		rr := rr
-		specs = append(specs, ablationSpec{"request-refresh", rr, func(c *simnet.Config) { c.RequestRefresh = rr }})
-	}
-	// Routing policy: 0 = random per-request (Table 2), 1 = deterministic
-	// D-mod-K flow hashing.
-	specs = append(specs,
-		ablationSpec{"hash-routing", 0, func(c *simnet.Config) { c.HashRouting = false }},
-		ablationSpec{"hash-routing", 1, func(c *simnet.Config) { c.HashRouting = true }})
-	// Reception model: 0 = 1 phit/cycle NIC, 1 = infinite sink.
-	specs = append(specs,
-		ablationSpec{"infinite-sink", 0, func(c *simnet.Config) { c.InfiniteSink = false }},
-		ablationSpec{"infinite-sink", 1, func(c *simnet.Config) { c.InfiniteSink = true }})
-
-	type outcome struct{ acc, lat float64 }
-	results, err := engine.RunShard(len(specs)*opts.Reps, opts.Workers, opts.Shard, func(i int) (outcome, error) {
-		spec, rep := specs[i/opts.Reps], i%opts.Reps
-		stream := rng.At(opts.Seed, rng.StringCoord("ablation/"+spec.knob), uint64(spec.value), uint64(rep))
-		cfg := opts.Sim
-		spec.mutate(&cfg)
-		cfg.Seed = stream.Uint64()
-		res := simnet.New(rfc, ud, traffic.NewUniform(rfc.Terminals()), cfg).Run(opts.Load)
-		return outcome{acc: res.AcceptedLoad, lat: res.AvgLatency}, nil
-	})
+	rfcNet := netUnderTest{c: rfc, ud: ud}
+	set, err := grid{
+		groups: groups,
+		reps:   opts.Reps,
+		cols:   []string{"accepted", "latency"},
+		seed:   opts.Seed,
+		coords: func(j gridJob) []uint64 {
+			return []uint64{rng.StringCoord("ablation/" + knobs[j.g].name), uint64(j.x), uint64(j.rep)}
+		},
+		run: func(j gridJob, stream *rng.Rand) ([]float64, error) {
+			cfg := opts.Sim
+			knobs[j.g].set(&cfg, int(j.x))
+			res, err := rfcNet.simulate(traffic.NewUniform(rfc.Terminals()), cfg, stream.Uint64(), opts.Load)
+			return []float64{res.AcceptedLoad, res.AvgLatency}, err
+		},
+		workers: opts.Workers, shard: opts.Shard,
+	}.collect()
 	if err != nil {
 		return nil, err
 	}
@@ -105,17 +102,11 @@ func Ablations(opts AblationOptions) (*Report, error) {
 			opts.Scale, opts.Load),
 		Header: []string{"knob", "value", "accepted", "latency"},
 	}
-	for si, spec := range specs {
-		var accObs, latObs []metrics.Obs
-		for r := 0; r < opts.Reps; r++ {
-			i := si*opts.Reps + r
-			if opts.Shard.Owns(i) {
-				accObs = append(accObs, metrics.Obs{Job: i, V: results[i].acc})
-				latObs = append(latObs, metrics.Obs{Job: i, V: results[i].lat})
-			}
+	for _, k := range knobs {
+		for _, v := range k.values {
+			rep.AddKeyed(fmt.Sprintf("%s=%d", k.name, int(v)), Str(k.name), Int(int(v)),
+				set.mean(k.name+"/accepted", v, "%.4f"), set.mean(k.name+"/latency", v, "%.1f"))
 		}
-		rep.AddKeyed(fmt.Sprintf("%s=%d", spec.knob, spec.value), Str(spec.knob), Int(spec.value),
-			Mean(accObs, opts.Reps, "%.4f"), Mean(latObs, opts.Reps, "%.1f"))
 	}
 	return rep, nil
 }

@@ -7,7 +7,6 @@ import (
 	"rfclos/internal/core"
 	"rfclos/internal/engine"
 	"rfclos/internal/flow"
-	"rfclos/internal/metrics"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
 	"rfclos/internal/topology"
@@ -67,81 +66,47 @@ type flowNet struct {
 	terms int
 }
 
-// flowPoint is the measured outcome of one flow grid job.
-type flowPoint struct{ acc, min, jain float64 }
-
 // runFlowGrid executes the (network × pattern × load × rep) grid on the
 // worker pool and aggregates it into a (series, load, value, stddev) report
 // with three series per (network, pattern) group: accepted throughput per
 // terminal, the minimum flow rate (the starved-flow floor the mean hides)
 // and Jain's fairness index — the flow backend's new report columns.
 func runFlowGrid(title string, notes []string, nets []flowNet, opts FlowOptions) (*Report, error) {
-	type flowJob struct {
-		net     int
-		pattern string
-		load    float64
-		rep     int
+	names := make([]string, len(nets))
+	for i, n := range nets {
+		names[i] = n.name
 	}
-	var jobs []flowJob
-	for ni := range nets {
-		for _, pat := range opts.Patterns {
-			for _, load := range opts.Loads {
-				for rep := 0; rep < opts.Reps; rep++ {
-					jobs = append(jobs, flowJob{net: ni, pattern: pat, load: load, rep: rep})
-				}
+	np := len(opts.Patterns)
+	set, err := grid{
+		groups: netsByPattern(names, opts.Patterns, opts.Loads),
+		reps:   opts.Reps,
+		cols:   []string{"accepted", "minrate", "jain"},
+		seed:   opts.Seed,
+		coords: func(j gridJob) []uint64 {
+			return []uint64{rng.StringCoord("flow/" + nets[j.g/np].name), rng.StringCoord(opts.Patterns[j.g%np]),
+				math.Float64bits(j.x), uint64(j.rep)}
+		},
+		run: func(j gridJob, stream *rng.Rand) ([]float64, error) {
+			n := nets[j.g/np]
+			m, err := traffic.NewMatrix(opts.Patterns[j.g%np], n.terms, stream)
+			if err != nil {
+				return nil, err
 			}
-		}
-	}
-	points, err := engine.RunShard(len(jobs), opts.Workers, opts.Shard, func(i int) (flowPoint, error) {
-		j := jobs[i]
-		n := nets[j.net]
-		stream := rng.At(opts.Seed, rng.StringCoord("flow/"+n.name), rng.StringCoord(j.pattern),
-			math.Float64bits(j.load), uint64(j.rep))
-		m, err := traffic.NewMatrix(j.pattern, n.terms, stream)
-		if err != nil {
-			return flowPoint{}, err
-		}
-		m = traffic.ScaleMatrix(m, j.load)
-		res, err := flow.Solve(n.net, m, flow.Options{Seed: stream.Uint64(), Workers: 1})
-		if err != nil {
-			return flowPoint{}, err
-		}
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("%s/%s load=%.2f rep=%d accepted=%.3f min=%.3f jain=%.3f",
-				n.name, j.pattern, j.load, j.rep, res.Accepted, res.MinRate, res.Jain))
-		}
-		return flowPoint{acc: res.Accepted, min: res.MinRate, jain: res.Jain}, nil
-	})
+			res, err := flow.Solve(n.net, traffic.ScaleMatrix(m, j.x), flow.Options{Seed: stream.Uint64(), Workers: 1})
+			if err != nil {
+				return nil, err
+			}
+			return []float64{res.Accepted, res.MinRate, res.Jain}, nil
+		},
+		workers: opts.Workers, shard: opts.Shard, progress: opts.Progress,
+	}.collect()
 	if err != nil {
 		return nil, err
-	}
-
-	per := len(opts.Loads) * opts.Reps
-	groups := len(nets) * len(opts.Patterns)
-	var sset seriesSet
-	type groupCols struct{ acc, min, jain *metrics.JobCollector }
-	cols := make([]groupCols, groups)
-	for g := 0; g < groups; g++ {
-		j := jobs[g*per]
-		name := nets[j.net].name + "/" + j.pattern
-		cols[g] = groupCols{acc: sset.col(name + "/accepted"),
-			min: sset.col(name + "/minrate"), jain: sset.col(name + "/jain")}
-	}
-	for i := range jobs {
-		g := i / per
-		cols[g].acc.Expect(jobs[i].load)
-		cols[g].min.Expect(jobs[i].load)
-		cols[g].jain.Expect(jobs[i].load)
-		if opts.Shard.Owns(i) {
-			cols[g].acc.Observe(jobs[i].load, i, points[i].acc)
-			cols[g].min.Observe(jobs[i].load, i, points[i].min)
-			cols[g].jain.Observe(jobs[i].load, i, points[i].jain)
-		}
 	}
 	notes = append(notes,
 		"flow-level backend: max-min-fair water-filling over unit-capacity links, one random shortest path per flow",
 		"accepted in delivered rate per terminal; minrate is the worst flow's rate; jain is Jain's fairness index")
-	return sset.report(title, notes, "offered load", "value"), nil
+	return set.report(title, notes, "offered load", "value"), nil
 }
 
 // FlowScenarioSweep is ScenarioSweep on the flow-level backend: the same

@@ -5,9 +5,7 @@ import (
 	"math"
 
 	"rfclos/internal/engine"
-	"rfclos/internal/metrics"
 	"rfclos/internal/rng"
-	"rfclos/internal/simdirect"
 	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
@@ -85,48 +83,32 @@ func Jellyfish(opts JellyfishOptions) (*Report, error) {
 		return nil, err
 	}
 
-	// The three rows of the comparison; rrn == nil marks the RFC row,
-	// which runs on the indirect-network simulator.
-	rows := []struct {
-		name string
-		rrn  *topology.RRN
-	}{
-		{fmt.Sprintf("RFC-R%d", sc.RFC.Radix), nil},
-		{fmt.Sprintf("RRN-eqT-R%d", spec.Radix()), eqT},
-		{fmt.Sprintf("RRN-eqEquip-R%d", eqRadix), eqEquip},
+	// The three rows of the comparison: the RFC on the indirect-network
+	// simulator, the RRNs on the direct one.
+	rows := []netUnderTest{
+		{name: fmt.Sprintf("RFC-R%d", sc.RFC.Radix), c: rfc, ud: rud},
+		{name: fmt.Sprintf("RRN-eqT-R%d", spec.Radix()), rrn: eqT},
+		{name: fmt.Sprintf("RRN-eqEquip-R%d", eqRadix), rrn: eqEquip},
 	}
-
-	type outcome struct{ acc, lat float64 }
-	perRow := len(opts.Loads) * opts.Reps
-	results, err := engine.RunShard(len(rows)*perRow, opts.Workers, opts.Shard, func(i int) (outcome, error) {
-		row := rows[i/perRow]
-		load := opts.Loads[(i%perRow)/opts.Reps]
-		rep := i % opts.Reps
-		stream := rng.At(opts.Seed, rng.StringCoord("jellyfish/"+row.name),
-			math.Float64bits(load), uint64(rep))
-		if row.rrn == nil {
-			cfg := opts.Sim
-			cfg.Seed = stream.Uint64()
-			res := simnet.New(rfc, rud, traffic.NewUniform(rfc.Terminals()), cfg).Run(load)
-			return outcome{res.AcceptedLoad, res.AvgLatency}, nil
-		}
-		cfg := simdirect.Config{
-			VCs:            16, // covers any small-network diameter
-			BufferPackets:  opts.Sim.BufferPackets,
-			PacketLength:   opts.Sim.PacketLength,
-			LinkLatency:    opts.Sim.LinkLatency,
-			WarmupCycles:   opts.Sim.WarmupCycles,
-			MeasureCycles:  opts.Sim.MeasureCycles,
-			SourceQueueCap: opts.Sim.SourceQueueCap,
-			Seed:           stream.Uint64(),
-		}
-		sim, err := simdirect.New(row.rrn, traffic.NewUniform(row.rrn.Terminals()), cfg)
-		if err != nil {
-			return outcome{}, err
-		}
-		res := sim.Run(load)
-		return outcome{res.AcceptedLoad, res.AvgLatency}, nil
-	})
+	groups := make([]gridGroup, len(rows))
+	for i, row := range rows {
+		groups[i] = gridGroup{name: row.name, xs: opts.Loads}
+	}
+	set, err := grid{
+		groups: groups,
+		reps:   opts.Reps,
+		cols:   []string{"accepted", "latency"},
+		seed:   opts.Seed,
+		coords: func(j gridJob) []uint64 {
+			return []uint64{rng.StringCoord("jellyfish/" + rows[j.g].name), math.Float64bits(j.x), uint64(j.rep)}
+		},
+		run: func(j gridJob, stream *rng.Rand) ([]float64, error) {
+			row := rows[j.g]
+			res, err := row.simulate(traffic.NewUniform(row.terminals()), opts.Sim, stream.Uint64(), j.x)
+			return []float64{res.AcceptedLoad, res.AvgLatency}, err
+		},
+		workers: opts.Workers, shard: opts.Shard,
+	}.collect()
 	if err != nil {
 		return nil, err
 	}
@@ -143,18 +125,10 @@ func Jellyfish(opts JellyfishOptions) (*Report, error) {
 		},
 		Header: []string{"network", "load", "accepted", "latency"},
 	}
-	for ri, row := range rows {
-		for li, load := range opts.Loads {
-			var accObs, latObs []metrics.Obs
-			for r := 0; r < opts.Reps; r++ {
-				i := ri*perRow + li*opts.Reps + r
-				if opts.Shard.Owns(i) {
-					accObs = append(accObs, metrics.Obs{Job: i, V: results[i].acc})
-					latObs = append(latObs, metrics.Obs{Job: i, V: results[i].lat})
-				}
-			}
+	for _, row := range rows {
+		for _, load := range opts.Loads {
 			rep.AddKeyed(fmt.Sprintf("%s@%g", row.name, load), Str(row.name), Float(load, "%.4g"),
-				Mean(accObs, opts.Reps, "%.4f"), Mean(latObs, opts.Reps, "%.1f"))
+				set.mean(row.name+"/accepted", load, "%.4f"), set.mean(row.name+"/latency", load, "%.1f"))
 		}
 	}
 	return rep, nil

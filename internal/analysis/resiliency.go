@@ -266,14 +266,6 @@ type Fig12Options struct {
 	Shard engine.Shard
 }
 
-// fig12Job is one (network, pattern, fault count, repetition) grid point.
-type fig12Job struct {
-	net     netUnderTest
-	pattern string
-	faults  int
-	rep     int
-}
-
 // Fig12FaultThroughput reproduces Figure 12: maximum throughput (accepted
 // load at offered 1.0) of the equal-resources CFT and RFC as links fail, for
 // the three traffic patterns. Faults are injected in equal increments up to
@@ -305,68 +297,55 @@ func Fig12FaultThroughput(opts Fig12Options) (*Report, error) {
 		return nil, err
 	}
 	nets := []netUnderTest{
-		{fmt.Sprintf("CFT-R%d", sc.CFT.Radix), cft, nil},
-		{fmt.Sprintf("RFC-R%d", sc.RFC.Radix), rfc, nil},
+		{name: fmt.Sprintf("CFT-R%d", sc.CFT.Radix), c: cft},
+		{name: fmt.Sprintf("RFC-R%d", sc.RFC.Radix), c: rfc},
 	}
-
-	var jobs []fig12Job
+	patterns := traffic.Names()
+	var groups []gridGroup
 	for _, n := range nets {
-		wires := n.c.Wires()
-		step := wires * 13 / 100 / opts.FaultSteps
-		if step == 0 {
-			step = 1
-		}
-		for _, patName := range traffic.Names() {
-			for f := 0; f <= opts.FaultSteps; f++ {
-				for rep := 0; rep < opts.Reps; rep++ {
-					jobs = append(jobs, fig12Job{n, patName, f * step, rep})
-				}
-			}
-		}
+		groups = append(groups, netsByPattern([]string{n.name}, patterns, faultCounts(n.c.Wires(), opts.FaultSteps))...)
 	}
-	accepted, err := engine.RunShard(len(jobs), opts.Workers, opts.Shard, func(i int) (float64, error) {
-		j := jobs[i]
-		stream := rng.At(opts.Seed, rng.StringCoord("fig12/"+j.net.name), rng.StringCoord(j.pattern),
-			uint64(j.faults), uint64(j.rep))
-		faulty := j.net.c.Clone()
-		RemoveRandomLinks(faulty, j.faults, stream)
-		ud := routing.New(faulty)
-		pat, err := traffic.New(j.pattern, faulty.Terminals(), stream)
-		if err != nil {
-			return 0, err
-		}
-		cfg := opts.Sim
-		cfg.Seed = stream.Uint64()
-		res := simnet.New(faulty, ud, pat, cfg).Run(1.0)
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("%s/%s faults=%d rep=%d accepted=%.3f",
-				j.net.name, j.pattern, j.faults, j.rep, res.AcceptedLoad))
-		}
-		return res.AcceptedLoad, nil
-	})
+	np := len(patterns)
+	set, err := grid{
+		groups: groups,
+		reps:   opts.Reps,
+		cols:   []string{"accepted"},
+		seed:   opts.Seed,
+		coords: func(j gridJob) []uint64 {
+			return []uint64{rng.StringCoord("fig12/" + nets[j.g/np].name), rng.StringCoord(patterns[j.g%np]),
+				uint64(j.x), uint64(j.rep)}
+		},
+		run: func(j gridJob, stream *rng.Rand) ([]float64, error) {
+			faulty := nets[j.g/np].c.Clone()
+			RemoveRandomLinks(faulty, int(j.x), stream)
+			pat, err := traffic.New(patterns[j.g%np], faulty.Terminals(), stream)
+			if err != nil {
+				return nil, err
+			}
+			n := netUnderTest{c: faulty, ud: routing.New(faulty)}
+			res, err := n.simulate(pat, opts.Sim, stream.Uint64(), 1.0)
+			return []float64{res.AcceptedLoad}, err
+		},
+		workers: opts.Workers, shard: opts.Shard, progress: opts.Progress,
+	}.collect()
 	if err != nil {
 		return nil, err
 	}
-
-	// Merge per-job accepted loads into one collector per (network,
-	// pattern) group; the grid is jobs-ordered, so the block arithmetic
-	// mirrors the construction loop above.
-	per := (opts.FaultSteps + 1) * opts.Reps
-	groups := len(nets) * len(traffic.Names())
-	var sset seriesSet
-	cols := make([]*metrics.JobCollector, groups)
-	for g := 0; g < groups; g++ {
-		first := jobs[g*per]
-		cols[g] = sset.col(first.net.name + "/" + first.pattern)
-	}
-	for i := range jobs {
-		g := i / per
-		cols[g].Expect(float64(jobs[i].faults))
-		if opts.Shard.Owns(i) {
-			cols[g].Observe(float64(jobs[i].faults), i, accepted[i])
-		}
-	}
-	return sset.report("Figure 12: max throughput under link faults (equal-resources scenario)",
+	return set.report("Figure 12: max throughput under link faults (equal-resources scenario)",
 		[]string{fmt.Sprintf("scale=%s; offered load 1.0; faults up to ~13%% of wires", opts.Scale)},
 		"faulty links", "accepted load"), nil
+}
+
+// faultCounts returns the x values of a fault sweep: steps+1 equal
+// increments from 0 up to ~13% of the network's wires.
+func faultCounts(wires, steps int) []float64 {
+	step := wires * 13 / 100 / steps
+	if step == 0 {
+		step = 1
+	}
+	xs := make([]float64, steps+1)
+	for f := range xs {
+		xs[f] = float64(f * step)
+	}
+	return xs
 }

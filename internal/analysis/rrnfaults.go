@@ -5,10 +5,8 @@ import (
 
 	"rfclos/internal/engine"
 	"rfclos/internal/graph"
-	"rfclos/internal/metrics"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
-	"rfclos/internal/simdirect"
 	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
@@ -29,14 +27,6 @@ type RRNFaultsOptions struct {
 	// Shard restricts execution to the grid jobs this process owns;
 	// partial reports merge byte-identically (see engine.Shard).
 	Shard engine.Shard
-}
-
-// rrnFaultsJob is one (network, pattern, fault count, repetition) point.
-type rrnFaultsJob struct {
-	net     string
-	pattern string
-	faults  int
-	rep     int
 }
 
 // RRNFaults extends the Figure 12 fault methodology to the random baseline
@@ -64,7 +54,6 @@ func RRNFaults(opts RRNFaultsOptions) (*Report, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	const rrnVCs = 16 // covers any small-network diameter, as in Jellyfish()
 	sc := Scenarios(opts.Scale)[0]
 
 	rfc, _, err := buildRoutableRFC(sc.RFC, rng.At(opts.Seed, rng.StringCoord("rrnfaults/topology/RFC")))
@@ -77,94 +66,54 @@ func RRNFaults(opts RRNFaultsOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rfcName := fmt.Sprintf("RFC-R%d", sc.RFC.Radix)
-	rrnName := fmt.Sprintf("RRN-R%d", spec.Radix())
-	wires := map[string]int{rfcName: rfc.Wires(), rrnName: rrn.Wires()}
-
+	nets := []netUnderTest{
+		{name: fmt.Sprintf("RFC-R%d", sc.RFC.Radix), c: rfc},
+		{name: fmt.Sprintf("RRN-R%d", spec.Radix()), rrn: rrn},
+	}
 	patterns := []string{"uniform", "shift"}
-	var jobs []rrnFaultsJob
-	for _, name := range []string{rfcName, rrnName} {
-		step := wires[name] * 13 / 100 / opts.FaultSteps
-		if step == 0 {
-			step = 1
-		}
-		for _, pat := range patterns {
-			for f := 0; f <= opts.FaultSteps; f++ {
-				for rep := 0; rep < opts.Reps; rep++ {
-					jobs = append(jobs, rrnFaultsJob{name, pat, f * step, rep})
-				}
-			}
-		}
-	}
-
-	pattern := func(name string, terms int) traffic.Pattern {
-		if name == "shift" {
-			return traffic.NewShift(terms, 0)
-		}
-		return traffic.NewUniform(terms)
-	}
-	accepted, err := engine.RunShard(len(jobs), opts.Workers, opts.Shard, func(i int) (float64, error) {
-		j := jobs[i]
-		stream := rng.At(opts.Seed, rng.StringCoord("rrnfaults/"+j.net), rng.StringCoord(j.pattern),
-			uint64(j.faults), uint64(j.rep))
-		var acc float64
-		if j.net == rfcName {
-			faulty := rfc.Clone()
-			RemoveRandomLinks(faulty, j.faults, stream)
-			ud := routing.New(faulty)
-			cfg := opts.Sim
-			cfg.Seed = stream.Uint64()
-			acc = simnet.New(faulty, ud, pattern(j.pattern, faulty.Terminals()), cfg).Run(1.0).AcceptedLoad
-		} else {
-			faulty := &topology.RRN{G: rrn.G.Clone(), Degree: rrn.Degree, TermsPerSwitch: rrn.TermsPerSwitch}
-			removeRandomGraphLinks(faulty.G, j.faults, stream)
-			cfg := simdirect.Config{
-				VCs:            rrnVCs,
-				BufferPackets:  opts.Sim.BufferPackets,
-				PacketLength:   opts.Sim.PacketLength,
-				LinkLatency:    opts.Sim.LinkLatency,
-				WarmupCycles:   opts.Sim.WarmupCycles,
-				MeasureCycles:  opts.Sim.MeasureCycles,
-				SourceQueueCap: opts.Sim.SourceQueueCap,
-				Seed:           stream.Uint64(),
-			}
-			sim, err := simdirect.New(faulty, pattern(j.pattern, faulty.Terminals()), cfg)
-			if err != nil {
-				// Disconnected, or diameter grew past the VC budget: the
-				// direct network cannot route deadlock-free any more.
-				acc = 0
+	groups := append(
+		netsByPattern([]string{nets[0].name}, patterns, faultCounts(rfc.Wires(), opts.FaultSteps)),
+		netsByPattern([]string{nets[1].name}, patterns, faultCounts(rrn.Wires(), opts.FaultSteps))...)
+	np := len(patterns)
+	set, err := grid{
+		groups: groups,
+		reps:   opts.Reps,
+		cols:   []string{"accepted"},
+		seed:   opts.Seed,
+		coords: func(j gridJob) []uint64 {
+			return []uint64{rng.StringCoord("rrnfaults/" + nets[j.g/np].name), rng.StringCoord(patterns[j.g%np]),
+				uint64(j.x), uint64(j.rep)}
+		},
+		run: func(j gridJob, stream *rng.Rand) ([]float64, error) {
+			n := nets[j.g/np]
+			if n.rrn == nil {
+				n.c = n.c.Clone()
+				RemoveRandomLinks(n.c, int(j.x), stream)
+				n.ud = routing.New(n.c)
 			} else {
-				acc = sim.Run(1.0).AcceptedLoad
+				n.rrn = &topology.RRN{G: n.rrn.G.Clone(), Degree: n.rrn.Degree, TermsPerSwitch: n.rrn.TermsPerSwitch}
+				removeRandomGraphLinks(n.rrn.G, int(j.x), stream)
 			}
-		}
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("%s/%s faults=%d rep=%d accepted=%.3f",
-				j.net, j.pattern, j.faults, j.rep, acc))
-		}
-		return acc, nil
-	})
+			var pat traffic.Pattern
+			if patterns[j.g%np] == "shift" {
+				pat = traffic.NewShift(n.terminals(), 0)
+			} else {
+				pat = traffic.NewUniform(n.terminals())
+			}
+			// An RRN that faults disconnected, or whose diameter grew past
+			// the VC budget, cannot route deadlock-free any more: it scores 0.
+			res, err := n.simulate(pat, opts.Sim, stream.Uint64(), 1.0)
+			if err != nil {
+				return []float64{0}, nil
+			}
+			return []float64{res.AcceptedLoad}, nil
+		},
+		workers: opts.Workers, shard: opts.Shard, progress: opts.Progress,
+	}.collect()
 	if err != nil {
 		return nil, err
 	}
-
-	// Merge per-job accepted loads into one collector per (network, pattern)
-	// group; the grid is jobs-ordered, mirroring the construction loop.
-	per := (opts.FaultSteps + 1) * opts.Reps
-	groups := 2 * len(patterns)
-	var sset seriesSet
-	cols := make([]*metrics.JobCollector, groups)
-	for g := 0; g < groups; g++ {
-		first := jobs[g*per]
-		cols[g] = sset.col(first.net + "/" + first.pattern)
-	}
-	for i := range jobs {
-		g := i / per
-		cols[g].Expect(float64(jobs[i].faults))
-		if opts.Shard.Owns(i) {
-			cols[g].Observe(float64(jobs[i].faults), i, accepted[i])
-		}
-	}
-	return sset.report("Extension: max throughput under link faults, RFC vs RRN (unified engine)",
+	return set.report("Extension: max throughput under link faults, RFC vs RRN (unified engine)",
 		[]string{
 			fmt.Sprintf("scale=%s; offered load 1.0; faults up to ~13%% of each network's wires", opts.Scale),
 			fmt.Sprintf("RFC: %v, up/down routing around faults; RRN: %d switches × R%d, minimal routing with %d hop-indexed VCs",

@@ -48,3 +48,10 @@ func (s *seriesSet) report(title string, notes []string, xName, yName string) *R
 	}
 	return r
 }
+
+// mean returns the mean cell of one series at x, for the exhibits that
+// print a grid as a table.
+func (s *seriesSet) mean(series string, x float64, format string) Cell {
+	obs, want := s.cols[series].At(x)
+	return Mean(obs, want, format)
+}

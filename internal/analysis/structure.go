@@ -6,10 +6,8 @@ import (
 	"rfclos/internal/core"
 	"rfclos/internal/engine"
 	"rfclos/internal/graph"
-	"rfclos/internal/metrics"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
-	"rfclos/internal/simdirect"
 	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
@@ -241,57 +239,37 @@ func Adversarial(opts AdversarialOptions) (*Report, error) {
 		},
 		Header: []string{"network", "accepted", "latency"},
 	}
-	rows := []struct {
-		name string
-		c    *topology.Clos
-		ud   *routing.UpDown
-		rrn  *topology.RRN
-	}{
-		{fmt.Sprintf("CFT-R%d", sc.CFT.Radix), cft, routing.New(cft), nil},
-		{fmt.Sprintf("RFC-R%d", sc.RFC.Radix), rfc, rud, nil},
-		{fmt.Sprintf("RRN-R%d", spec.Radix()), nil, nil, rrn},
+	rows := []netUnderTest{
+		{name: fmt.Sprintf("CFT-R%d", sc.CFT.Radix), c: cft, ud: routing.New(cft)},
+		{name: fmt.Sprintf("RFC-R%d", sc.RFC.Radix), c: rfc, ud: rud},
+		{name: fmt.Sprintf("RRN-R%d", spec.Radix()), rrn: rrn},
 	}
-	type outcome struct{ acc, lat float64 }
-	results, err := engine.RunShard(len(rows)*opts.Reps, opts.Workers, opts.Shard, func(i int) (outcome, error) {
-		row, repIdx := rows[i/opts.Reps], i%opts.Reps
-		stream := rng.At(opts.Seed, rng.StringCoord("adversarial/"+row.name), uint64(repIdx))
-		if row.rrn != nil {
-			cfg := simdirect.Config{
-				VCs:            16, // covers any small-network diameter
-				BufferPackets:  opts.Sim.BufferPackets,
-				PacketLength:   opts.Sim.PacketLength,
-				LinkLatency:    opts.Sim.LinkLatency,
-				WarmupCycles:   opts.Sim.WarmupCycles,
-				MeasureCycles:  opts.Sim.MeasureCycles,
-				SourceQueueCap: opts.Sim.SourceQueueCap,
-				Seed:           stream.Uint64(),
-			}
-			sim, err := simdirect.New(row.rrn, traffic.NewShift(row.rrn.Terminals(), 0), cfg)
-			if err != nil {
-				return outcome{}, err
-			}
-			res := sim.Run(1.0)
-			return outcome{res.AcceptedLoad, res.AvgLatency}, nil
-		}
-		cfg := opts.Sim
-		cfg.Seed = stream.Uint64()
-		res := simnet.New(row.c, row.ud, traffic.NewShift(row.c.Terminals(), 0), cfg).Run(1.0)
-		return outcome{res.AcceptedLoad, res.AvgLatency}, nil
-	})
+	// Each row is one group with one x, the offered load 1.0.
+	groups := make([]gridGroup, len(rows))
+	for i, row := range rows {
+		groups[i] = gridGroup{name: row.name, xs: []float64{1}}
+	}
+	set, err := grid{
+		groups: groups,
+		reps:   opts.Reps,
+		cols:   []string{"accepted", "latency"},
+		seed:   opts.Seed,
+		coords: func(j gridJob) []uint64 {
+			return []uint64{rng.StringCoord("adversarial/" + rows[j.g].name), uint64(j.rep)}
+		},
+		run: func(j gridJob, stream *rng.Rand) ([]float64, error) {
+			row := rows[j.g]
+			res, err := row.simulate(traffic.NewShift(row.terminals(), 0), opts.Sim, stream.Uint64(), j.x)
+			return []float64{res.AcceptedLoad, res.AvgLatency}, err
+		},
+		workers: opts.Workers, shard: opts.Shard,
+	}.collect()
 	if err != nil {
 		return nil, err
 	}
-	for ri, row := range rows {
-		var accObs, latObs []metrics.Obs
-		for r := 0; r < opts.Reps; r++ {
-			i := ri*opts.Reps + r
-			if opts.Shard.Owns(i) {
-				accObs = append(accObs, metrics.Obs{Job: i, V: results[i].acc})
-				latObs = append(latObs, metrics.Obs{Job: i, V: results[i].lat})
-			}
-		}
+	for _, row := range rows {
 		rep.AddKeyed(row.name, Str(row.name),
-			Mean(accObs, opts.Reps, "%.4f"), Mean(latObs, opts.Reps, "%.1f"))
+			set.mean(row.name+"/accepted", 1, "%.4f"), set.mean(row.name+"/latency", 1, "%.1f"))
 	}
 	return rep, nil
 }

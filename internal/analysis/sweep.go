@@ -5,9 +5,9 @@ import (
 	"math"
 
 	"rfclos/internal/engine"
-	"rfclos/internal/metrics"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
+	"rfclos/internal/simdirect"
 	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
@@ -58,75 +58,62 @@ func (o SimOptions) withDefaults() SimOptions {
 	return o
 }
 
-// netUnderTest couples a named network with its routing state.
+// rrnVCs is the hop-indexed virtual-channel budget of every simulated RRN:
+// it covers any small-network diameter.
+const rrnVCs = 16
+
+// netUnderTest is a named simulated network: a folded Clos with its
+// routing state, or an RRN when rrn is set.
 type netUnderTest struct {
 	name string
 	c    *topology.Clos
 	ud   *routing.UpDown
+	rrn  *topology.RRN
 }
 
-// simJob is one (network, pattern, load, repetition) simulation point of a
-// sweep grid. Jobs are independent: they read the shared topology and
-// routing state (immutable during a sweep) and derive all randomness from
-// their own coordinates, so the engine may run them in any order on any
-// number of workers.
-type simJob struct {
-	c       *topology.Clos
-	ud      *routing.UpDown
-	net     string
-	pattern string
-	load    float64
-	rep     int
-}
-
-// simPoint is the measured outcome of one simJob.
-type simPoint struct{ lat, thr float64 }
-
-// stream returns the job's deterministic RNG, a pure function of the root
-// seed and the job coordinates (network name, pattern name, load, rep).
-// Using names rather than positional indices keeps a network/pattern's
-// streams stable under sweep-grid reshuffles.
-func (j simJob) stream(seed uint64) *rng.Rand {
-	return rng.At(seed, rng.StringCoord(j.net), rng.StringCoord(j.pattern),
-		math.Float64bits(j.load), uint64(j.rep))
-}
-
-// run executes the simulation for one job.
-func (j simJob) run(opts SimOptions) (simPoint, error) {
-	stream := j.stream(opts.Seed)
-	pat, err := traffic.New(j.pattern, j.c.Terminals(), stream)
-	if err != nil {
-		return simPoint{}, err
+// terminals returns the network's terminal count.
+func (n netUnderTest) terminals() int {
+	if n.rrn != nil {
+		return n.rrn.Terminals()
 	}
-	cfg := opts.Sim
-	cfg.Seed = stream.Uint64()
-	res := simnet.New(j.c, j.ud, pat, cfg).Run(j.load)
-	if opts.Progress != nil {
-		opts.Progress(fmt.Sprintf("%s/%s load=%.2f rep=%d accepted=%.3f latency=%.1f",
-			j.net, j.pattern, j.load, j.rep, res.AcceptedLoad, res.AvgLatency))
-	}
-	return simPoint{lat: res.AvgLatency, thr: res.AcceptedLoad}, nil
+	return n.c.Terminals()
 }
 
-// runSimJobs fans the owned slice of a job grid out over the worker pool
-// and returns per-job results in job order (zero-valued where another shard
-// owns the job).
-func runSimJobs(jobs []simJob, opts SimOptions) ([]simPoint, error) {
-	return engine.RunShard(len(jobs), opts.Workers, opts.Shard, func(i int) (simPoint, error) {
-		return jobs[i].run(opts)
+// simulate runs one simulation point at the offered load. A folded Clos
+// runs on the indirect-network simulator with sim's parameters; an RRN runs
+// on the direct one with the same Table 2 parameters, minimal routing and
+// rrnVCs hop-indexed VCs, and fails when it cannot route deadlock-free.
+func (n netUnderTest) simulate(pat traffic.Pattern, sim simnet.Config, seed uint64, load float64) (simnet.Result, error) {
+	if n.rrn == nil {
+		sim.Seed = seed
+		return simnet.New(n.c, n.ud, pat, sim).Run(load), nil
+	}
+	d, err := simdirect.New(n.rrn, pat, simdirect.Config{
+		VCs:            rrnVCs,
+		BufferPackets:  sim.BufferPackets,
+		PacketLength:   sim.PacketLength,
+		LinkLatency:    sim.LinkLatency,
+		WarmupCycles:   sim.WarmupCycles,
+		MeasureCycles:  sim.MeasureCycles,
+		SourceQueueCap: sim.SourceQueueCap,
+		Seed:           seed,
 	})
+	if err != nil {
+		return simnet.Result{}, err
+	}
+	return d.Run(load), nil
 }
 
-// loadRepJobs builds the (load × rep) grid for one network and pattern, in
-// the deterministic job order loads-major, reps-minor.
-func loadRepJobs(n netUnderTest, pattern string, opts SimOptions) []simJob {
-	jobs := make([]simJob, 0, len(opts.Loads)*opts.Reps)
-	for _, load := range opts.Loads {
-		for rep := 0; rep < opts.Reps; rep++ {
-			jobs = append(jobs, simJob{c: n.c, ud: n.ud, net: n.name, pattern: pattern, load: load, rep: rep})
+// netsByPattern returns the (network × pattern) groups of a sweep grid,
+// network-major, each over the same xs.
+func netsByPattern(names, patterns []string, xs []float64) []gridGroup {
+	groups := make([]gridGroup, 0, len(names)*len(patterns))
+	for _, n := range names {
+		for _, pat := range patterns {
+			groups = append(groups, gridGroup{name: n + "/" + pat, xs: xs})
 		}
 	}
-	return jobs
+	return groups
 }
 
 // buildScenarioNets constructs a scenario's networks with per-network
@@ -137,74 +124,68 @@ func buildScenarioNets(sc Scenario, seed uint64) ([]netUnderTest, error) {
 		return nil, err
 	}
 	nets := []netUnderTest{{
-		fmt.Sprintf("CFT-%dL-R%d", sc.CFT.Levels, sc.CFT.Radix), cft, routing.New(cft)}}
+		name: fmt.Sprintf("CFT-%dL-R%d", sc.CFT.Levels, sc.CFT.Radix), c: cft, ud: routing.New(cft)}}
 	rfc, rud, err := buildRoutableRFC(sc.RFC, rng.At(seed, rng.StringCoord("scenario/topology/RFC")))
 	if err != nil {
 		return nil, err
 	}
 	nets = append(nets, netUnderTest{
-		fmt.Sprintf("RFC-%dL-R%d", sc.RFC.Levels, sc.RFC.Radix), rfc, rud})
+		name: fmt.Sprintf("RFC-%dL-R%d", sc.RFC.Levels, sc.RFC.Radix), c: rfc, ud: rud})
 	if sc.AltRFC != nil {
 		alt, aud, err := buildRoutableRFC(*sc.AltRFC, rng.At(seed, rng.StringCoord("scenario/topology/AltRFC")))
 		if err != nil {
 			return nil, err
 		}
 		nets = append(nets, netUnderTest{
-			fmt.Sprintf("RFC-%dL-R%d", sc.AltRFC.Levels, sc.AltRFC.Radix), alt, aud})
+			name: fmt.Sprintf("RFC-%dL-R%d", sc.AltRFC.Levels, sc.AltRFC.Radix), c: alt, ud: aud})
 	}
 	return nets, nil
 }
 
 // ScenarioSweep runs the full Figure 8/9/10 experiment for one scenario:
 // every network in the scenario × every traffic pattern × the load sweep,
-// flattened into one (network × pattern × load × rep) job grid on the
-// worker pool. Per-job seeds are derived from the job coordinates, so the
-// report is byte-identical for any opts.Workers.
+// one (network × pattern × load × rep) job grid on the worker pool. Each
+// job's stream is rng.At(Seed, StringCoord(network), StringCoord(pattern),
+// Float64bits(load), rep), so the report is byte-identical for any
+// opts.Workers.
 func ScenarioSweep(sc Scenario, opts SimOptions) (*Report, error) {
 	opts = opts.withDefaults()
 	nets, err := buildScenarioNets(sc, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-
-	var jobs []simJob
-	for _, n := range nets {
-		for _, pat := range opts.Patterns {
-			jobs = append(jobs, loadRepJobs(n, pat, opts)...)
-		}
+	names := make([]string, len(nets))
+	for i, n := range nets {
+		names[i] = n.name
 	}
-	points, err := runSimJobs(jobs, opts)
+	np := len(opts.Patterns)
+	set, err := grid{
+		groups: netsByPattern(names, opts.Patterns, opts.Loads),
+		reps:   opts.Reps,
+		cols:   []string{"throughput", "latency"},
+		seed:   opts.Seed,
+		coords: func(j gridJob) []uint64 {
+			return []uint64{rng.StringCoord(nets[j.g/np].name), rng.StringCoord(opts.Patterns[j.g%np]),
+				math.Float64bits(j.x), uint64(j.rep)}
+		},
+		run: func(j gridJob, stream *rng.Rand) ([]float64, error) {
+			n := nets[j.g/np]
+			pat, err := traffic.New(opts.Patterns[j.g%np], n.terminals(), stream)
+			if err != nil {
+				return nil, err
+			}
+			res, err := n.simulate(pat, opts.Sim, stream.Uint64(), j.x)
+			return []float64{res.AcceptedLoad, res.AvgLatency}, err
+		},
+		workers: opts.Workers, shard: opts.Shard, progress: opts.Progress,
+	}.collect()
 	if err != nil {
 		return nil, err
-	}
-
-	// Merge per-job results into one latency and one throughput collector
-	// per (network, pattern) group. Jobs are grid-ordered, so group g owns
-	// the contiguous block of len(Loads)*Reps jobs starting at g*per. Every
-	// job is Expected (fixing row structure and completeness counts) but
-	// only jobs this shard owns contribute observations.
-	per := len(opts.Loads) * opts.Reps
-	groups := len(nets) * len(opts.Patterns)
-	var sset seriesSet
-	type groupCols struct{ thr, lat *metrics.JobCollector }
-	cols := make([]groupCols, groups)
-	for g := 0; g < groups; g++ {
-		name := jobs[g*per].net + "/" + jobs[g*per].pattern
-		cols[g] = groupCols{thr: sset.col(name + "/throughput"), lat: sset.col(name + "/latency")}
-	}
-	for i := range jobs {
-		g := i / per
-		cols[g].thr.Expect(jobs[i].load)
-		cols[g].lat.Expect(jobs[i].load)
-		if opts.Shard.Owns(i) {
-			cols[g].thr.Observe(jobs[i].load, i, points[i].thr)
-			cols[g].lat.Observe(jobs[i].load, i, points[i].lat)
-		}
 	}
 	notes := []string{
 		fmt.Sprintf("scenario %s: CFT T=%d, RFC T=%d", sc.Name, sc.CFT.Terminals(), sc.RFC.Terminals()),
 		"throughput in accepted phits/node/cycle; latency in cycles (generation to tail delivery)",
 	}
-	return sset.report("Figures 8-10: latency & throughput, scenario "+sc.Name,
+	return set.report("Figures 8-10: latency & throughput, scenario "+sc.Name,
 		notes, "offered load", "value"), nil
 }

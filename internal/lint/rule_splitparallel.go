@@ -10,7 +10,9 @@ import (
 // depend on the job completion order, which varies with the worker count.
 // That breaks the workers=1 == workers=N byte-identity contract. Worker
 // closures must derive their streams from job coordinates via
-// rng.At/rng.DeriveSeed.
+// rng.At/rng.DeriveSeed. A function literal handed its own stream as a
+// parameter (a sweep grid's job body) is held to the same rule: it may draw
+// from that stream and from none it captured.
 
 // enginePoolFuncs are the worker-pool entry points whose closures are
 // checked.
@@ -22,22 +24,36 @@ func checkSplitInParallel(cfg *Config, pkg *Package) []Finding {
 	}
 	var out []Finding
 	pkg.inspectFiles(func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		obj := calleeObj(pkg.Info, call)
-		if !objInPkg(obj, cfg.EnginePkg) || !enginePoolFuncs[obj.Name()] {
-			return true
-		}
-		for _, arg := range call.Args {
-			if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-				out = append(out, checkWorkerClosure(cfg, pkg, lit)...)
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			if takesStream(cfg, pkg, n) {
+				out = append(out, checkWorkerClosure(cfg, pkg, n)...)
+			}
+		case *ast.CallExpr:
+			obj := calleeObj(pkg.Info, n)
+			if !objInPkg(obj, cfg.EnginePkg) || !enginePoolFuncs[obj.Name()] {
+				return true
+			}
+			for _, arg := range n.Args {
+				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok && !takesStream(cfg, pkg, lit) {
+					out = append(out, checkWorkerClosure(cfg, pkg, lit)...)
+				}
 			}
 		}
 		return true
 	})
 	return out
+}
+
+// takesStream reports whether a function literal has an rng stream
+// parameter.
+func takesStream(cfg *Config, pkg *Package, lit *ast.FuncLit) bool {
+	for _, f := range lit.Type.Params.List {
+		if isRngRand(cfg, pkg.Info.TypeOf(f.Type)) {
+			return true
+		}
+	}
+	return false
 }
 
 // checkWorkerClosure flags uses of captured parent generators inside one

@@ -14,3 +14,10 @@ func coordinateSeeded(seed uint64) ([]int, error) {
 		return r.Intn(100), nil
 	})
 }
+
+// ownStream draws only from the stream the job body is handed.
+func ownStream(seed uint64) ([]int, error) {
+	return eachJob(seed, func(job int, r *rng.Rand) int {
+		return r.Intn(100)
+	})
+}
