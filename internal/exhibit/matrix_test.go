@@ -31,9 +31,9 @@ func matrixParams(id string) Params {
 	p := goldenParams(id)
 	switch id {
 	case "thm42":
-		p.Trials = 3
+		p.Trials = 2
 	case "fig8", "ablation", "adversarial", "jellyfish":
-		p.Cycles = 100
+		p.Cycles = 60
 	case "fig9", "fig10":
 		p.Cycles = 60
 		p.Loads = []float64{0.8}
