@@ -143,14 +143,19 @@ type Row struct {
 }
 
 // Report is an experiment result: a title, column headers and typed rows.
-// Exhibit and Shard are provenance for the JSON form; they do not print.
+// Exhibit, Shard and Params are provenance for the JSON form; they do not
+// print.
 type Report struct {
 	Exhibit string
 	Shard   engine.Shard
-	Title   string
-	Notes   []string
-	Header  []string
-	Rows    []Row
+	// Params is a canonical rendering of the parameters the report was run
+	// with, shard and worker count aside. Partials merge only when their
+	// stamps agree.
+	Params string
+	Title  string
+	Notes  []string
+	Header []string
+	Rows   []Row
 }
 
 // AddRow appends a row keyed by its position ("#0", "#1", ...). Exhibits

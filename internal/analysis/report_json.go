@@ -24,6 +24,7 @@ type reportJSON struct {
 	Exhibit string    `json:"exhibit,omitempty"`
 	ShardK  int       `json:"shard_k,omitempty"`
 	ShardN  int       `json:"shard_n,omitempty"`
+	Params  string    `json:"params,omitempty"`
 	Title   string    `json:"title"`
 	Notes   []string  `json:"notes,omitempty"`
 	Header  []string  `json:"header"`
@@ -80,6 +81,7 @@ func (r *Report) JSON() ([]byte, error) {
 		Exhibit: r.Exhibit,
 		ShardK:  r.Shard.K,
 		ShardN:  r.Shard.N,
+		Params:  r.Params,
 		Title:   r.Title,
 		Notes:   r.Notes,
 		Header:  r.Header,
@@ -129,6 +131,7 @@ func ParseReport(data []byte) (*Report, error) {
 	rep := &Report{
 		Exhibit: doc.Exhibit,
 		Shard:   engine.Shard{K: doc.ShardK, N: doc.ShardN},
+		Params:  doc.Params,
 		Title:   doc.Title,
 		Notes:   doc.Notes,
 		Header:  doc.Header,
@@ -168,8 +171,9 @@ func ParseReport(data []byte) (*Report, error) {
 
 // MergeReports folds any number of shard partials (or complete reports) of
 // the same exhibit into one report. Static structure — exhibit id, title,
-// notes, header, row keys and static cells — must agree exactly; aggregate
-// cells merge by union of their job-indexed observations, so the merged
+// notes, header, row keys and static cells — must agree exactly, as must the
+// parameter stamp; aggregate cells merge by union of their job-indexed
+// observations, and one job observed with two values is an error. The merged
 // report renders byte-identically to an unsharded run once every shard of a
 // partition is included.
 func MergeReports(parts ...*Report) (*Report, error) {
@@ -179,6 +183,7 @@ func MergeReports(parts ...*Report) (*Report, error) {
 	first := parts[0]
 	out := &Report{
 		Exhibit: first.Exhibit,
+		Params:  first.Params,
 		Title:   first.Title,
 		Notes:   append([]string(nil), first.Notes...),
 		Header:  append([]string(nil), first.Header...),
@@ -200,7 +205,11 @@ func MergeReports(parts ...*Report) (*Report, error) {
 		for j := range out.Rows[i].Cells {
 			c := &out.Rows[i].Cells[j]
 			if c.isAggregate() {
-				c.Obs = metrics.MergeObs(c.Obs)
+				obs, err := metrics.MergeObs(c.Obs)
+				if err != nil {
+					return nil, fmt.Errorf("analysis: %s: row %q cell %d: %w", out.Exhibit, out.Rows[i].Key, j, err)
+				}
+				c.Obs = obs
 			}
 		}
 	}
@@ -210,6 +219,9 @@ func MergeReports(parts ...*Report) (*Report, error) {
 func mergeInto(dst, src *Report) error {
 	if src.Exhibit != dst.Exhibit {
 		return fmt.Errorf("analysis: merging different exhibits %q and %q", dst.Exhibit, src.Exhibit)
+	}
+	if src.Params != dst.Params {
+		return fmt.Errorf("analysis: %s: partials of different runs:\n  %s\n  %s", dst.Exhibit, dst.Params, src.Params)
 	}
 	if src.Title != dst.Title {
 		return fmt.Errorf("analysis: %s: title mismatch:\n  %q\n  %q", dst.Exhibit, dst.Title, src.Title)

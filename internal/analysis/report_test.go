@@ -107,7 +107,7 @@ func TestJSONRoundTrip(t *testing.T) {
 
 func TestMergeReportsValidation(t *testing.T) {
 	mk := func(mut func(*Report)) *Report {
-		r := &Report{Exhibit: "e", Title: "t", Header: []string{"h"}}
+		r := &Report{Exhibit: "e", Params: "seed=7", Title: "t", Header: []string{"h"}}
 		r.AddKeyed("k", Str("s"), Mean([]metrics.Obs{{Job: 0, V: 1}}, 2, "%.1f"))
 		if mut != nil {
 			mut(r)
@@ -126,6 +126,10 @@ func TestMergeReportsValidation(t *testing.T) {
 		"want":     func(r *Report) { r.Rows[0].Cells[1].Want = 9 },
 		"cell fmt": func(r *Report) { r.Rows[0].Cells[1].Fmt = "%.9f" },
 		"rows":     func(r *Report) { r.AddKeyed("k2", Str("s")) },
+		"params":   func(r *Report) { r.Params = "seed=8" },
+		"conflicting duplicate job": func(r *Report) {
+			r.Rows[0].Cells[1].Obs = []metrics.Obs{{Job: 0, V: 5}}
+		},
 	} {
 		if _, err := MergeReports(mk(nil), mk(mut)); err == nil {
 			t.Errorf("%s mismatch accepted", name)

@@ -8,6 +8,7 @@ package exhibit
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"rfclos/internal/analysis"
@@ -68,6 +69,17 @@ type Params struct {
 	Shard engine.Shard
 }
 
+// stamp renders every field of p except Workers, Progress and Shard, the
+// ones a report does not depend on, in one canonical line.
+func (p Params) stamp() string {
+	loads := make([]string, len(p.Loads))
+	for i, v := range p.Loads {
+		loads[i] = strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return fmt.Sprintf("scale=%s seed=%d trials=%d cycles=%d reps=%d loads=[%s] patterns=%v infinite-sink=%t backend=%s",
+		p.Scale, p.Seed, p.Trials, p.Cycles, p.Reps, strings.Join(loads, " "), p.Patterns, p.InfiniteSink, p.Backend)
+}
+
 // Exhibit describes one registered exhibit.
 type Exhibit struct {
 	// ID is the CLI name ("fig5", "table3", ...).
@@ -99,12 +111,13 @@ func register(e Exhibit) {
 	c := e
 	inner := c.Run
 	// Stamp provenance on every report so the JSON form and rfcmerge can
-	// group partials without side channels.
+	// group partials, and refuse to mix runs, without side channels.
 	c.Run = func(p Params) (*Result, error) {
 		rep, err := inner(p)
 		if rep != nil {
 			rep.Exhibit = c.ID
 			rep.Shard = p.Shard
+			rep.Params = p.stamp()
 		}
 		return rep, err
 	}

@@ -1,6 +1,7 @@
 package exhibit
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -88,5 +89,63 @@ func TestRunStampsProvenance(t *testing.T) {
 	}
 	if rep.Shard != sh {
 		t.Errorf("Shard = %v, want %v", rep.Shard, sh)
+	}
+}
+
+// TestParamsStampCoversEveryField sets each Params field in turn and checks
+// the stamp changes for all but the three a report does not depend on, so
+// a field added later cannot slip past the merge check unstamped.
+func TestParamsStampCoversEveryField(t *testing.T) {
+	unstamped := map[string]bool{"Workers": true, "Progress": true, "Shard": true}
+	base := Params{}.stamp()
+	typ := reflect.TypeOf(Params{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		var p Params
+		v := reflect.ValueOf(&p).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.String:
+			v.SetString("x")
+		case reflect.Int, reflect.Uint64:
+			if v.CanInt() {
+				v.SetInt(3)
+			} else {
+				v.SetUint(3)
+			}
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(f.Type, 1, 1))
+			if e := v.Index(0); e.Kind() == reflect.String {
+				e.SetString("x")
+			}
+		case reflect.Func:
+			v.Set(reflect.ValueOf(func(string) {}))
+		case reflect.Struct:
+			v.Field(0).SetInt(1)
+		default:
+			t.Fatalf("field %s: kind %s not covered by this test", f.Name, v.Kind())
+		}
+		if changed := p.stamp() != base; changed == unstamped[f.Name] {
+			t.Errorf("field %s: stamp changed = %v, want %v", f.Name, changed, !unstamped[f.Name])
+		}
+	}
+}
+
+func TestRunStampsParams(t *testing.T) {
+	e, _ := Lookup("fig5")
+	a, err := e.Run(Params{Seed: 7, Workers: 1, Shard: engine.Shard{K: 0, N: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := e.Run(Params{Seed: 7, Workers: 4, Shard: engine.Shard{K: 1, N: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Params == "" || a.Params != b.Params {
+		t.Errorf("stamps %q and %q differ by workers or shard only", a.Params, b.Params)
+	}
+	if c, _ := e.Run(Params{Seed: 8}); c.Params == a.Params {
+		t.Errorf("seeds 7 and 8 share the stamp %q", a.Params)
 	}
 }

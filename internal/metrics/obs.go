@@ -10,7 +10,11 @@
 // the unsharded run, and therefore exactly its bytes.
 package metrics
 
-import "sort"
+import (
+	"fmt"
+	"math"
+	"sort"
+)
 
 // Obs is one observation tagged with the index of the job that produced it
 // within its exhibit's deterministic job grid.
@@ -21,9 +25,11 @@ type Obs struct {
 
 // MergeObs combines observation sets from different shards: the union,
 // deduplicated by job index, in ascending job order. Duplicate job indices
-// are legal (overlapping shards recompute identical values — jobs are pure
-// functions of their coordinates) and collapse to a single entry.
-func MergeObs(sets ...[]Obs) []Obs {
+// are legal when they carry the same value (overlapping shards recompute
+// identical values — jobs are pure functions of their coordinates) and
+// collapse to a single entry; a duplicate with a different value means the
+// sets come from different runs, and is an error.
+func MergeObs(sets ...[]Obs) ([]Obs, error) {
 	var all []Obs
 	for _, s := range sets {
 		all = append(all, s...)
@@ -32,11 +38,14 @@ func MergeObs(sets ...[]Obs) []Obs {
 	out := all[:0]
 	for i, o := range all {
 		if i > 0 && out[len(out)-1].Job == o.Job {
+			if last := out[len(out)-1]; math.Float64bits(last.V) != math.Float64bits(o.V) {
+				return nil, fmt.Errorf("metrics: job %d observed twice with different values (%v and %v)", o.Job, last.V, o.V)
+			}
 			continue
 		}
 		out = append(out, o)
 	}
-	return out
+	return out, nil
 }
 
 // SummarizeObs folds the observations into a Summary in ascending job-index

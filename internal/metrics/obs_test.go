@@ -8,7 +8,10 @@ import (
 func TestMergeObsDedupesAndSorts(t *testing.T) {
 	a := []Obs{{Job: 4, V: 4}, {Job: 0, V: 0}}
 	b := []Obs{{Job: 2, V: 2}, {Job: 4, V: 4}, {Job: 1, V: 1}}
-	got := MergeObs(a, b)
+	got, err := MergeObs(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []Obs{{0, 0}, {1, 1}, {2, 2}, {4, 4}}
 	if len(got) != len(want) {
 		t.Fatalf("len = %d, want %d (%v)", len(got), len(want), got)
@@ -17,6 +20,12 @@ func TestMergeObsDedupesAndSorts(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("merged[%d] = %v, want %v", i, got[i], want[i])
 		}
+	}
+}
+
+func TestMergeObsRejectsConflictingDuplicates(t *testing.T) {
+	if _, err := MergeObs([]Obs{{Job: 3, V: 1}}, []Obs{{Job: 3, V: 2}}); err == nil {
+		t.Error("job 3 with two different values merged")
 	}
 }
 
