@@ -72,13 +72,13 @@ type flowNet struct {
 // terminal, the minimum flow rate (the starved-flow floor the mean hides)
 // and Jain's fairness index — the flow backend's new report columns.
 func runFlowGrid(title string, notes []string, nets []flowNet, opts FlowOptions) (*Report, error) {
-	names := make([]string, len(nets))
-	for i, n := range nets {
-		names[i] = n.name
+	var groups []gridGroup
+	for _, n := range nets {
+		groups = append(groups, patternGroups(n.name, opts.Patterns, opts.Loads)...)
 	}
 	np := len(opts.Patterns)
 	set, err := grid{
-		groups: netsByPattern(names, opts.Patterns, opts.Loads),
+		groups: groups,
 		reps:   opts.Reps,
 		cols:   []string{"accepted", "minrate", "jain"},
 		seed:   opts.Seed,

@@ -303,7 +303,7 @@ func Fig12FaultThroughput(opts Fig12Options) (*Report, error) {
 	patterns := traffic.Names()
 	var groups []gridGroup
 	for _, n := range nets {
-		groups = append(groups, netsByPattern([]string{n.name}, patterns, faultCounts(n.c.Wires(), opts.FaultSteps))...)
+		groups = append(groups, patternGroups(n.name, patterns, faultCounts(n.c.Wires(), opts.FaultSteps))...)
 	}
 	np := len(patterns)
 	set, err := grid{

@@ -71,9 +71,8 @@ func RRNFaults(opts RRNFaultsOptions) (*Report, error) {
 		{name: fmt.Sprintf("RRN-R%d", spec.Radix()), rrn: rrn},
 	}
 	patterns := []string{"uniform", "shift"}
-	groups := append(
-		netsByPattern([]string{nets[0].name}, patterns, faultCounts(rfc.Wires(), opts.FaultSteps)),
-		netsByPattern([]string{nets[1].name}, patterns, faultCounts(rrn.Wires(), opts.FaultSteps))...)
+	groups := append(patternGroups(nets[0].name, patterns, faultCounts(rfc.Wires(), opts.FaultSteps)),
+		patternGroups(nets[1].name, patterns, faultCounts(rrn.Wires(), opts.FaultSteps))...)
 	np := len(patterns)
 	set, err := grid{
 		groups: groups,

@@ -104,14 +104,12 @@ func (n netUnderTest) simulate(pat traffic.Pattern, sim simnet.Config, seed uint
 	return d.Run(load), nil
 }
 
-// netsByPattern returns the (network × pattern) groups of a sweep grid,
-// network-major, each over the same xs.
-func netsByPattern(names, patterns []string, xs []float64) []gridGroup {
-	groups := make([]gridGroup, 0, len(names)*len(patterns))
-	for _, n := range names {
-		for _, pat := range patterns {
-			groups = append(groups, gridGroup{name: n + "/" + pat, xs: xs})
-		}
+// patternGroups returns one network's groups of a sweep grid, one
+// "network/pattern" group per pattern, each over xs.
+func patternGroups(net string, patterns []string, xs []float64) []gridGroup {
+	groups := make([]gridGroup, len(patterns))
+	for i, pat := range patterns {
+		groups[i] = gridGroup{name: net + "/" + pat, xs: xs}
 	}
 	return groups
 }
@@ -154,13 +152,13 @@ func ScenarioSweep(sc Scenario, opts SimOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(nets))
-	for i, n := range nets {
-		names[i] = n.name
+	var groups []gridGroup
+	for _, n := range nets {
+		groups = append(groups, patternGroups(n.name, opts.Patterns, opts.Loads)...)
 	}
 	np := len(opts.Patterns)
 	set, err := grid{
-		groups: netsByPattern(names, opts.Patterns, opts.Loads),
+		groups: groups,
 		reps:   opts.Reps,
 		cols:   []string{"throughput", "latency"},
 		seed:   opts.Seed,

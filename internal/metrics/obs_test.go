@@ -23,12 +23,6 @@ func TestMergeObsDedupesAndSorts(t *testing.T) {
 	}
 }
 
-func TestMergeObsRejectsConflictingDuplicates(t *testing.T) {
-	if _, err := MergeObs([]Obs{{Job: 3, V: 1}}, []Obs{{Job: 3, V: 2}}); err == nil {
-		t.Error("job 3 with two different values merged")
-	}
-}
-
 // TestSummarizeObsMatchesSequentialOrder pins the byte-compatibility
 // contract: re-summing job-ordered observations must reproduce bit-exactly
 // the moments of a sequential accumulation, even for values whose sum
