@@ -1,9 +1,11 @@
 package analysis
 
-// Regression tests for the engine's central contract: every sweep is a pure
-// function of (seed, job coordinates), so running the same experiment on 1
-// worker or many produces byte-identical reports. A failure here means some
-// job is drawing randomness from a shared or order-dependent stream.
+// Worker and shard invariance at the analysis layer for the exhibit runners
+// whose option surfaces are richest (scenario sweeps, Table 3, Theorem 4.2,
+// flow sweeps). The registry-wide determinism matrix in internal/exhibit
+// covers every registered exhibit through its CLI-facing options; these tests
+// pin the same contract on the runners' own options, at shapes (e.g. two
+// loads, two reps, 8 workers) the matrix does not use.
 
 import (
 	"testing"
@@ -24,78 +26,44 @@ func reportText(t *testing.T, run func() (*Report, error)) string {
 	return rep.Format()
 }
 
-func TestScenarioSweepWorkerInvariance(t *testing.T) {
-	sc := Scenario{
+func tinyScenario() Scenario {
+	return Scenario{
 		Name: "tiny",
 		CFT:  CFTSpec{Radix: 8, Levels: 3, TermsPerLeaf: 4},
 		RFC:  core.Params{Radix: 8, Levels: 3, Leaves: 32},
 	}
-	opts := SimOptions{
+}
+
+func tinySimOpts(sh engine.Shard) SimOptions {
+	return SimOptions{
 		Loads:    []float64{0.2, 0.6},
 		Reps:     2,
 		Patterns: []string{"uniform"},
 		Sim:      simnet.Config{WarmupCycles: 100, MeasureCycles: 300},
 		Seed:     21,
-	}
-	opts.Workers = 1
-	serial := reportText(t, func() (*Report, error) { return ScenarioSweep(sc, opts) })
-	opts.Workers = 8
-	parallel := reportText(t, func() (*Report, error) { return ScenarioSweep(sc, opts) })
-	if serial != parallel {
-		t.Errorf("ScenarioSweep differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", serial, parallel)
+		Shard:    sh,
 	}
 }
 
-func TestFig12WorkerInvariance(t *testing.T) {
-	opts := Fig12Options{
-		Scale:      ScaleSmall,
-		FaultSteps: 1,
-		Reps:       2,
-		Sim:        simnet.Config{WarmupCycles: 100, MeasureCycles: 300},
-		Seed:       23,
-	}
-	opts.Workers = 1
-	serial := reportText(t, func() (*Report, error) { return Fig12FaultThroughput(opts) })
-	opts.Workers = 8
-	parallel := reportText(t, func() (*Report, error) { return Fig12FaultThroughput(opts) })
-	if serial != parallel {
-		t.Errorf("Fig12FaultThroughput differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", serial, parallel)
+func tinyFlowOpts(sh engine.Shard) FlowOptions {
+	return FlowOptions{
+		Loads:    []float64{0.3, 0.9},
+		Reps:     2,
+		Patterns: []string{"uniform", "hotspot"},
+		Seed:     23,
+		Shard:    sh,
 	}
 }
 
-func TestRRNFaultsWorkerInvariance(t *testing.T) {
-	opts := RRNFaultsOptions{
-		Scale:      ScaleSmall,
-		FaultSteps: 1,
-		Reps:       2,
-		Sim:        simnet.Config{WarmupCycles: 100, MeasureCycles: 300},
-		Seed:       23,
-	}
-	opts.Workers = 1
-	serial := reportText(t, func() (*Report, error) { return RRNFaults(opts) })
-	opts.Workers = 8
-	parallel := reportText(t, func() (*Report, error) { return RRNFaults(opts) })
+// assertWorkerInvariance runs an exhibit at workers=1 and workers=8 and
+// requires byte-identical reports.
+func assertWorkerInvariance(t *testing.T, name string, run func(workers int) (*Report, error)) {
+	t.Helper()
+	serial := reportText(t, func() (*Report, error) { return run(1) })
+	parallel := reportText(t, func() (*Report, error) { return run(8) })
 	if serial != parallel {
-		t.Errorf("RRNFaults differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", serial, parallel)
-	}
-}
-
-func TestTable3WorkerInvariance(t *testing.T) {
-	opts := Table3Options{Targets: []int{256}, Trials: 8, Seed: 25}
-	opts.Workers = 1
-	serial := reportText(t, func() (*Report, error) { return Table3Disconnect(opts) })
-	opts.Workers = 8
-	parallel := reportText(t, func() (*Report, error) { return Table3Disconnect(opts) })
-	if serial != parallel {
-		t.Errorf("Table3Disconnect differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", serial, parallel)
-	}
-}
-
-func TestThm42WorkerInvariance(t *testing.T) {
-	serial := reportText(t, func() (*Report, error) { return Thm42(60, 12, 1, 27) })
-	parallel := reportText(t, func() (*Report, error) { return Thm42(60, 12, 8, 27) })
-	if serial != parallel {
-		t.Errorf("Thm42 differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", serial, parallel)
+		t.Errorf("%s differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s",
+			name, serial, parallel)
 	}
 }
 
@@ -141,21 +109,37 @@ func assertShardMerge(t *testing.T, name string, run func(engine.Shard) (*Report
 	}
 }
 
+func TestScenarioSweepWorkerInvariance(t *testing.T) {
+	assertWorkerInvariance(t, "ScenarioSweep", func(workers int) (*Report, error) {
+		o := tinySimOpts(engine.Shard{})
+		o.Workers = workers
+		return ScenarioSweep(tinyScenario(), o)
+	})
+}
+
+func TestTable3WorkerInvariance(t *testing.T) {
+	assertWorkerInvariance(t, "Table3Disconnect", func(workers int) (*Report, error) {
+		return Table3Disconnect(Table3Options{Targets: []int{256}, Trials: 8, Seed: 25, Workers: workers})
+	})
+}
+
+func TestThm42WorkerInvariance(t *testing.T) {
+	assertWorkerInvariance(t, "Thm42", func(workers int) (*Report, error) {
+		return Thm42(60, 12, workers, 27)
+	})
+}
+
+func TestFlowScenarioSweepWorkerInvariance(t *testing.T) {
+	assertWorkerInvariance(t, "FlowScenarioSweep", func(workers int) (*Report, error) {
+		o := tinyFlowOpts(engine.Shard{})
+		o.Workers = workers
+		return FlowScenarioSweep(tinyScenario(), o)
+	})
+}
+
 func TestScenarioSweepShardMerge(t *testing.T) {
-	sc := Scenario{
-		Name: "tiny",
-		CFT:  CFTSpec{Radix: 8, Levels: 3, TermsPerLeaf: 4},
-		RFC:  core.Params{Radix: 8, Levels: 3, Leaves: 32},
-	}
 	assertShardMerge(t, "ScenarioSweep", func(sh engine.Shard) (*Report, error) {
-		return ScenarioSweep(sc, SimOptions{
-			Loads:    []float64{0.2, 0.6},
-			Reps:     2,
-			Patterns: []string{"uniform"},
-			Sim:      simnet.Config{WarmupCycles: 100, MeasureCycles: 300},
-			Seed:     21,
-			Shard:    sh,
-		})
+		return ScenarioSweep(tinyScenario(), tinySimOpts(sh))
 	})
 }
 
@@ -171,30 +155,8 @@ func TestThm42ShardMerge(t *testing.T) {
 	})
 }
 
-func TestFig11ShardMerge(t *testing.T) {
-	assertShardMerge(t, "Fig11UpDownFaults", func(sh engine.Shard) (*Report, error) {
-		return Fig11UpDownFaults(Fig11Options{Radix: 8, Trials: 2, MaxLeavesCap: 40, Seed: 29, Shard: sh})
+func TestFlowScenarioSweepShardMerge(t *testing.T) {
+	assertShardMerge(t, "FlowScenarioSweep", func(sh engine.Shard) (*Report, error) {
+		return FlowScenarioSweep(tinyScenario(), tinyFlowOpts(sh))
 	})
-}
-
-func TestAdversarialShardMerge(t *testing.T) {
-	assertShardMerge(t, "Adversarial", func(sh engine.Shard) (*Report, error) {
-		return Adversarial(AdversarialOptions{
-			Reps: 2, Sim: simnet.Config{WarmupCycles: 100, MeasureCycles: 300}, Seed: 31, Shard: sh,
-		})
-	})
-}
-
-// TestStaticReportMerge checks the all-static case: every shard of an
-// analytic exhibit computes the identical complete report, and merging the
-// copies must reproduce it unchanged.
-func TestStaticReportMerge(t *testing.T) {
-	a, b := Fig5Diameter(36), Fig5Diameter(36)
-	merged, err := MergeReports(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Format() != a.Format() {
-		t.Errorf("merging two identical static reports changed the bytes")
-	}
 }
