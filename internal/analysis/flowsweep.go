@@ -72,12 +72,25 @@ type flowNet struct {
 // terminal, the minimum flow rate (the starved-flow floor the mean hides)
 // and Jain's fairness index — the flow backend's new report columns.
 func runFlowGrid(title string, notes []string, nets []flowNet, opts FlowOptions) (*Report, error) {
+	set, err := flowGrid(nets, opts).collect()
+	if err != nil {
+		return nil, err
+	}
+	notes = append(notes,
+		"flow-level backend: max-min-fair water-filling over unit-capacity links, one random shortest path per flow",
+		"accepted in delivered rate per terminal; minrate is the worst flow's rate; jain is Jain's fairness index")
+	return set.report(title, notes, "offered load", "value"), nil
+}
+
+// flowGrid is runFlowGrid's job grid: group g is network g/np under
+// pattern g%np, for np patterns.
+func flowGrid(nets []flowNet, opts FlowOptions) grid {
 	var groups []gridGroup
 	for _, n := range nets {
 		groups = append(groups, patternGroups(n.name, opts.Patterns, opts.Loads)...)
 	}
 	np := len(opts.Patterns)
-	set, err := grid{
+	return grid{
 		groups: groups,
 		reps:   opts.Reps,
 		cols:   []string{"accepted", "minrate", "jain"},
@@ -87,26 +100,24 @@ func runFlowGrid(title string, notes []string, nets []flowNet, opts FlowOptions)
 				math.Float64bits(j.x), uint64(j.rep)}
 		},
 		run: func(j gridJob, stream *rng.Rand) ([]float64, error) {
-			n := nets[j.g/np]
-			m, err := traffic.NewMatrix(opts.Patterns[j.g%np], n.terms, stream)
-			if err != nil {
-				return nil, err
-			}
-			res, err := flow.Solve(n.net, traffic.ScaleMatrix(m, j.x), flow.Options{Seed: stream.Uint64(), Workers: 1})
+			res, err := solveFlowJob(nets[j.g/np], opts.Patterns[j.g%np], j.x, stream)
 			if err != nil {
 				return nil, err
 			}
 			return []float64{res.Accepted, res.MinRate, res.Jain}, nil
 		},
 		workers: opts.Workers, shard: opts.Shard, progress: opts.Progress,
-	}.collect()
+	}
+}
+
+// solveFlowJob draws one job's matrix from its stream, scales it to load
+// and solves it on n.
+func solveFlowJob(n flowNet, pattern string, load float64, stream *rng.Rand) (*flow.Result, error) {
+	m, err := traffic.NewMatrix(pattern, n.terms, stream)
 	if err != nil {
 		return nil, err
 	}
-	notes = append(notes,
-		"flow-level backend: max-min-fair water-filling over unit-capacity links, one random shortest path per flow",
-		"accepted in delivered rate per terminal; minrate is the worst flow's rate; jain is Jain's fairness index")
-	return set.report(title, notes, "offered load", "value"), nil
+	return flow.Solve(n.net, traffic.ScaleMatrix(m, load), flow.Options{Seed: stream.Uint64(), Workers: 1})
 }
 
 // FlowScenarioSweep is ScenarioSweep on the flow-level backend: the same
@@ -172,24 +183,33 @@ func FlowScale(scale Scale, opts FlowOptions) (*Report, error) {
 		opts.Patterns = []string{"uniform", "storm"}
 	}
 	opts = opts.withDefaults()
-	spec := flowScaleFor(scale)
-
-	xgft, err := spec.xgft.Build()
+	nets, notes, err := flowScaleNets(scale, opts)
 	if err != nil {
 		return nil, err
 	}
+	title := fmt.Sprintf("Flow backend: RFC vs RRN vs XGFT at 10× scale (%s)", scale)
+	return runFlowGrid(title, notes, nets, opts)
+}
+
+// flowScaleNets builds FlowScale's three networks and its note line.
+func flowScaleNets(scale Scale, opts FlowOptions) ([]flowNet, []string, error) {
+	spec := flowScaleFor(scale)
+	xgft, err := spec.xgft.Build()
+	if err != nil {
+		return nil, nil, err
+	}
 	rfc, rud, err := buildRoutableRFC(spec.rfc, rng.At(opts.Seed, rng.StringCoord("flowscale/topology/RFC")))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rrn, err := topology.NewRRN(spec.rrnN, spec.rrnDeg, spec.rrnTps,
 		rng.At(opts.Seed, rng.StringCoord("flowscale/topology/RRN")))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rrnNet, err := flow.NewRRN(rrn, opts.Workers)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	nets := []flowNet{
 		{fmt.Sprintf("XGFT-%dL-R%d", spec.xgft.Levels, spec.xgft.Radix),
@@ -202,8 +222,7 @@ func FlowScale(scale Scale, opts FlowOptions) (*Report, error) {
 		fmt.Sprintf("XGFT %s, RFC %v, RRN %d switches × Δ%d+%d terminals — T=%d each (~10× the equal-resources scenario)",
 			netShape(spec.xgft), spec.rfc, spec.rrnN, spec.rrnDeg, spec.rrnTps, xgft.Terminals()),
 	}
-	title := fmt.Sprintf("Flow backend: RFC vs RRN vs XGFT at 10× scale (%s)", scale)
-	return runFlowGrid(title, notes, nets, opts)
+	return nets, notes, nil
 }
 
 // netShape renders a CFTSpec compactly for report notes.

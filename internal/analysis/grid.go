@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"rfclos/internal/engine"
@@ -49,8 +50,21 @@ type gridJob struct {
 // values into one collector per series. Every job is Expected, so the row
 // structure and the completeness counts are the unsharded run's, but only
 // owned jobs are Observed. Progress, when set, gets one line per completed
-// job.
+// job. A repeated group name, or an x repeated within a group, would fold
+// two points into one row, so collect refuses it before running anything.
 func (gr grid) collect() (*seriesSet, error) {
+	for g, grp := range gr.groups {
+		for _, prev := range gr.groups[:g] {
+			if prev.name == grp.name {
+				return nil, fmt.Errorf("analysis: sweep group %q appears twice", grp.name)
+			}
+		}
+		for i, x := range grp.xs {
+			if slices.Contains(grp.xs[:i], x) {
+				return nil, fmt.Errorf("analysis: sweep group %q repeats x = %g", grp.name, x)
+			}
+		}
+	}
 	var jobs []gridJob
 	for g, grp := range gr.groups {
 		for _, x := range grp.xs {

@@ -16,15 +16,30 @@
 // terminal links makes incast behave: an 8-into-1 incast group converges to
 // 1/8 per flow at the sink's ejection link.
 //
+// A solve has two phases. Path resolution sorts the flows by destination
+// (leaf for a folded Clos, switch for an RRN) and resolves each group on
+// one worker, building what depends only on the destination once per
+// group: a Clos marks the destination leaf's ancestors level by level, so
+// a hop reads marks instead of probing cover sets. Water-filling then runs
+// over the links that can saturate only: a link whose flows' demands sum
+// to less than 1 by a margin (eps per flow plus rounding) can neither
+// saturate nor set the water level, so it is left out of the heap (see
+// waterfill for the argument). Resolution costs O(Σ path length) plus the
+// marking, O(links between the destination's ancestor levels) per group;
+// water-filling O(Σ path length + (kept links + Σ kept path length) ·
+// log kept links).
+//
 // Determinism contract (the same one the cycle backend obeys): path
 // resolution fans out over internal/engine workers with each flow drawing
 // from its own coordinate-derived stream — rng.At(seed,
-// StringCoord("flow/path"), flowIndex) — and water-filling is a serial
-// fixed-order iteration, so a Result is a pure function of (topology,
-// matrix, seed) and byte-identical at any worker count.
+// StringCoord("flow/path"), flowIndex), reseeded in place — and
+// water-filling is a serial fixed-order iteration, so a Result is a pure
+// function of (topology, matrix, seed) and byte-identical at any worker
+// count.
 package flow
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -124,18 +139,133 @@ type flatPaths struct {
 // of returns flow i's path.
 func (p flatPaths) of(i int) []int32 { return p.links[p.start[i]:p.start[i+1]] }
 
-// resolvePaths resolves the flows in chunks of chunkFlows, each chunk into
-// one flat link array with per-flow end offsets, and concatenates the
-// chunks. Every flow draws from its own stream, so the paths are the same
-// at any worker count.
+// groupedNetwork is the optional batch form of Network that resolvePaths
+// prefers. Flows are resolved grouped by destination, so state that
+// depends only on the destination is built once per group rather than once
+// per flow. A walker resolves every flow to exactly the links Resolve gives
+// it on the same stream.
+type groupedNetwork interface {
+	Network
+	// destGroups returns the number of destination groups.
+	destGroups() int
+	// destGroup returns the group of destination terminal dst.
+	destGroup(dst int32) int32
+	// newWalker returns a walker with its own scratch, for one worker.
+	newWalker() groupWalker
+}
+
+// groupWalker resolves the flows of one destination group at a time.
+type groupWalker interface {
+	// start begins group g.
+	start(g int32)
+	// resolve is Network.Resolve for a flow whose destination is in the
+	// started group.
+	resolve(src, dst int32, r *rng.Rand, buf []int32) ([]int32, bool)
+}
+
+// resolvePaths resolves every flow with positive demand to its links. A
+// groupedNetwork resolves the flows counting-sorted by destination group,
+// the groups split into one contiguous range per worker by flow count;
+// any other Network resolves them one by one in chunks of chunkFlows.
+// Either way every flow draws only from its own stream, so the paths are
+// the same at any worker count.
 func resolvePaths(n Network, m []traffic.Demand, opts Options) (flatPaths, error) {
+	gn, ok := n.(groupedNetwork)
+	if !ok {
+		return resolveEach(n, m, opts)
+	}
+	// Routed flows by group, ascending flow index within a group.
+	ng := gn.destGroups()
+	gStart := make([]int32, ng+1)
+	for _, d := range m {
+		if d.Rate > 0 {
+			gStart[gn.destGroup(d.Dst)+1]++
+		}
+	}
+	for g := 0; g < ng; g++ {
+		gStart[g+1] += gStart[g]
+	}
+	// Each entry carries its flow's endpoints, so the walk reads them in
+	// order instead of gathering them from m.
+	byGroup := make([]groupFlow, gStart[ng])
+	next := append([]int32(nil), gStart[:ng]...)
+	for i, d := range m {
+		if d.Rate > 0 {
+			g := gn.destGroup(d.Dst)
+			byGroup[next[g]] = groupFlow{int32(i), d.Src, d.Dst}
+			next[g]++
+		}
+	}
+	// Worker w takes the groups whose flows start in the w-th equal share.
+	w := min(engine.Workers(opts.Workers), max(1, len(byGroup)))
+	cut := make([]int, w+1)
+	for j, g := 1, 0; j < w; j++ {
+		for g < ng && int(gStart[g]) < j*len(byGroup)/w {
+			g++
+		}
+		cut[j] = g
+	}
+	cut[w] = ng
+	type chunk struct{ ends, links []int32 }
+	chunks, err := engine.Run(w, w, func(j int) (chunk, error) {
+		lo, hi := gStart[cut[j]], gStart[cut[j+1]]
+		ch := chunk{ends: make([]int32, 0, hi-lo), links: make([]int32, 0, 8*(hi-lo))}
+		wk := gn.newWalker()
+		r := rng.New(0)
+		for g := cut[j]; g < cut[j+1]; g++ {
+			wk.start(int32(g))
+			for _, f := range byGroup[gStart[g]:gStart[g+1]] {
+				r.Reseed(rng.DeriveSeed(opts.Seed, pathCoord, uint64(f.i)))
+				// A failed resolve leaves ch.links, and so the path, as it was.
+				if ext, ok := wk.resolve(f.src, f.dst, r, ch.links); ok {
+					ch.links = ext
+				}
+				ch.ends = append(ch.ends, int32(len(ch.links)))
+			}
+		}
+		return ch, nil
+	})
+	if err != nil {
+		return flatPaths{}, err
+	}
+	// Write the paths back in flow-index order.
+	p := flatPaths{start: make([]int32, len(m)+1)}
+	for j, ch := range chunks {
+		from := int32(0)
+		for k, f := range byGroup[gStart[cut[j]]:gStart[cut[j+1]]] {
+			p.start[f.i+1] = ch.ends[k] - from
+			from = ch.ends[k]
+		}
+	}
+	for i := range m {
+		p.start[i+1] += p.start[i]
+	}
+	p.links = make([]int32, p.start[len(m)])
+	for j, ch := range chunks {
+		from := int32(0)
+		for k, f := range byGroup[gStart[cut[j]]:gStart[cut[j+1]]] {
+			copy(p.links[p.start[f.i]:], ch.links[from:ch.ends[k]])
+			from = ch.ends[k]
+		}
+	}
+	return p, nil
+}
+
+// groupFlow is one routed flow in resolvePaths' destination order.
+type groupFlow struct{ i, src, dst int32 }
+
+// resolveEach resolves the flows one by one through Network.Resolve, in
+// chunks of chunkFlows, each chunk into one flat link array with per-flow
+// end offsets, and concatenates the chunks.
+func resolveEach(n Network, m []traffic.Demand, opts Options) (flatPaths, error) {
 	type chunk struct{ ends, links []int32 }
 	chunks, err := engine.Run((len(m)+chunkFlows-1)/chunkFlows, opts.Workers, func(c int) (chunk, error) {
 		lo, hi := c*chunkFlows, min((c+1)*chunkFlows, len(m))
 		ch := chunk{ends: make([]int32, 0, hi-lo), links: make([]int32, 0, 8*(hi-lo))}
+		r := rng.New(0)
 		for i := lo; i < hi; i++ {
 			if d := m[i]; d.Rate > 0 {
-				r := rng.At(opts.Seed, pathCoord, uint64(i))
+				r.Reseed(rng.DeriveSeed(opts.Seed, pathCoord, uint64(i)))
 				// A failed Resolve leaves ch.links, and so the path, as it was.
 				if ext, ok := n.Resolve(d.Src, d.Dst, r, ch.links); ok {
 					ch.links = ext
@@ -178,17 +308,27 @@ func resolvePaths(n Network, m []traffic.Demand, opts Options) (flatPaths, error
 // link-id order, each freezing its unfrozen flows at the water level; a
 // kept link that earlier freezes this round left with no unfrozen flow is
 // skipped without counting. Freezing a flow re-keys each link on its path
-// once, or drops it from the heap when its last flow freezes, so a solve
-// costs O((links + Σ path length) · log links).
+// once, or drops it from the heap when its last flow freezes.
+//
+// Only links that can saturate enter the heap. Take a link whose n flows'
+// demands sum to Σd < 1. A frozen flow took at most its demand from it,
+// and every unfrozen flow's demand exceeds the water w, so its residual
+// is at least 1 − Σ(frozen demands) − nact·w, and its level exceeds the
+// least unfrozen demand on it by at least (1 − Σd)/n. The water rises at
+// most to the least unfrozen demand, so the link never sets the next water
+// level, and once (1 − Σd)/n > eps it is never popped either: leaving it
+// out changes no bit of the solve. So a solve costs O(Σ path length +
+// (kept links + Σ kept path length) · log kept links).
 //
 // Every round freezes at least one flow or link, so the loop terminates;
 // all arithmetic is serial in fixed order, so the allocation is
 // byte-stable. It expects the empty path for every flow with Rate ≤ 0.
 func waterfill(p flatPaths, m []traffic.Demand, nLinks int) *Result {
 	res := &Result{Flows: len(m), Rates: make([]float64, len(m))}
-	// Per-link unfrozen-flow counts, and the routed flows in index order
-	// (sorted by demand below).
-	nact := make([]int32, nLinks)
+	// Per-link flow counts and demand sums (load), and the routed flows in
+	// index order (sorted by demand below).
+	cnt := make([]int32, nLinks)
+	load := make([]float64, nLinks)
 	order := make([]int32, 0, len(m))
 	for i := range m {
 		res.Demand += m[i].Rate
@@ -201,44 +341,75 @@ func waterfill(p flatPaths, m []traffic.Demand, nLinks int) *Result {
 		}
 		order = append(order, int32(i))
 		for _, l := range fp {
-			nact[l]++
+			cnt[l]++
+			load[l] += m[i].Rate
 		}
 	}
-	// The reverse link→flows index (CSR by counting sort: deterministic
-	// order).
-	lfStart := make([]int32, nLinks+1)
-	for l := 0; l < nLinks; l++ {
-		lfStart[l+1] = lfStart[l] + nact[l]
+	// Number the links that can saturate in link-id order: kid[l] is link
+	// l's index among them, or -1. A link is left out when 1 − Σd exceeds
+	// a margin of eps·n, which keeps it out of every pop, plus n²·2⁻⁴⁴ for
+	// rounding: the demand sum rounds by under n·2⁻⁵³, and each of the n
+	// re-keys of its level by under n·2⁻⁵⁰ in residual, so 2⁻⁴⁴ leaves 64×
+	// room.
+	const eps = 1e-12
+	kid := make([]int32, nLinks)
+	nKept := int32(0)
+	for l, n := range cnt {
+		kid[l] = -1
+		if fn := float64(n); n > 0 && load[l] >= 1-(eps*fn+fn*fn*0x1p-44) {
+			kid[l] = nKept
+			nKept++
+		}
 	}
-	lfFlow := make([]int32, len(p.links))
-	next := append([]int32(nil), lfStart[:nLinks]...)
+	// Each routed flow's kept links (CSR), and the reverse kept-link →
+	// flows index (by counting sort: deterministic order).
+	kStart := make([]int32, len(m)+1)
+	kLinks := make([]int32, 0, len(p.links))
+	nact := make([]int32, nKept)
+	for i := range m {
+		for _, l := range p.of(i) {
+			if k := kid[l]; k >= 0 {
+				kLinks = append(kLinks, k)
+				nact[k]++
+			}
+		}
+		kStart[i+1] = int32(len(kLinks))
+	}
+	kept := func(f int32) []int32 { return kLinks[kStart[f]:kStart[f+1]] }
+	lfStart := make([]int32, nKept+1)
+	for k := int32(0); k < nKept; k++ {
+		lfStart[k+1] = lfStart[k] + nact[k]
+	}
+	lfFlow := make([]int32, len(kLinks))
+	next := append([]int32(nil), lfStart[:nKept]...)
 	for _, f := range order {
-		for _, l := range p.of(int(f)) {
-			lfFlow[next[l]] = f
-			next[l]++
+		for _, k := range kept(f) {
+			lfFlow[next[k]] = f
+			next[k]++
 		}
 	}
-	// Every loaded link starts with residual 1 at water 0.
-	level := make([]float64, nLinks)
+	// Every kept link starts with residual 1 at water 0. Kept links are
+	// numbered in link-id order, so keying by number breaks ties as link
+	// ids would.
+	level := make([]float64, nKept)
 	h := newLinkHeap(level)
-	for l, n := range nact {
-		if n > 0 {
-			level[l] = 1 / float64(n)
-			h.add(int32(l))
-		}
+	for k, n := range nact {
+		level[k] = 1 / float64(n)
+		h.add(int32(k))
 	}
 	h.init()
-	sortByDemand(order, m)
+	if !slices.IsSortedFunc(order, func(a, b int32) int { return cmp.Compare(m[a].Rate, m[b].Rate) }) {
+		sortByDemand(order, m)
+	}
 	frozen := make([]bool, len(m))
 	unfrozen := len(order)
 	water := 0.0
 	op := 0 // next demand-freeze candidate in order
-	const eps = 1e-12
 	freeze := func(f int32, rate float64) {
 		frozen[f] = true
 		res.Rates[f] = rate
 		unfrozen--
-		for _, l := range p.of(int(f)) {
+		for _, l := range kept(f) {
 			n := nact[l]
 			nact[l] = n - 1
 			switch {
@@ -269,7 +440,7 @@ func waterfill(p flatPaths, m []traffic.Demand, nLinks int) *Result {
 		}
 		delta := math.Min(deltaL, deltaD)
 		if math.IsInf(delta, 1) {
-			break // no constraints left (cannot happen: every flow has links)
+			break // no constraints left (cannot happen: an unfrozen flow bounds the water)
 		}
 		if delta > 0 {
 			water += delta

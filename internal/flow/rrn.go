@@ -60,13 +60,17 @@ func (n *RRNNetwork) NumLinks() int { return n.links }
 
 // Resolve implements Network.
 func (n *RRNNetwork) Resolve(src, dst int32, r *rng.Rand, buf []int32) ([]int32, bool) {
+	return n.walk(n.dist[dst/int32(n.r.TermsPerSwitch)], src, dst, r, buf)
+}
+
+// walk is Resolve with the hop-distance row of dst's switch supplied.
+func (n *RRNNetwork) walk(row []uint8, src, dst int32, r *rng.Rand, buf []int32) ([]int32, bool) {
 	buf = append(buf, src)
 	if src == dst {
 		return append(buf, n.termBase+dst), true
 	}
 	tps := int32(n.r.TermsPerSwitch)
 	v, dsw := src/tps, dst/tps
-	row := n.dist[dsw]
 	for v != dsw {
 		want := row[v] - 1
 		// Reservoir-sample uniformly among neighbours one hop closer.
@@ -87,4 +91,28 @@ func (n *RRNNetwork) Resolve(src, dst int32, r *rng.Rand, buf []int32) ([]int32,
 		v = adj[port]
 	}
 	return append(buf, n.termBase+dst), true
+}
+
+// destGroups implements groupedNetwork: one group per switch.
+func (n *RRNNetwork) destGroups() int { return n.r.N() }
+
+// destGroup implements groupedNetwork: dst's switch.
+func (n *RRNNetwork) destGroup(dst int32) int32 { return dst / int32(n.r.TermsPerSwitch) }
+
+// newWalker implements groupedNetwork.
+func (n *RRNNetwork) newWalker() groupWalker { return &rrnWalker{n: n} }
+
+// rrnWalker resolves the flows into one destination switch, all along its
+// hop-distance row.
+type rrnWalker struct {
+	n   *RRNNetwork
+	row []uint8
+}
+
+// start implements groupWalker.
+func (w *rrnWalker) start(g int32) { w.row = w.n.dist[g] }
+
+// resolve implements groupWalker.
+func (w *rrnWalker) resolve(src, dst int32, r *rng.Rand, buf []int32) ([]int32, bool) {
+	return w.n.walk(w.row, src, dst, r, buf)
 }

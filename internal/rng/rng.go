@@ -10,7 +10,10 @@
 // or DeriveSeed.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a xoshiro256** pseudo-random number generator. The zero value is
 // not usable; construct with New.
@@ -31,6 +34,13 @@ func splitmix64(x *uint64) uint64 {
 // New returns a generator deterministically derived from seed.
 func New(seed uint64) *Rand {
 	r := &Rand{}
+	r.Reseed(seed)
+	return r
+}
+
+// Reseed resets r in place to the state New(seed) starts from, so a loop
+// over many short streams can reuse one generator.
+func (r *Rand) Reseed(seed uint64) {
 	x := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&x)
@@ -40,7 +50,6 @@ func New(seed uint64) *Rand {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 // DeriveSeed deterministically maps a root seed plus a tuple of job
@@ -111,24 +120,11 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	// Lemire rejection sampling on the high 64 bits of a 128-bit product.
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, n)
+		hi, lo := bits.Mul64(v, n)
 		if lo >= n || lo >= (-n)%n {
 			return hi
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask32 + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return
 }
 
 // Intn returns a uniform int in [0, n). n must be > 0.

@@ -1,6 +1,9 @@
 package rng
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 	"testing/quick"
@@ -127,19 +130,23 @@ func TestShuffleSwapCount(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	cases := []struct{ x, y, hi, lo uint64 }{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
-	}
-	for _, c := range cases {
-		hi, lo := mul64(c.x, c.y)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.x, c.y, hi, lo, c.hi, c.lo)
+// TestIntnStreamHash pins the Intn streams every randomised construction
+// draws from: a SHA-256 over 100,000 draws from New(1) for each n, covering
+// small and non-power-of-two bounds and one above 2^32, whose products
+// need the full 64×64-bit multiply.
+func TestIntnStreamHash(t *testing.T) {
+	h := sha256.New()
+	var word [8]byte
+	for _, n := range []int{3, 7, 1000, 1<<40 + 1} {
+		r := New(1)
+		for i := 0; i < 100000; i++ {
+			binary.LittleEndian.PutUint64(word[:], uint64(r.Intn(n)))
+			h.Write(word[:])
 		}
+	}
+	const want = "f9c082f3f4d87ca68b7c234fde5f46348e165a653a6b10e48bf9ddc2bf0cd1f6"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("Intn stream hash = %s, want %s", got, want)
 	}
 }
 

@@ -421,6 +421,11 @@ func (u *UpDown) locatePorts(down []int32, dst int, kids []int32, ok bool, ports
 	return ports
 }
 
+// Cover returns cover_r(s), the leaves s reaches by exactly r up hops
+// followed by downs (cover_0 is Descendants), or nil when s cannot take r
+// up hops. The set is immutable.
+func (u *UpDown) Cover(r int, s int32) LeafSet { return u.cover[r][s] }
+
 // Descendants returns the descendant leaf set of switch s (immutable).
 func (u *UpDown) Descendants(s int32) LeafSet { return u.cover[0][s] }
 
