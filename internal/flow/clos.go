@@ -155,13 +155,13 @@ func (n *ClosNetwork) Resolve(src, dst int32, r *rng.Rand, buf []int32) ([]int32
 	return append(buf, t+dst), true
 }
 
-// destGroups implements groupedNetwork: one group per leaf.
+// destGroups implements Network: one group per leaf.
 func (n *ClosNetwork) destGroups() int { return n.c.LevelSize(1) }
 
-// destGroup implements groupedNetwork: dst's leaf.
+// destGroup implements Network: dst's leaf.
 func (n *ClosNetwork) destGroup(dst int32) int32 { return n.c.LeafOfTerminal(int(dst)) }
 
-// newWalker implements groupedNetwork.
+// newWalker implements Network.
 func (n *ClosNetwork) newWalker() groupWalker {
 	sw := n.c.NumSwitches()
 	return &closWalker{n: n, stamp: make([]uint32, sw),

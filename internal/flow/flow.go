@@ -20,14 +20,15 @@
 // (leaf for a folded Clos, switch for an RRN) and resolves each group on
 // one worker, building what depends only on the destination once per
 // group: a Clos marks the destination leaf's ancestors level by level, so
-// a hop reads marks instead of probing cover sets. Water-filling then runs
-// over the links that can saturate only: a link whose flows' demands sum
-// to less than 1 by a margin (eps per flow plus rounding) can neither
-// saturate nor set the water level, so it is left out of the heap (see
-// waterfill for the argument). Resolution costs O(Σ path length) plus the
-// marking, O(links between the destination's ancestor levels) per group;
-// water-filling O(Σ path length + (kept links + Σ kept path length) ·
-// log kept links).
+// a hop reads marks instead of probing cover sets. Network.Resolve routes
+// one flow alone; it is the reference the grouped walk matches link for
+// link on the same stream. Water-filling then runs over the links that can
+// saturate only: a link whose flows' demands sum to less than 1 by a
+// margin (eps per flow plus rounding) can neither saturate nor set the
+// water level, so it is left out of the heap (see waterfill for the
+// argument). Resolution costs O(Σ path length) plus the marking, O(links
+// between the destination's ancestor levels) per group; water-filling
+// O(Σ path length + (kept links + Σ kept path length) · log kept links).
 //
 // Determinism contract (the same one the cycle backend obeys): path
 // resolution fans out over internal/engine workers with each flow drawing
@@ -49,9 +50,9 @@ import (
 	"rfclos/internal/traffic"
 )
 
-// Network is a topology the solver can route a matrix over. Implementations
-// are immutable during a Solve; both (ClosNetwork, RRNNetwork) resolve a
-// flow to the directed link ids of one shortest path.
+// Network is a topology the solver can route a matrix over: ClosNetwork or
+// RRNNetwork, immutable during a Solve. Both resolve a flow to the directed
+// link ids of one shortest path.
 type Network interface {
 	// Terminals returns the terminal count (matrix endpoints are
 	// terminals).
@@ -61,8 +62,18 @@ type Network interface {
 	// Resolve appends the directed link ids of one path from terminal src
 	// to terminal dst (injection link, switch hops, ejection link) to buf
 	// and returns the extended slice, or (nil, false) when no path exists.
-	// The choice among equal-length paths draws only from r.
+	// The choice among equal-length paths draws only from r. It is the
+	// per-flow reference for the destination-group walk Solve runs.
 	Resolve(src, dst int32, r *rng.Rand, buf []int32) ([]int32, bool)
+
+	// destGroups returns the number of destination groups: state that
+	// depends only on the destination is built once per group rather
+	// than once per flow.
+	destGroups() int
+	// destGroup returns the group of destination terminal dst.
+	destGroup(dst int32) int32
+	// newWalker returns a walker with its own scratch, for one worker.
+	newWalker() groupWalker
 }
 
 // Options tunes a Solve call.
@@ -101,10 +112,6 @@ type Result struct {
 // pathCoord is the label of the per-flow path-selection streams.
 var pathCoord = rng.StringCoord("flow/path")
 
-// chunkFlows is how many consecutive flows one path-resolution job
-// resolves into one flat link array.
-const chunkFlows = 1024
-
 // Solve routes every matrix flow over n and water-fills the max-min-fair
 // rates. It never mutates n or m.
 func Solve(n Network, m []traffic.Demand, opts Options) (*Result, error) {
@@ -139,22 +146,8 @@ type flatPaths struct {
 // of returns flow i's path.
 func (p flatPaths) of(i int) []int32 { return p.links[p.start[i]:p.start[i+1]] }
 
-// groupedNetwork is the optional batch form of Network that resolvePaths
-// prefers. Flows are resolved grouped by destination, so state that
-// depends only on the destination is built once per group rather than once
-// per flow. A walker resolves every flow to exactly the links Resolve gives
-// it on the same stream.
-type groupedNetwork interface {
-	Network
-	// destGroups returns the number of destination groups.
-	destGroups() int
-	// destGroup returns the group of destination terminal dst.
-	destGroup(dst int32) int32
-	// newWalker returns a walker with its own scratch, for one worker.
-	newWalker() groupWalker
-}
-
-// groupWalker resolves the flows of one destination group at a time.
+// groupWalker resolves the flows of one destination group at a time, each
+// to exactly the links Network.Resolve gives it on the same stream.
 type groupWalker interface {
 	// start begins group g.
 	start(g int32)
@@ -163,23 +156,17 @@ type groupWalker interface {
 	resolve(src, dst int32, r *rng.Rand, buf []int32) ([]int32, bool)
 }
 
-// resolvePaths resolves every flow with positive demand to its links. A
-// groupedNetwork resolves the flows counting-sorted by destination group,
-// the groups split into one contiguous range per worker by flow count;
-// any other Network resolves them one by one in chunks of chunkFlows.
-// Either way every flow draws only from its own stream, so the paths are
-// the same at any worker count.
+// resolvePaths resolves every flow with positive demand to its links. The
+// flows are counting-sorted by destination group and the groups split into
+// one contiguous range per worker by flow count. Every flow draws only
+// from its own stream, so the paths are the same at any worker count.
 func resolvePaths(n Network, m []traffic.Demand, opts Options) (flatPaths, error) {
-	gn, ok := n.(groupedNetwork)
-	if !ok {
-		return resolveEach(n, m, opts)
-	}
 	// Routed flows by group, ascending flow index within a group.
-	ng := gn.destGroups()
+	ng := n.destGroups()
 	gStart := make([]int32, ng+1)
 	for _, d := range m {
 		if d.Rate > 0 {
-			gStart[gn.destGroup(d.Dst)+1]++
+			gStart[n.destGroup(d.Dst)+1]++
 		}
 	}
 	for g := 0; g < ng; g++ {
@@ -191,7 +178,7 @@ func resolvePaths(n Network, m []traffic.Demand, opts Options) (flatPaths, error
 	next := append([]int32(nil), gStart[:ng]...)
 	for i, d := range m {
 		if d.Rate > 0 {
-			g := gn.destGroup(d.Dst)
+			g := n.destGroup(d.Dst)
 			byGroup[next[g]] = groupFlow{int32(i), d.Src, d.Dst}
 			next[g]++
 		}
@@ -210,7 +197,7 @@ func resolvePaths(n Network, m []traffic.Demand, opts Options) (flatPaths, error
 	chunks, err := engine.Run(w, w, func(j int) (chunk, error) {
 		lo, hi := gStart[cut[j]], gStart[cut[j+1]]
 		ch := chunk{ends: make([]int32, 0, hi-lo), links: make([]int32, 0, 8*(hi-lo))}
-		wk := gn.newWalker()
+		wk := n.newWalker()
 		r := rng.New(0)
 		for g := cut[j]; g < cut[j+1]; g++ {
 			wk.start(int32(g))
@@ -253,45 +240,6 @@ func resolvePaths(n Network, m []traffic.Demand, opts Options) (flatPaths, error
 
 // groupFlow is one routed flow in resolvePaths' destination order.
 type groupFlow struct{ i, src, dst int32 }
-
-// resolveEach resolves the flows one by one through Network.Resolve, in
-// chunks of chunkFlows, each chunk into one flat link array with per-flow
-// end offsets, and concatenates the chunks.
-func resolveEach(n Network, m []traffic.Demand, opts Options) (flatPaths, error) {
-	type chunk struct{ ends, links []int32 }
-	chunks, err := engine.Run((len(m)+chunkFlows-1)/chunkFlows, opts.Workers, func(c int) (chunk, error) {
-		lo, hi := c*chunkFlows, min((c+1)*chunkFlows, len(m))
-		ch := chunk{ends: make([]int32, 0, hi-lo), links: make([]int32, 0, 8*(hi-lo))}
-		r := rng.New(0)
-		for i := lo; i < hi; i++ {
-			if d := m[i]; d.Rate > 0 {
-				r.Reseed(rng.DeriveSeed(opts.Seed, pathCoord, uint64(i)))
-				// A failed Resolve leaves ch.links, and so the path, as it was.
-				if ext, ok := n.Resolve(d.Src, d.Dst, r, ch.links); ok {
-					ch.links = ext
-				}
-			}
-			ch.ends = append(ch.ends, int32(len(ch.links)))
-		}
-		return ch, nil
-	})
-	if err != nil {
-		return flatPaths{}, err
-	}
-	total := 0
-	for _, ch := range chunks {
-		total += len(ch.links)
-	}
-	p := flatPaths{start: make([]int32, 1, len(m)+1), links: make([]int32, 0, total)}
-	for _, ch := range chunks {
-		base := int32(len(p.links))
-		for _, e := range ch.ends {
-			p.start = append(p.start, base+e)
-		}
-		p.links = append(p.links, ch.links...)
-	}
-	return p, nil
-}
 
 // waterfill computes the exact max-min-fair allocation by bottleneck-freeze
 // iteration. All unfrozen flows share one rising water level. A link keeps

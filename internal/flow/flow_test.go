@@ -31,7 +31,24 @@ func (s *stubNet) Resolve(src, dst int32, _ *rng.Rand, buf []int32) ([]int32, bo
 	return append(buf, p...), true
 }
 
+// A stubNet is one destination group, walked flow by flow through Resolve.
+func (s *stubNet) destGroups() int        { return 1 }
+func (s *stubNet) destGroup(int32) int32  { return 0 }
+func (s *stubNet) newWalker() groupWalker { return stubWalker{s} }
+
+type stubWalker struct{ s *stubNet }
+
+func (w stubWalker) start(int32) {}
+func (w stubWalker) resolve(src, dst int32, r *rng.Rand, buf []int32) ([]int32, bool) {
+	return w.s.Resolve(src, dst, r, buf)
+}
+
 func near(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
+
+// matrixNames lists every matrix traffic.NewMatrix builds: the four packet
+// patterns plus the flow-only workloads.
+var matrixNames = []string{"uniform", "random-pairing", "fixed-random", "shift",
+	"hotspot", "incast", "elephant-mice", "storm"}
 
 func TestWaterfillSharedLink(t *testing.T) {
 	net := &stubNet{t: 4, links: 10, paths: map[[2]int32][]int32{
@@ -261,7 +278,7 @@ func propertyNets(t *testing.T) []namedNet {
 
 func TestMaxMinPropertyAcrossNetworksAndMatrices(t *testing.T) {
 	for _, nt := range propertyNets(t) {
-		for _, name := range traffic.MatrixNames() {
+		for _, name := range matrixNames {
 			for _, load := range []float64{0.4, 1.0} {
 				m, err := traffic.NewMatrix(name, nt.n.Terminals(), rng.New(11))
 				if err != nil {

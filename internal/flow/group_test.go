@@ -104,9 +104,6 @@ func groupMatrix(n Network) []traffic.Demand {
 func TestGroupedResolveMatchesResolve(t *testing.T) {
 	const seed = 41
 	for _, nt := range groupNets(t) {
-		if _, ok := nt.n.(groupedNetwork); !ok {
-			t.Fatalf("%s: not a groupedNetwork", nt.name)
-		}
 		m := groupMatrix(nt.n)
 		unroutable := 0
 		for _, workers := range []int{1, 3} {

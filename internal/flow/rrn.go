@@ -93,13 +93,13 @@ func (n *RRNNetwork) walk(row []uint8, src, dst int32, r *rng.Rand, buf []int32)
 	return append(buf, n.termBase+dst), true
 }
 
-// destGroups implements groupedNetwork: one group per switch.
+// destGroups implements Network: one group per switch.
 func (n *RRNNetwork) destGroups() int { return n.r.N() }
 
-// destGroup implements groupedNetwork: dst's switch.
+// destGroup implements Network: dst's switch.
 func (n *RRNNetwork) destGroup(dst int32) int32 { return dst / int32(n.r.TermsPerSwitch) }
 
-// newWalker implements groupedNetwork.
+// newWalker implements Network.
 func (n *RRNNetwork) newWalker() groupWalker { return &rrnWalker{n: n} }
 
 // rrnWalker resolves the flows into one destination switch, all along its
