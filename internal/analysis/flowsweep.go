@@ -26,7 +26,7 @@ type FlowOptions struct {
 	// point.
 	Reps int
 	// Patterns selects traffic matrices by canonical name (see
-	// traffic.MatrixNames); default: the three §6 packet patterns.
+	// traffic.NewMatrix); default: the three §6 packet patterns.
 	Patterns []string
 	// Seed drives every random choice. Each job derives its stream from
 	// its coordinates — rng.At(Seed, StringCoord(network),

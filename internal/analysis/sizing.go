@@ -54,8 +54,7 @@ type rrnSpec struct {
 	N, Degree, TermsPerSwitch int
 }
 
-func (s rrnSpec) Radix() int     { return s.Degree + s.TermsPerSwitch }
-func (s rrnSpec) Terminals() int { return s.N * s.TermsPerSwitch }
+func (s rrnSpec) Radix() int { return s.Degree + s.TermsPerSwitch }
 
 // rrnSpecFor returns the smallest-radix RRN reaching the target terminal
 // count at the given diameter, using the paper's rules: ~Δ/D terminals per

@@ -132,7 +132,8 @@ func TestNormalizedBisectionPaperNumbers(t *testing.T) {
 	if got := NormalizedBisectionRFC(1000, 36, 3); math.Abs(got-0.86) > 0.01 {
 		t.Errorf("3-level RFC normalized bisection = %v, want ≈0.86", got)
 	}
-	if got := NormalizedBisectionRRN(1000, 26, 10); math.Abs(got-0.88) > 0.01 {
+	// The RRN bound is normalised by the terminals in one half, N/2 · t.
+	if got := BisectionLowerBoundRRN(1000, 26) / (1000 / 2 * 10); math.Abs(got-0.88) > 0.01 {
 		t.Errorf("RRN normalized bisection = %v, want ≈0.88", got)
 	}
 }
@@ -228,7 +229,7 @@ func TestTheorem42MonteCarlo(t *testing.T) {
 	const trials = 120
 	probe := func(radix int) float64 {
 		p := Params{Radix: radix, Levels: 2, Leaves: 200}
-		prob, err := EstimateUpDownProbability(p, trials, r)
+		prob, err := estimateUpDownProbability(p, trials, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +300,7 @@ func TestExpand(t *testing.T) {
 	// The expanded network usually stays routable this far above
 	// threshold; verify the bitsets at least see every new leaf.
 	ud := routing.New(out)
-	if got := ud.Descendants(out.SwitchID(1, 21)).Count(); got != 1 {
+	if got := ud.Cover(0, out.SwitchID(1, 21)).Count(); got != 1 {
 		t.Errorf("new leaf descendant count = %d", got)
 	}
 }
@@ -359,4 +360,24 @@ func TestFigure4RFC(t *testing.T) {
 	if c.NumSwitches() != 56 || c.Wires() != 96 || c.Terminals() != 32 {
 		t.Errorf("switches=%d wires=%d T=%d, want 56/96/32", c.NumSwitches(), c.Wires(), c.Terminals())
 	}
+}
+
+// estimateUpDownProbability measures, by Monte Carlo over trials
+// independently generated RFCs, the empirical probability that every leaf
+// pair has a common ancestor: the probe of Theorem 4.2.
+func estimateUpDownProbability(p Params, trials int, r *rng.Rand) (float64, error) {
+	if err := p.Validate(); err != nil {
+		return 0, err
+	}
+	ok := 0
+	for i := 0; i < trials; i++ {
+		c, err := Generate(p, r)
+		if err != nil {
+			return 0, err
+		}
+		if routing.New(c).Routable() {
+			ok++
+		}
+	}
+	return float64(ok) / float64(trials), nil
 }

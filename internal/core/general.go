@@ -135,14 +135,3 @@ func GenerateGeneral(p GeneralParams, r *rng.Rand) (*topology.Clos, error) {
 	}
 	return c, nil
 }
-
-// RandomKaryTreeParams returns the general parameters of a random k-ary
-// l-tree (the constructions of Bassalygo–Pinsker and Upfal the paper cites):
-// k^{l-1} switches per level, k terminals per leaf, up-degree k everywhere.
-func RandomKaryTreeParams(k, levels int) GeneralParams {
-	n := 1
-	for i := 0; i < levels-1; i++ {
-		n *= k
-	}
-	return NewHashnetParams(n, levels, k, k)
-}

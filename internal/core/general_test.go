@@ -87,7 +87,9 @@ func TestHashnetParams(t *testing.T) {
 }
 
 func TestRandomKaryTreeParams(t *testing.T) {
-	p := RandomKaryTreeParams(3, 3)
+	// A random k-ary l-tree has k^{l-1} switches per level, k terminals
+	// per leaf and up-degree k everywhere.
+	p := NewHashnetParams(9, 3, 3, 3)
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}

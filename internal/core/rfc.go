@@ -87,23 +87,3 @@ func GenerateRoutable(p Params, maxAttempts int, r *rng.Rand) (*topology.Clos, *
 		ErrNotRoutable, p, maxAttempts, XParam(p.Radix, p.Leaves, p.Levels),
 		SuccessProbability(XParam(p.Radix, p.Leaves, p.Levels)))
 }
-
-// EstimateUpDownProbability measures, by Monte Carlo over `trials`
-// independently generated RFCs, the empirical probability that every leaf
-// pair has a common ancestor. Used to validate Theorem 4.2.
-func EstimateUpDownProbability(p Params, trials int, r *rng.Rand) (float64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	ok := 0
-	for i := 0; i < trials; i++ {
-		c, err := Generate(p, r)
-		if err != nil {
-			return 0, err
-		}
-		if routing.New(c).Routable() {
-			ok++
-		}
-	}
-	return float64(ok) / float64(trials), nil
-}

@@ -108,13 +108,3 @@ func NormalizedBisectionRFC(n1, radix, levels int) float64 {
 	demand := float64(n1) * float64(radix) * float64(levels-1) / 4
 	return BisectionLowerBoundRFC(n1, radix, levels) / demand
 }
-
-// NormalizedBisectionRRN divides the RRN bound by its demand: N/2 switches
-// × Δ/D terminals each... the paper normalises by terminals in one half
-// times average bisection traversals (~1 for a well-balanced RRN under
-// shortest routing with D ≈ average distance). Following §4.2's quoted
-// numbers, the normalisation is bound / (terminals_half):
-func NormalizedBisectionRRN(n, degree, termsPerSwitch int) float64 {
-	demand := float64(n) / 2 * float64(termsPerSwitch)
-	return BisectionLowerBoundRRN(n, degree) / demand
-}

@@ -177,7 +177,7 @@ func TestWaterfillMatchesOracle(t *testing.T) {
 		solve(fc.Name, n, m, opts)
 	}
 	for _, nt := range propertyNets(t) {
-		for _, name := range traffic.MatrixNames() {
+		for _, name := range matrixNames {
 			for _, load := range []float64{0.4, 1.0} {
 				m, err := traffic.NewMatrix(name, nt.n.Terminals(), rng.New(11))
 				if err != nil {

@@ -13,8 +13,6 @@ type Field struct {
 	P, K, Q int
 	add     [][]uint8
 	mul     [][]uint8
-	neg     []uint8
-	inv     []uint8 // inv[0] unused
 }
 
 // NewField constructs GF(q). It returns an error when q is not a prime power
@@ -37,7 +35,6 @@ func NewField(q int) (*Field, error) {
 		}
 		f.buildExtensionTables(poly)
 	}
-	f.buildInverses()
 	return f, nil
 }
 
@@ -65,8 +62,6 @@ func (f *Field) allocTables() {
 		f.add[i] = make([]uint8, f.Q)
 		f.mul[i] = make([]uint8, f.Q)
 	}
-	f.neg = make([]uint8, f.Q)
-	f.inv = make([]uint8, f.Q)
 }
 
 func (f *Field) buildPrimeTables() {
@@ -76,7 +71,6 @@ func (f *Field) buildPrimeTables() {
 			f.add[a][b] = uint8((a + b) % f.Q)
 			f.mul[a][b] = uint8((a * b) % f.Q)
 		}
-		f.neg[a] = uint8((f.Q - a) % f.Q)
 	}
 }
 
@@ -104,11 +98,6 @@ func (f *Field) buildExtensionTables(poly []int) {
 	}
 	for a := 0; a < f.Q; a++ {
 		da := digits(a)
-		nd := make([]int, k)
-		for i := 0; i < k; i++ {
-			nd[i] = (p - da[i]) % p
-		}
-		f.neg[a] = uint8(undigits(nd))
 		for b := 0; b < f.Q; b++ {
 			db := digits(b)
 			s := make([]int, k)
@@ -138,17 +127,6 @@ func (f *Field) buildExtensionTables(poly []int) {
 				}
 			}
 			f.mul[a][b] = uint8(undigits(prod[:k]))
-		}
-	}
-}
-
-func (f *Field) buildInverses() {
-	for a := 1; a < f.Q; a++ {
-		for b := 1; b < f.Q; b++ {
-			if f.mul[a][b] == 1 {
-				f.inv[a] = uint8(b)
-				break
-			}
 		}
 	}
 }
@@ -229,22 +207,8 @@ func polyDivides(d, poly []int, p int) bool {
 // Add returns a + b in the field.
 func (f *Field) Add(a, b int) int { return int(f.add[a][b]) }
 
-// Sub returns a - b in the field.
-func (f *Field) Sub(a, b int) int { return int(f.add[a][f.neg[b]]) }
-
 // Mul returns a * b in the field.
 func (f *Field) Mul(a, b int) int { return int(f.mul[a][b]) }
-
-// Neg returns -a in the field.
-func (f *Field) Neg(a int) int { return int(f.neg[a]) }
-
-// Inv returns the multiplicative inverse of a. It panics for a == 0.
-func (f *Field) Inv(a int) int {
-	if a == 0 {
-		panic("gf: inverse of zero")
-	}
-	return int(f.inv[a])
-}
 
 // IsPrimePower reports whether q is a prime power (and hence a valid OFT
 // order).

@@ -1,6 +1,9 @@
 package gf
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestPrimePower(t *testing.T) {
 	cases := []struct {
@@ -38,18 +41,24 @@ func checkFieldAxioms(t *testing.T, q int) {
 		if f.Add(a, 0) != a || f.Mul(a, 1) != a {
 			t.Fatalf("GF(%d): identity laws fail at %d", q, a)
 		}
-		if f.Add(a, f.Neg(a)) != 0 {
-			t.Fatalf("GF(%d): additive inverse fails at %d", q, a)
+		negs, invs := 0, 0
+		for b := 0; b < q; b++ {
+			if f.Add(a, b) == 0 {
+				negs++
+			}
+			if f.Mul(a, b) == 1 {
+				invs++
+			}
 		}
-		if a != 0 && f.Mul(a, f.Inv(a)) != 1 {
-			t.Fatalf("GF(%d): multiplicative inverse fails at %d", q, a)
+		if negs != 1 {
+			t.Fatalf("GF(%d): %d has %d additive inverses", q, a, negs)
+		}
+		if want := min(a, 1); invs != want {
+			t.Fatalf("GF(%d): %d has %d multiplicative inverses, want %d", q, a, invs, want)
 		}
 		for b := 0; b < q; b++ {
 			if f.Add(a, b) != f.Add(b, a) || f.Mul(a, b) != f.Mul(b, a) {
 				t.Fatalf("GF(%d): commutativity fails at (%d,%d)", q, a, b)
-			}
-			if f.Sub(a, b) != f.Add(a, f.Neg(b)) {
-				t.Fatalf("GF(%d): Sub inconsistent at (%d,%d)", q, a, b)
 			}
 			for c := 0; c < q; c++ {
 				if f.Add(f.Add(a, b), c) != f.Add(a, f.Add(b, c)) {
@@ -94,23 +103,13 @@ func TestNewFieldErrors(t *testing.T) {
 	}
 }
 
-func TestInvZeroPanics(t *testing.T) {
-	f, _ := NewField(5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Inv(0) did not panic")
-		}
-	}()
-	f.Inv(0)
-}
-
 func TestPlaneSmallOrders(t *testing.T) {
 	for _, q := range []int{2, 3, 4, 5, 7, 8, 9} {
 		pl, err := NewPlane(q)
 		if err != nil {
 			t.Fatalf("NewPlane(%d): %v", q, err)
 		}
-		if err := pl.Validate(); err != nil {
+		if err := validatePlane(pl); err != nil {
 			t.Errorf("plane order %d: %v", q, err)
 		}
 	}
@@ -144,4 +143,44 @@ func BenchmarkNewPlane9(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// validatePlane checks the projective plane axioms on pl.
+func validatePlane(pl *Plane) error {
+	q, n := pl.Q, pl.N
+	if n != q*q+q+1 {
+		return fmt.Errorf("gf: plane size %d != q²+q+1", n)
+	}
+	for l, pts := range pl.LinePoints {
+		if len(pts) != q+1 {
+			return fmt.Errorf("gf: line %d has %d points, want %d", l, len(pts), q+1)
+		}
+	}
+	for p, ls := range pl.PointLines {
+		if len(ls) != q+1 {
+			return fmt.Errorf("gf: point %d lies on %d lines, want %d", p, len(ls), q+1)
+		}
+	}
+	// Any two distinct points share exactly one line.
+	onLine := make([]map[int32]bool, n)
+	for p := range onLine {
+		onLine[p] = make(map[int32]bool, q+1)
+		for _, l := range pl.PointLines[p] {
+			onLine[p][l] = true
+		}
+	}
+	for p1 := 0; p1 < n; p1++ {
+		for p2 := p1 + 1; p2 < n; p2++ {
+			shared := 0
+			for _, l := range pl.PointLines[p1] {
+				if onLine[p2][l] {
+					shared++
+				}
+			}
+			if shared != 1 {
+				return fmt.Errorf("gf: points %d,%d share %d lines, want 1", p1, p2, shared)
+			}
+		}
+	}
+	return nil
 }

@@ -55,44 +55,3 @@ func NewPlane(q int) (*Plane, error) {
 	}
 	return pl, nil
 }
-
-// Validate checks the projective plane axioms. It is used by tests and by
-// callers that construct planes of new orders.
-func (pl *Plane) Validate() error {
-	q, n := pl.Q, pl.N
-	if n != q*q+q+1 {
-		return fmt.Errorf("gf: plane size %d != q²+q+1", n)
-	}
-	for l, pts := range pl.LinePoints {
-		if len(pts) != q+1 {
-			return fmt.Errorf("gf: line %d has %d points, want %d", l, len(pts), q+1)
-		}
-	}
-	for p, ls := range pl.PointLines {
-		if len(ls) != q+1 {
-			return fmt.Errorf("gf: point %d lies on %d lines, want %d", p, len(ls), q+1)
-		}
-	}
-	// Any two distinct points share exactly one line.
-	onLine := make([]map[int32]bool, n)
-	for p := range onLine {
-		onLine[p] = make(map[int32]bool, q+1)
-		for _, l := range pl.PointLines[p] {
-			onLine[p][l] = true
-		}
-	}
-	for p1 := 0; p1 < n; p1++ {
-		for p2 := p1 + 1; p2 < n; p2++ {
-			shared := 0
-			for _, l := range pl.PointLines[p1] {
-				if onLine[p2][l] {
-					shared++
-				}
-			}
-			if shared != 1 {
-				return fmt.Errorf("gf: points %d,%d share %d lines, want 1", p1, p2, shared)
-			}
-		}
-	}
-	return nil
-}

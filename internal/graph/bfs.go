@@ -153,35 +153,3 @@ func (g *Graph) IsConnected() bool {
 	}
 	return true
 }
-
-// Components returns the vertex sets of the connected components.
-func (g *Graph) Components() [][]int32 {
-	comp := make([]int32, g.N())
-	for i := range comp {
-		comp[i] = -1
-	}
-	var out [][]int32
-	queue := make([]int32, 0, g.N())
-	for s := 0; s < g.N(); s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		id := int32(len(out))
-		comp[s] = id
-		queue = queue[:0]
-		queue = append(queue, int32(s))
-		members := []int32{int32(s)}
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, v := range g.adj[u] {
-				if comp[v] < 0 {
-					comp[v] = id
-					queue = append(queue, v)
-					members = append(members, v)
-				}
-			}
-		}
-		out = append(out, members)
-	}
-	return out
-}

@@ -100,18 +100,3 @@ func (d *dinic) maxFlow(s, t int32) int {
 	}
 	return flow
 }
-
-// MinDegree returns the smallest vertex degree, an upper bound on global
-// edge connectivity.
-func (g *Graph) MinDegree() int {
-	if g.N() == 0 {
-		return 0
-	}
-	min := len(g.adj[0])
-	for _, ns := range g.adj[1:] {
-		if len(ns) < min {
-			min = len(ns)
-		}
-	}
-	return min
-}

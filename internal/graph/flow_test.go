@@ -51,15 +51,6 @@ func TestEdgeConnectivityBoundedByDegree(t *testing.T) {
 	}
 }
 
-func TestMinDegree(t *testing.T) {
-	if got := pathGraph(4).MinDegree(); got != 1 {
-		t.Errorf("path min degree = %d, want 1", got)
-	}
-	if got := New(0).MinDegree(); got != 0 {
-		t.Errorf("empty graph min degree = %d, want 0", got)
-	}
-}
-
 func TestUnionFind(t *testing.T) {
 	uf := NewUnionFind(5)
 	if uf.Count() != 5 {
@@ -74,8 +65,8 @@ func TestUnionFind(t *testing.T) {
 	if uf.Count() != 3 {
 		t.Errorf("count = %d, want 3", uf.Count())
 	}
-	if !uf.Same(0, 2) || uf.Same(0, 3) {
-		t.Error("Same gave wrong answers")
+	if uf.Find(0) != uf.Find(2) || uf.Find(0) == uf.Find(3) {
+		t.Error("Find gave wrong representatives")
 	}
 }
 

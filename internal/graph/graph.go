@@ -30,9 +30,6 @@ func (g *Graph) N() int { return len(g.adj) }
 // M returns the number of edges.
 func (g *Graph) M() int { return g.m }
 
-// Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
-
 // Neighbors returns the adjacency list of v. The returned slice is owned by
 // the graph and must not be modified.
 func (g *Graph) Neighbors(v int) []int32 { return g.adj[v] }
@@ -133,32 +130,4 @@ func (g *Graph) Clone() *Graph {
 		c.adj[i] = append([]int32(nil), ns...)
 	}
 	return c
-}
-
-// IsRegular reports whether every vertex has degree d.
-func (g *Graph) IsRegular(d int) bool {
-	for _, ns := range g.adj {
-		if len(ns) != d {
-			return false
-		}
-	}
-	return true
-}
-
-// IsSimple reports whether the graph has no self-loops and no multi-edges.
-func (g *Graph) IsSimple() bool {
-	seen := make(map[int32]struct{})
-	for u, ns := range g.adj {
-		clear(seen)
-		for _, v := range ns {
-			if v == int32(u) {
-				return false
-			}
-			if _, dup := seen[v]; dup {
-				return false
-			}
-			seen[v] = struct{}{}
-		}
-	}
-	return true
 }

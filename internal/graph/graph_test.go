@@ -86,20 +86,22 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestIsRegularIsSimple checks the isRegular and isSimple oracles of the
+// random-graph tests.
 func TestIsRegularIsSimple(t *testing.T) {
-	if !cycleGraph(6).IsRegular(2) {
+	if !isRegular(cycleGraph(6), 2) {
 		t.Error("cycle should be 2-regular")
 	}
-	if pathGraph(4).IsRegular(2) {
+	if isRegular(pathGraph(4), 2) {
 		t.Error("path should not be 2-regular")
 	}
 	g := New(2)
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 1)
-	if g.IsSimple() {
+	if isSimple(g) {
 		t.Error("multi-edge graph reported simple")
 	}
-	if !completeGraph(5).IsSimple() {
+	if !isSimple(completeGraph(5)) {
 		t.Error("K5 reported non-simple")
 	}
 }
@@ -181,16 +183,16 @@ func TestComponents(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(3, 4)
-	comps := g.Components()
-	if len(comps) != 3 {
-		t.Fatalf("got %d components, want 3", len(comps))
-	}
-	sizes := map[int]int{}
-	for _, c := range comps {
-		sizes[len(c)]++
-	}
-	if sizes[3] != 1 || sizes[2] != 1 || sizes[1] != 1 {
-		t.Errorf("component sizes wrong: %v", sizes)
+	// BFS from each vertex reaches exactly its component {0,1,2}, {3,4}
+	// or {5}.
+	comp := []int{0, 0, 0, 1, 1, 2}
+	for s := range comp {
+		dist := g.BFS(s, nil)
+		for v, d := range dist {
+			if (d >= 0) != (comp[v] == comp[s]) {
+				t.Errorf("BFS from %d: vertex %d at distance %d", s, v, d)
+			}
+		}
 	}
 	if !cycleGraph(4).IsConnected() {
 		t.Error("cycle should be connected")

@@ -146,19 +146,3 @@ func lessPath(a, b []int32) bool {
 	}
 	return len(a) < len(b)
 }
-
-// IsPath reports whether the vertex sequence p is a walk in g with no
-// repeated vertices.
-func (g *Graph) IsPath(p []int32) bool {
-	if len(p) == 0 {
-		return false
-	}
-	seen := map[int32]bool{p[0]: true}
-	for i := 1; i < len(p); i++ {
-		if seen[p[i]] || !g.HasEdge(int(p[i-1]), int(p[i])) {
-			return false
-		}
-		seen[p[i]] = true
-	}
-	return true
-}

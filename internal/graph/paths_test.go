@@ -39,7 +39,7 @@ func TestKShortestPathsCycle(t *testing.T) {
 		if len(p) != 4 {
 			t.Errorf("path %v has %d hops, want 3", p, len(p)-1)
 		}
-		if !g.IsPath(p) {
+		if !isPath(g, p) {
 			t.Errorf("%v is not a valid simple path", p)
 		}
 	}
@@ -75,7 +75,7 @@ func TestKShortestPathsDiamond(t *testing.T) {
 	// All paths valid and distinct.
 	seen := map[string]bool{}
 	for _, p := range paths {
-		if !g.IsPath(p) {
+		if !isPath(g, p) {
 			t.Errorf("invalid path %v", p)
 		}
 		key := ""
@@ -103,7 +103,7 @@ func TestKShortestOnRandomRegular(t *testing.T) {
 		t.Fatal("no paths found in connected graph")
 	}
 	for i, p := range paths {
-		if !g.IsPath(p) {
+		if !isPath(g, p) {
 			t.Errorf("path %d invalid: %v", i, p)
 		}
 		if i > 0 && len(p) < len(paths[i-1]) {
@@ -117,15 +117,32 @@ func TestKShortestOnRandomRegular(t *testing.T) {
 	}
 }
 
+// isPath reports whether the vertex sequence p is a walk in g with no
+// repeated vertices.
+func isPath(g *Graph, p []int32) bool {
+	if len(p) == 0 {
+		return false
+	}
+	seen := map[int32]bool{p[0]: true}
+	for i := 1; i < len(p); i++ {
+		if seen[p[i]] || !g.HasEdge(int(p[i-1]), int(p[i])) {
+			return false
+		}
+		seen[p[i]] = true
+	}
+	return true
+}
+
+// TestIsPathRejects checks the isPath oracle of the path tests.
 func TestIsPathRejects(t *testing.T) {
 	g := cycleGraph(4)
-	if g.IsPath([]int32{0, 2}) {
+	if isPath(g, []int32{0, 2}) {
 		t.Error("non-adjacent hop accepted")
 	}
-	if g.IsPath([]int32{0, 1, 0}) {
+	if isPath(g, []int32{0, 1, 0}) {
 		t.Error("repeated vertex accepted")
 	}
-	if g.IsPath(nil) {
+	if isPath(g, nil) {
 		t.Error("empty path accepted")
 	}
 }

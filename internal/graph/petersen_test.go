@@ -20,7 +20,7 @@ func petersen() *Graph {
 
 func TestPetersenInvariants(t *testing.T) {
 	g := petersen()
-	if !g.IsRegular(3) || !g.IsSimple() {
+	if !isRegular(g, 3) || !isSimple(g) {
 		t.Fatal("Petersen graph must be 3-regular simple")
 	}
 	if g.M() != 15 {

@@ -133,41 +133,6 @@ type Bipartite struct {
 	AdjA, AdjB [][]int32
 }
 
-// Validate checks degree regularity (da on side A, db on side B), simplicity
-// and symmetry.
-func (b *Bipartite) Validate(da, db int) error {
-	if len(b.AdjA) != b.NA || len(b.AdjB) != b.NB {
-		return errors.New("graph: bipartite adjacency size mismatch")
-	}
-	for i, ns := range b.AdjA {
-		if len(ns) != da {
-			return fmt.Errorf("graph: A-vertex %d has degree %d, want %d", i, len(ns), da)
-		}
-		seen := make(map[int32]struct{}, da)
-		for _, v := range ns {
-			if v < 0 || int(v) >= b.NB {
-				return fmt.Errorf("graph: A-vertex %d has out-of-range neighbour %d", i, v)
-			}
-			if _, dup := seen[v]; dup {
-				return fmt.Errorf("graph: multi-edge at A-vertex %d", i)
-			}
-			seen[v] = struct{}{}
-		}
-	}
-	deg := make([]int, b.NB)
-	for _, ns := range b.AdjA {
-		for _, v := range ns {
-			deg[v]++
-		}
-	}
-	for j, ns := range b.AdjB {
-		if len(ns) != db || deg[j] != db {
-			return fmt.Errorf("graph: B-vertex %d has degree %d/%d, want %d", j, len(ns), deg[j], db)
-		}
-	}
-	return nil
-}
-
 // RandomBipartite generates a random bipartite simple graph with n1 vertices
 // of degree d1 on side A and n2 vertices of degree d2 on side B, following
 // Listing 2 of the paper. It requires n1*d1 == n2*d2.

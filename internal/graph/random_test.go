@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -16,10 +18,10 @@ func TestRandomRegularBasic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("RandomRegular(%d,%d): %v", tc.n, tc.d, err)
 		}
-		if !g.IsRegular(tc.d) {
+		if !isRegular(g, tc.d) {
 			t.Errorf("(%d,%d): not %d-regular", tc.n, tc.d, tc.d)
 		}
-		if !g.IsSimple() {
+		if !isSimple(g) {
 			t.Errorf("(%d,%d): not simple", tc.n, tc.d)
 		}
 		if g.M() != tc.n*tc.d/2 {
@@ -52,7 +54,7 @@ func TestRandomRegularDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.IsRegular(7) || !g.IsSimple() {
+	if !isRegular(g, 7) || !isSimple(g) {
 		t.Error("K8 case: wrong output")
 	}
 }
@@ -71,7 +73,7 @@ func TestRandomRegularProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return g.IsRegular(d) && g.IsSimple()
+		return isRegular(g, d) && isSimple(g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -119,7 +121,7 @@ func TestRandomBipartiteBasic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("RandomBipartite(%v): %v", tc, err)
 		}
-		if err := b.Validate(tc.d1, tc.d2); err != nil {
+		if err := validateBipartite(b, tc.d1, tc.d2); err != nil {
 			t.Errorf("RandomBipartite(%v): %v", tc, err)
 		}
 	}
@@ -137,7 +139,7 @@ func TestRandomBipartiteErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Validate(0, 0); err != nil {
+	if err := validateBipartite(b, 0, 0); err != nil {
 		t.Error(err)
 	}
 }
@@ -149,7 +151,7 @@ func TestRandomBipartiteComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Validate(3, 4); err != nil {
+	if err := validateBipartite(b, 3, 4); err != nil {
 		t.Error(err)
 	}
 	for i, ns := range b.AdjA {
@@ -171,7 +173,7 @@ func TestRandomBipartiteProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return b.Validate(d1, d1) == nil
+		return validateBipartite(b, d1, d1) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -233,4 +235,67 @@ func BenchmarkRandomBipartite(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// isRegular reports whether every vertex of g has degree d.
+func isRegular(g *Graph, d int) bool {
+	for _, ns := range g.adj {
+		if len(ns) != d {
+			return false
+		}
+	}
+	return true
+}
+
+// isSimple reports whether g has no self-loops and no multi-edges.
+func isSimple(g *Graph) bool {
+	seen := make(map[int32]struct{})
+	for u, ns := range g.adj {
+		clear(seen)
+		for _, v := range ns {
+			if v == int32(u) {
+				return false
+			}
+			if _, dup := seen[v]; dup {
+				return false
+			}
+			seen[v] = struct{}{}
+		}
+	}
+	return true
+}
+
+// validateBipartite checks b's degree regularity (da on side A, db on side
+// B), simplicity and symmetry.
+func validateBipartite(b *Bipartite, da, db int) error {
+	if len(b.AdjA) != b.NA || len(b.AdjB) != b.NB {
+		return errors.New("graph: bipartite adjacency size mismatch")
+	}
+	for i, ns := range b.AdjA {
+		if len(ns) != da {
+			return fmt.Errorf("graph: A-vertex %d has degree %d, want %d", i, len(ns), da)
+		}
+		seen := make(map[int32]struct{}, da)
+		for _, v := range ns {
+			if v < 0 || int(v) >= b.NB {
+				return fmt.Errorf("graph: A-vertex %d has out-of-range neighbour %d", i, v)
+			}
+			if _, dup := seen[v]; dup {
+				return fmt.Errorf("graph: multi-edge at A-vertex %d", i)
+			}
+			seen[v] = struct{}{}
+		}
+	}
+	deg := make([]int, b.NB)
+	for _, ns := range b.AdjA {
+		for _, v := range ns {
+			deg[v]++
+		}
+	}
+	for j, ns := range b.AdjB {
+		if len(ns) != db || deg[j] != db {
+			return fmt.Errorf("graph: B-vertex %d has degree %d/%d, want %d", j, len(ns), deg[j], db)
+		}
+	}
+	return nil
 }

@@ -52,6 +52,3 @@ func (uf *UnionFind) Union(x, y int) bool {
 
 // Count returns the current number of disjoint sets.
 func (uf *UnionFind) Count() int { return uf.count }
-
-// Same reports whether x and y are in the same set.
-func (uf *UnionFind) Same(x, y int) bool { return uf.Find(x) == uf.Find(y) }

@@ -72,9 +72,6 @@ func (h *Histogram) Add(cycles int) {
 	h.buckets[b]++
 }
 
-// N returns the number of recorded observations.
-func (h *Histogram) N() int { return h.sum.N }
-
 // Mean returns the mean latency.
 func (h *Histogram) Mean() float64 { return h.sum.Mean() }
 

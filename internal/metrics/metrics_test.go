@@ -27,8 +27,8 @@ func TestHistogram(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		h.Add(i)
 	}
-	if h.N() != 1000 {
-		t.Fatalf("N = %d", h.N())
+	if h.sum.N != 1000 {
+		t.Fatalf("N = %d", h.sum.N)
 	}
 	if math.Abs(h.Mean()-500.5) > 1e-9 {
 		t.Errorf("mean = %v", h.Mean())
@@ -41,7 +41,7 @@ func TestHistogram(t *testing.T) {
 		t.Errorf("q100 = %v, want >= 1000", q)
 	}
 	h.Add(-5) // clamped to zero
-	if h.N() != 1001 {
+	if h.sum.N != 1001 {
 		t.Error("negative value not recorded")
 	}
 }

@@ -53,8 +53,13 @@ func TestTime(t *testing.T) {
 		fmt.Fprint(io.Discard, i)
 	}
 	stop()
-	if got := g.Value("op_ns_total"); got <= 0 {
-		t.Errorf("after one timing the counter is %d, want > 0", got)
+	b.Reset()
+	if _, err := g.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	var got int64
+	if n, err := fmt.Sscanf(b.String(), "op_ns_total %d\n", &got); n != 1 || err != nil || got <= 0 {
+		t.Errorf("after one timing /metrics reads %q, want op_ns_total > 0", b.String())
 	}
 
 	var none *Registry

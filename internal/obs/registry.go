@@ -47,16 +47,6 @@ func (g *Registry) Counter(name string) *atomic.Int64 {
 // Add increments the named counter by d.
 func (g *Registry) Add(name string, d int64) { g.Counter(name).Add(d) }
 
-// Value returns the current value of the named counter (0 if never used).
-func (g *Registry) Value(name string) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c := g.counters[name]; c != nil {
-		return c.Load()
-	}
-	return 0
-}
-
 // WriteTo renders every counter as "name value\n" in lexicographic name
 // order, the /metrics response body.
 func (g *Registry) WriteTo(w io.Writer) (int64, error) {

@@ -10,10 +10,7 @@
 // or DeriveSeed.
 package rng
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // Rand is a xoshiro256** pseudo-random number generator. The zero value is
 // not usable; construct with New.
@@ -142,17 +139,6 @@ func (r *Rand) Float64() float64 {
 
 // Bool returns a uniformly random boolean.
 func (r *Rand) Bool() bool { return r.Uint64()&1 == 1 }
-
-// Exp returns an exponentially distributed float64 with rate 1, by
-// inversion. Used for randomised injection processes.
-func (r *Rand) Exp() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
 
 // Perm returns a uniformly random permutation of [0, n) as a slice.
 func (r *Rand) Perm(n int) []int {

@@ -73,18 +73,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(9)
-	sum := 0.0
-	const draws = 200000
-	for i := 0; i < draws; i++ {
-		sum += r.Exp()
-	}
-	if mean := sum / draws; math.Abs(mean-1.0) > 0.02 {
-		t.Errorf("Exp mean = %v, want ~1", mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(13)
 	f := func(seed uint64, nRaw uint8) bool {

@@ -11,24 +11,23 @@ import (
 
 // benchUpDown builds the 4096-leaf XGFT both index tiers are benchmarked
 // on (the same shape TestSuccinctSizeBytes measures).
-func benchUpDown(b *testing.B) *routing.UpDown {
+func benchUpDown(b *testing.B) (*topology.Clos, *routing.UpDown) {
 	b.Helper()
 	c, err := topology.NewXGFT([]int{4, 64, 64}, []int{1, 4, 2}, 72)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return routing.New(c)
+	return c, routing.New(c)
 }
 
 // BenchmarkCoverBuild measures UpDown.Rebuild — the streaming compressed
 // cover construction — on the 4096-leaf XGFT, and reports the compressed
 // cover footprint next to what plain N1-bit bitsets would cost.
 func BenchmarkCoverBuild(b *testing.B) {
-	u := benchUpDown(b)
+	c, u := benchUpDown(b)
 	for i := 0; i < b.N; i++ {
 		u.Rebuild()
 	}
-	c := u.Clos()
 	l := c.Levels()
 	words := (c.LevelSize(1) + 63) / 64
 	sets := 0
@@ -62,7 +61,7 @@ func BenchmarkTurnIndexBuild(b *testing.B) {
 			perPair(b, ix)
 		}
 	}
-	u := benchUpDown(b)
+	_, u := benchUpDown(b)
 	b.Run("dense", func(b *testing.B) {
 		var ix routing.TurnIndex
 		for i := 0; i < b.N; i++ {
@@ -71,7 +70,10 @@ func BenchmarkTurnIndexBuild(b *testing.B) {
 		perPair(b, ix)
 	})
 	b.Run("succinct", succinct(u))
-	b.Run("succinct-xgft-64K", func(b *testing.B) { succinct(xgft64K(b))(b) })
+	b.Run("succinct-xgft-64K", func(b *testing.B) {
+		_, u := xgft64K(b)
+		succinct(u)(b)
+	})
 	b.Run("succinct-rfc", func(b *testing.B) {
 		c, err := core.Generate(core.Params{Radix: 24, Levels: 3, Leaves: 8192}, rng.New(1))
 		if err != nil {
@@ -84,8 +86,8 @@ func BenchmarkTurnIndexBuild(b *testing.B) {
 // BenchmarkTurnIndexLookup measures MinTurn on both tiers, sweeping src/dst
 // so sparse, bitset, and majority row paths are all exercised.
 func BenchmarkTurnIndexLookup(b *testing.B) {
-	u := benchUpDown(b)
-	n := u.Clos().LevelSize(1)
+	c, u := benchUpDown(b)
+	n := c.LevelSize(1)
 	run := func(ix routing.TurnIndex) func(*testing.B) {
 		return func(b *testing.B) {
 			sink := 0
@@ -109,14 +111,14 @@ func BenchmarkTurnIndexLookup(b *testing.B) {
 func BenchmarkPathAt(b *testing.B) {
 	for _, tc := range []struct {
 		name  string
-		build func(testing.TB) *routing.UpDown
+		build func(testing.TB) (*topology.Clos, *routing.UpDown)
 	}{
 		{"xgft-64K", xgft64K},
 		{"rfc-648", rfc648},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			u := tc.build(b)
-			n1, top := u.Clos().LevelSize(1), u.Clos().Levels()-1
+			c, u := tc.build(b)
+			n1, top := c.LevelSize(1), c.Levels()-1
 			var pairs [][2]int
 			for r := rng.New(3); len(pairs) < 1024; {
 				if src, dst := r.Intn(n1), r.Intn(n1); u.MinTurn(src, dst) == top {

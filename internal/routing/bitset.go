@@ -19,9 +19,6 @@ func (b Bitset) Set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 // Get reports bit i.
 func (b Bitset) Get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// ClearBit clears bit i.
-func (b Bitset) ClearBit(i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
-
 // SetRange sets bits [lo, hi).
 func (b Bitset) SetRange(lo, hi int) {
 	if lo >= hi {
@@ -122,50 +119,6 @@ func (b Bitset) Full(n int) bool {
 		}
 	}
 	return true
-}
-
-// Intersects reports whether b and other share any set bit.
-func (b Bitset) Intersects(other Bitset) bool {
-	for i, w := range other {
-		if b[i]&w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Rank returns the number of set bits in [0, i), i.e. the index bit i would
-// occupy in a packed array of the set positions. It is O(i/64); use a
-// RankDir for O(1) queries over a frozen bitset.
-func (b Bitset) Rank(i int) int {
-	wi := i >> 6
-	n := 0
-	for _, w := range b[:wi] {
-		n += bits.OnesCount64(w)
-	}
-	if rem := uint(i) & 63; rem != 0 {
-		n += bits.OnesCount64(b[wi] & ((1 << rem) - 1))
-	}
-	return n
-}
-
-// Select returns the position of the k-th set bit (k = 0 for the first), or
-// -1 when fewer than k+1 bits are set. It is the inverse of Rank:
-// Rank(Select(k)) == k for any valid k.
-func (b Bitset) Select(k int) int {
-	for wi, w := range b {
-		c := bits.OnesCount64(w)
-		if k < c {
-			// The k-th set bit lives in this word; peel set bits until it
-			// is the lowest one.
-			for ; k > 0; k-- {
-				w &= w - 1
-			}
-			return wi<<6 + bits.TrailingZeros64(w)
-		}
-		k -= c
-	}
-	return -1
 }
 
 // rankBlockWords is the RankDir superblock width in words (512 bits): one

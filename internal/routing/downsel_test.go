@@ -8,13 +8,17 @@ import (
 	"rfclos/internal/topology"
 )
 
+// descendants returns the descendant leaf set of switch s: its level-0
+// cover.
+func descendants(u *UpDown, s int32) LeafSet { return u.cover[0][s] }
+
 // refNextDownPort is the reference model of the down-hop pickers: a
 // reservoir sample over Down(s), in port order, of the children whose
 // descendant set holds dst.
 func refNextDownPort(u *UpDown, s int32, dst int, r *rng.Rand) int {
 	chosen, count := -1, 0
 	for i, ch := range u.c.Down(s) {
-		if u.Descendants(ch).Get(dst) {
+		if descendants(u, ch).Get(dst) {
 			count++
 			if count == 1 || r.Intn(count) == 0 {
 				chosen = i
@@ -29,7 +33,7 @@ func refNextDownPort(u *UpDown, s int32, dst int, r *rng.Rand) int {
 func refNextDownPortHash(u *UpDown, s int32, dst int, key uint32) int {
 	var ports []int
 	for i, ch := range u.c.Down(s) {
-		if u.Descendants(ch).Get(dst) {
+		if descendants(u, ch).Get(dst) {
 			ports = append(ports, i)
 		}
 	}

@@ -209,7 +209,8 @@ func checkEquivalence(t *testing.T, c *topology.Clos) {
 			if got, want := hyb.Count(), ref[r][s].Count(); got != want {
 				t.Fatalf("cover[%d][%d] Count = %d, want %d (repr %s)", r, s, got, want, hyb.Repr())
 			}
-			hyb.Fill(buf)
+			buf.Clear()
+			hyb.OrInto(buf)
 			for w := range buf {
 				if buf[w] != ref[r][s][w] {
 					t.Fatalf("cover[%d][%d] word %d differs (repr %s)", r, s, w, hyb.Repr())
@@ -221,7 +222,7 @@ func checkEquivalence(t *testing.T, c *topology.Clos) {
 	// Descendant accessor agrees with plain desc.
 	for i := 0; i < c.LevelSize(2); i++ {
 		s := c.SwitchID(2, i)
-		d := u.Descendants(s)
+		d := descendants(u, s)
 		for leaf := 0; leaf < n1; leaf++ {
 			if d.Get(leaf) != ref[0][s].Get(leaf) {
 				t.Fatalf("Descendants(%d).Get(%d) diverges", s, leaf)

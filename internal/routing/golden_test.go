@@ -18,23 +18,23 @@ const goldenPairs = 4096
 
 // xgft64K builds the 65,536-leaf XGFT rfcd's query benchmark serves: 16
 // top switches with 8,192 children each.
-func xgft64K(tb testing.TB) *routing.UpDown {
+func xgft64K(tb testing.TB) (*topology.Clos, *routing.UpDown) {
 	tb.Helper()
 	c, err := topology.NewXGFT([]int{4, 8, 8192}, []int{1, 8, 2}, 8192)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return routing.New(c)
+	return c, routing.New(c)
 }
 
 // rfc648 builds the 648-leaf, radix-36, 3-level RFC of the same benchmark.
-func rfc648(tb testing.TB) *routing.UpDown {
+func rfc648(tb testing.TB) (*topology.Clos, *routing.UpDown) {
 	tb.Helper()
-	_, u, _, err := core.GenerateRoutable(core.Params{Radix: 36, Levels: 3, Leaves: 648}, 50, rng.New(1))
+	c, u, _, err := core.GenerateRoutable(core.Params{Radix: 36, Levels: 3, Leaves: 648}, 50, rng.New(1))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return u
+	return c, u
 }
 
 // goldenPair returns the i-th seeded pair: even i draw both leaves
@@ -56,15 +56,15 @@ func goldenPair(r *rng.Rand, i, n1 int) (src, dst int) {
 func TestPathAtGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		build func(testing.TB) *routing.UpDown
+		build func(testing.TB) (*topology.Clos, *routing.UpDown)
 		want  string
 	}{
 		{"xgft-64K", xgft64K, "020ccf901b2d3d446a0e4ffe4e591ef8c8185c3ed5c680fcd8375863ea8d85ee"},
 		{"rfc-648", rfc648, "9f5b8db7f92189df2b190ac75c9cf457c2deb88378abe0c7b2232853060696db"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			u := tc.build(t)
-			n1 := u.Clos().LevelSize(1)
+			c, u := tc.build(t)
+			n1 := c.LevelSize(1)
 			pairs := rng.At(11, rng.StringCoord("routing/golden-pairs"))
 			coord := rng.StringCoord("routing/golden-path")
 			h := sha256.New()

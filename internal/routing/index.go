@@ -26,12 +26,6 @@ type TurnIndex interface {
 	// SizeBytes returns the index's own memory footprint, fixed at
 	// construction.
 	SizeBytes() int
-	// Routable reports whether every ordered leaf pair has an up/down
-	// path. Precomputed at build time; O(1).
-	Routable() bool
-	// UnreachablePairs returns the number of ordered leaf pairs (src !=
-	// dst) without an up/down path. Precomputed at build time; O(1).
-	UnreachablePairs() int64
 	// Tier names the implementation: "dense" or "succinct".
 	Tier() string
 }
@@ -53,9 +47,8 @@ func NewTurnIndex(u *UpDown, denseBudget int) TurnIndex {
 // (N1² bytes), O(1) lookups. turnUnreachable marks pairs with no up/down
 // path (possible under faults or sub-threshold radices).
 type MinTurnIndex struct {
-	n           int
-	turns       []uint8
-	unreachable int64 // ordered pairs without a path, counted at build
+	n     int
+	turns []uint8
 }
 
 // turnUnreachable is the sentinel for leaf pairs without an up/down path.
@@ -93,7 +86,6 @@ func NewMinTurnIndex(u *UpDown) *MinTurnIndex {
 				return true
 			})
 		}
-		ix.unreachable += int64(n - filled)
 	}
 	return ix
 }
@@ -114,14 +106,6 @@ func (ix *MinTurnIndex) Leaves() int { return ix.n }
 
 // SizeBytes returns the memory footprint of the turn table.
 func (ix *MinTurnIndex) SizeBytes() int { return len(ix.turns) }
-
-// Routable reports whether every ordered leaf pair has an up/down path,
-// equivalent to (*UpDown).Routable but precomputed at build time.
-func (ix *MinTurnIndex) Routable() bool { return ix.unreachable == 0 }
-
-// UnreachablePairs returns the number of ordered leaf pairs without an
-// up/down path, counted once during construction.
-func (ix *MinTurnIndex) UnreachablePairs() int64 { return ix.unreachable }
 
 // Tier names the dense implementation.
 func (ix *MinTurnIndex) Tier() string { return "dense" }

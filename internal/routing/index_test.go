@@ -40,9 +40,6 @@ func TestMinTurnIndexMatchesMinTurn(t *testing.T) {
 				}
 			}
 		}
-		if ix.Routable() != u.Routable() {
-			t.Fatalf("Routable() = %v, want %v", ix.Routable(), u.Routable())
-		}
 	}
 	check()
 

@@ -39,8 +39,6 @@ type LeafSet interface {
 	Get(i int) bool
 	// Count returns the number of member leaves.
 	Count() int
-	// Empty reports whether the set has no members.
-	Empty() bool
 	// Full reports whether the set contains every leaf in [0, n).
 	Full() bool
 	// Runs calls yield for every maximal run [lo, hi) of members in
@@ -48,10 +46,6 @@ type LeafSet interface {
 	Runs(yield func(lo, hi int) bool) bool
 	// OrInto ors the set's members into b (b must hold >= n bits).
 	OrInto(b Bitset)
-	// Fill overwrites b with exactly the set's members; bits at positions
-	// >= n are cleared (b must be the (n+63)/64-word bitset of the
-	// universe).
-	Fill(b Bitset)
 	// SizeBytes returns the container's memory footprint, including its
 	// struct and slice headers.
 	SizeBytes() int
@@ -74,11 +68,9 @@ type emptySet struct{ n int }
 
 func (s emptySet) Get(int) bool                    { return false }
 func (s emptySet) Count() int                      { return 0 }
-func (s emptySet) Empty() bool                     { return true }
 func (s emptySet) Full() bool                      { return s.n == 0 }
 func (s emptySet) Runs(func(lo, hi int) bool) bool { return true }
 func (s emptySet) OrInto(Bitset)                   {}
-func (s emptySet) Fill(b Bitset)                   { b.Clear() }
 func (s emptySet) SizeBytes() int                  { return scalarSetBytes }
 func (s emptySet) Repr() string                    { return "empty" }
 
@@ -87,7 +79,6 @@ type fullSet struct{ n int }
 
 func (s fullSet) Get(int) bool { return true }
 func (s fullSet) Count() int   { return s.n }
-func (s fullSet) Empty() bool  { return s.n == 0 }
 func (s fullSet) Full() bool   { return true }
 func (s fullSet) Runs(yield func(lo, hi int) bool) bool {
 	if s.n == 0 {
@@ -96,12 +87,8 @@ func (s fullSet) Runs(yield func(lo, hi int) bool) bool {
 	return yield(0, s.n)
 }
 func (s fullSet) OrInto(b Bitset) { b.SetRange(0, s.n) }
-func (s fullSet) Fill(b Bitset) {
-	b.Clear()
-	b.SetRange(0, s.n)
-}
-func (s fullSet) SizeBytes() int { return scalarSetBytes }
-func (s fullSet) Repr() string   { return "full" }
+func (s fullSet) SizeBytes() int  { return scalarSetBytes }
+func (s fullSet) Repr() string    { return "full" }
 
 // runSet stores sorted disjoint non-adjacent runs packed lo<<32|hi.
 type runSet struct {
@@ -121,9 +108,8 @@ func (s *runSet) Get(i int) bool {
 	k := sort.Search(len(s.runs), func(k int) bool { return runLo(s.runs[k]) > i }) - 1
 	return k >= 0 && i < runHi(s.runs[k])
 }
-func (s *runSet) Count() int  { return s.count }
-func (s *runSet) Empty() bool { return s.count == 0 }
-func (s *runSet) Full() bool  { return s.count == s.n }
+func (s *runSet) Count() int { return s.count }
+func (s *runSet) Full() bool { return s.count == s.n }
 func (s *runSet) Runs(yield func(lo, hi int) bool) bool {
 	for _, r := range s.runs {
 		if !yield(runLo(r), runHi(r)) {
@@ -136,10 +122,6 @@ func (s *runSet) OrInto(b Bitset) {
 	for _, r := range s.runs {
 		b.SetRange(runLo(r), runHi(r))
 	}
-}
-func (s *runSet) Fill(b Bitset) {
-	b.Clear()
-	s.OrInto(b)
 }
 func (s *runSet) SizeBytes() int { return sliceSetBytes + 8*len(s.runs) }
 func (s *runSet) Repr() string   { return "run" }
@@ -154,9 +136,8 @@ func (s *sparseSet) Get(i int) bool {
 	_, ok := slices.BinarySearch(s.ids, int32(i))
 	return ok
 }
-func (s *sparseSet) Count() int  { return len(s.ids) }
-func (s *sparseSet) Empty() bool { return len(s.ids) == 0 }
-func (s *sparseSet) Full() bool  { return len(s.ids) == s.n }
+func (s *sparseSet) Count() int { return len(s.ids) }
+func (s *sparseSet) Full() bool { return len(s.ids) == s.n }
 func (s *sparseSet) Runs(yield func(lo, hi int) bool) bool {
 	for k := 0; k < len(s.ids); {
 		lo := int(s.ids[k])
@@ -177,10 +158,6 @@ func (s *sparseSet) OrInto(b Bitset) {
 		b.Set(int(id))
 	}
 }
-func (s *sparseSet) Fill(b Bitset) {
-	b.Clear()
-	s.OrInto(b)
-}
 func (s *sparseSet) SizeBytes() int { return sliceSetBytes + 4*len(s.ids) }
 func (s *sparseSet) Repr() string   { return "sparse" }
 
@@ -197,9 +174,8 @@ func (s *compSet) Get(i int) bool {
 	_, ok := slices.BinarySearch(s.holes, int32(i))
 	return !ok
 }
-func (s *compSet) Count() int  { return s.n - len(s.holes) }
-func (s *compSet) Empty() bool { return len(s.holes) == s.n }
-func (s *compSet) Full() bool  { return len(s.holes) == 0 }
+func (s *compSet) Count() int { return s.n - len(s.holes) }
+func (s *compSet) Full() bool { return len(s.holes) == 0 }
 func (s *compSet) Runs(yield func(lo, hi int) bool) bool {
 	lo := 0
 	for _, h := range s.holes {
@@ -219,13 +195,6 @@ func (s *compSet) OrInto(b Bitset) {
 		return true
 	})
 }
-func (s *compSet) Fill(b Bitset) {
-	b.Clear()
-	b.SetRange(0, s.n)
-	for _, h := range s.holes {
-		b.ClearBit(int(h))
-	}
-}
 func (s *compSet) SizeBytes() int { return sliceSetBytes + 4*len(s.holes) }
 func (s *compSet) Repr() string   { return "comp" }
 
@@ -238,7 +207,6 @@ type bitsSet struct {
 
 func (s *bitsSet) Get(i int) bool { return s.bits.Get(i) }
 func (s *bitsSet) Count() int     { return s.count }
-func (s *bitsSet) Empty() bool    { return s.count == 0 }
 func (s *bitsSet) Full() bool     { return s.count == s.n }
 func (s *bitsSet) Runs(yield func(lo, hi int) bool) bool {
 	for i := 0; i < s.n; {
@@ -258,7 +226,6 @@ func (s *bitsSet) Runs(yield func(lo, hi int) bool) bool {
 	return true
 }
 func (s *bitsSet) OrInto(b Bitset) { b.Or(s.bits) }
-func (s *bitsSet) Fill(b Bitset)   { copy(b, s.bits) }
 func (s *bitsSet) SizeBytes() int  { return sliceSetBytes + 8*len(s.bits) }
 func (s *bitsSet) Repr() string    { return "bits" }
 

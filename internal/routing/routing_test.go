@@ -37,13 +37,6 @@ func TestBitset(t *testing.T) {
 	if !full.Full(70) {
 		t.Error("Full(70) should hold")
 	}
-	if !b.Intersects(other) {
-		t.Error("Intersects missed shared bit")
-	}
-	empty := NewBitset(130)
-	if b.Intersects(empty) {
-		t.Error("Intersects with empty set")
-	}
 	b.Clear()
 	if b.Count() != 0 {
 		t.Error("Clear failed")

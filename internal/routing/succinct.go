@@ -23,11 +23,10 @@ import (
 // The index is immutable after construction, so concurrent readers need no
 // locking and SizeBytes is a pure function of the topology.
 type SuccinctTurnIndex struct {
-	n1          int
-	levels      int
-	rows        []succinctRow
-	sizeBytes   int
-	unreachable int64
+	n1        int
+	levels    int
+	rows      []succinctRow
+	sizeBytes int
 }
 
 // succinctRow is one source leaf's exception encoding. Exactly one of
@@ -86,7 +85,6 @@ func NewSuccinctTurnIndex(u *UpDown) *SuccinctTurnIndex {
 			reachable += b.counts[r]
 		}
 		unreach := n - 1 - reachable
-		ix.unreachable += int64(unreach)
 
 		// Majority class: the code shared by most destinations encodes for
 		// free. Ties resolve to "unreachable" first, then the lowest turn,
@@ -305,13 +303,6 @@ func (ix *SuccinctTurnIndex) Leaves() int { return ix.n1 }
 // SizeBytes returns the index's memory footprint: the exception encoding
 // plus per-row bookkeeping, fixed at construction.
 func (ix *SuccinctTurnIndex) SizeBytes() int { return ix.sizeBytes }
-
-// Routable reports whether every ordered leaf pair has an up/down path.
-func (ix *SuccinctTurnIndex) Routable() bool { return ix.unreachable == 0 }
-
-// UnreachablePairs returns the number of ordered leaf pairs without an
-// up/down path, counted once during construction.
-func (ix *SuccinctTurnIndex) UnreachablePairs() int64 { return ix.unreachable }
 
 // Tier names the succinct implementation.
 func (ix *SuccinctTurnIndex) Tier() string { return "succinct" }

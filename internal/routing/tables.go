@@ -1,7 +1,5 @@
 package routing
 
-import "fmt"
-
 // This file materialises concrete forwarding tables from the up/down
 // routing state, in the form a switch implementation would hold them:
 // for every (switch, destination leaf) pair, the set of output ports that
@@ -132,10 +130,4 @@ func (u *UpDown) Stats(tables []ForwardingTable) TableStats {
 	st.ApproxBytes = st.TotalPortRefs + 2*st.TotalEntries
 	st.CoverBytes = u.CoverBytes()
 	return st
-}
-
-// String renders the stats compactly.
-func (s TableStats) String() string {
-	return fmt.Sprintf("tables: %d switches × %d dests, %d entries, %d port refs, ~%d B explicit vs %d B covers, %d unreachable",
-		s.Switches, s.Destinations, s.TotalEntries, s.TotalPortRefs, s.ApproxBytes, s.CoverBytes, s.UnreachableEntries)
 }

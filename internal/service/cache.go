@@ -202,20 +202,6 @@ func (c *Cache) evictLocked() {
 	}
 }
 
-// Bytes returns the estimated resident bytes of ready cached builds.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// Len returns the number of cached (ready or in-flight) entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
-}
-
 // BuildsFor returns how many builds have started for key since the cache
 // was created — the singleflight assertion hook: under any concurrency it
 // must be exactly 1 per key unless the entry was evicted or failed.

@@ -5,12 +5,45 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"rfclos/internal/obs"
 )
+
+// cacheLen returns the number of cached (ready or in-flight) entries.
+func cacheLen(c *Cache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.items)
+}
+
+// cacheBytes returns the estimated resident bytes of ready cached builds.
+func cacheBytes(c *Cache) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
+}
+
+// counterValue reads the named counter from reg's /metrics rendering (0 if
+// never used).
+func counterValue(reg *obs.Registry, name string) int64 {
+	var b strings.Builder
+	reg.WriteTo(&b)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				panic(err)
+			}
+			return n
+		}
+	}
+	return 0
+}
 
 // stubSpec returns a valid tiny spec whose canonical string varies with i.
 func stubSpec(i int) Spec {
@@ -44,7 +77,7 @@ func TestCacheSingleflight(t *testing.T) {
 		}(i)
 	}
 	// Let every request join the flight, then release the build.
-	for c.Len() == 0 {
+	for cacheLen(c) == 0 {
 	}
 	close(gate)
 	wg.Wait()
@@ -96,8 +129,8 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys[2] = topo.Key
-	if c.Len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", c.Len())
+	if cacheLen(c) != 2 {
+		t.Fatalf("cache holds %d entries, want 2", cacheLen(c))
 	}
 	if _, ok := c.Lookup(keys[1]); ok {
 		t.Error("LRU entry (spec 1) survived eviction")
@@ -107,7 +140,7 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Errorf("recently used key %s was evicted", k)
 		}
 	}
-	if n := reg.Value(metricCacheEvictions); n != 1 {
+	if n := counterValue(reg, metricCacheEvictions); n != 1 {
 		t.Errorf("evictions counter = %d, want 1", n)
 	}
 }
@@ -130,8 +163,8 @@ func TestCacheBuildErrorsNotCached(t *testing.T) {
 	if n := builds.Load(); n != 2 {
 		t.Fatalf("%d builds ran, want 2 (errors must not be cached)", n)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("cache holds %d entries after failures, want 0", c.Len())
+	if cacheLen(c) != 0 {
+		t.Fatalf("cache holds %d entries after failures, want 0", cacheLen(c))
 	}
 }
 
@@ -162,7 +195,7 @@ func TestCacheBuildPanicSettles(t *testing.T) {
 		follower <- err
 	}()
 	// The follower joins the flight: its hit is counted before it waits.
-	for c.reg.Value(metricCacheHits) == 0 {
+	for counterValue(c.reg, metricCacheHits) == 0 {
 		runtime.Gosched()
 	}
 	close(release)
@@ -172,8 +205,8 @@ func TestCacheBuildPanicSettles(t *testing.T) {
 	if err := <-follower; !errors.Is(err, errBuildPanicked) {
 		t.Fatalf("follower error = %v, want %v", err, errBuildPanicked)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("cache holds %d entries after the panic, want 0", c.Len())
+	if cacheLen(c) != 0 {
+		t.Fatalf("cache holds %d entries after the panic, want 0", cacheLen(c))
 	}
 	if _, cached, err := c.Get(stubSpec(0)); err != nil || cached {
 		t.Fatalf("rebuild after panic: cached=%v err=%v", cached, err)
@@ -199,8 +232,8 @@ func TestCacheRejectsInvalidSpec(t *testing.T) {
 			t.Errorf("spec %+v accepted, want error", sp)
 		}
 	}
-	if c.Len() != 0 {
-		t.Fatalf("invalid specs left %d cache entries", c.Len())
+	if cacheLen(c) != 0 {
+		t.Fatalf("invalid specs left %d cache entries", cacheLen(c))
 	}
 }
 
@@ -252,14 +285,14 @@ func TestCacheByteBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := c.Len(); n != 2 {
+	if n := cacheLen(c); n != 2 {
 		t.Fatalf("Len() = %d after 5 builds under a 2-build byte budget, want 2", n)
 	}
-	if b := c.Bytes(); b > budget {
+	if b := cacheBytes(c); b > budget {
 		t.Fatalf("Bytes() = %d > budget %d", b, budget)
 	}
-	if got := c.reg.Value(metricCacheBytes); got != c.Bytes() {
-		t.Fatalf("%s gauge = %d, cache reports %d", metricCacheBytes, got, c.Bytes())
+	if got := counterValue(c.reg, metricCacheBytes); got != cacheBytes(c) {
+		t.Fatalf("%s gauge = %d, cache reports %d", metricCacheBytes, got, cacheBytes(c))
 	}
 
 	// A build over the whole budget still lands (front entry is never
@@ -268,13 +301,13 @@ func TestCacheByteBudget(t *testing.T) {
 	if _, _, err := tiny.Get(stubSpec(0)); err != nil {
 		t.Fatal(err)
 	}
-	if n := tiny.Len(); n != 1 {
+	if n := cacheLen(tiny); n != 1 {
 		t.Fatalf("Len() = %d, want 1 (over-budget MRU entry must survive)", n)
 	}
 	if _, _, err := tiny.Get(stubSpec(1)); err != nil {
 		t.Fatal(err)
 	}
-	if n := tiny.Len(); n != 1 {
+	if n := cacheLen(tiny); n != 1 {
 		t.Fatalf("Len() = %d after second build, want 1 (old entry evicted)", n)
 	}
 	if _, cached, err := tiny.Get(stubSpec(1)); err != nil || !cached {
@@ -322,10 +355,10 @@ func TestCacheConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				c.Lookup(keys[(i+w)%nkeys])
-				c.Len()
-				c.Bytes()
+				cacheLen(c)
+				cacheBytes(c)
 				c.BuildsFor(keys[i%nkeys])
-				reg.Value(metricCacheBytes)
+				counterValue(reg, metricCacheBytes)
 				reg.Add(fmt.Sprintf("test_reader_%d_%d", w, i), 1)
 				reg.WriteTo(io.Discard)
 			}
@@ -333,13 +366,13 @@ func TestCacheConcurrentChurn(t *testing.T) {
 	}
 	wg.Wait()
 
-	if n := c.Len(); n != capacity {
+	if n := cacheLen(c); n != capacity {
 		t.Errorf("Len() = %d, want %d", n, capacity)
 	}
-	if got, want := c.Bytes(), int64(capacity)*(&Topology{Clos: base.Clos}).MemBytes(); got != want {
+	if got, want := cacheBytes(c), int64(capacity)*(&Topology{Clos: base.Clos}).MemBytes(); got != want {
 		t.Errorf("Bytes() = %d, want %d for %d resident entries", got, want, capacity)
 	}
-	if got := reg.Value(metricCacheBytes); got != c.Bytes() {
-		t.Errorf("%s gauge = %d, cache reports %d", metricCacheBytes, got, c.Bytes())
+	if got := counterValue(reg, metricCacheBytes); got != cacheBytes(c) {
+		t.Errorf("%s gauge = %d, cache reports %d", metricCacheBytes, got, cacheBytes(c))
 	}
 }

@@ -198,7 +198,7 @@ func TestPaperScaleServing(t *testing.T) {
 
 	// The topology-store gauge must account exactly the cached build's CSR
 	// + overlay bytes.
-	if got, want := srv.Metrics().Value("rfcd_topology_bytes"), int64(topo.Clos.StoreBytes()); got != want {
+	if got, want := counterValue(srv.reg, "rfcd_topology_bytes"), int64(topo.Clos.StoreBytes()); got != want {
 		t.Fatalf("rfcd_topology_bytes = %d, want %d", got, want)
 	}
 

@@ -210,7 +210,7 @@ func equivCases(t *testing.T) map[string]*topology.Clos {
 		t.Fatal(err)
 	}
 	out["oft"] = oft
-	kary, err := core.GenerateGeneral(core.RandomKaryTreeParams(4, 3), rng.New(9))
+	kary, err := core.GenerateGeneral(core.NewHashnetParams(16, 3, 4, 4), rng.New(9)) // a random 4-ary 3-tree
 	if err != nil {
 		t.Fatal(err)
 	}

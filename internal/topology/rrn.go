@@ -42,64 +42,5 @@ func (r *RRN) Terminals() int { return r.G.N() * r.TermsPerSwitch }
 // Wires returns the number of switch-to-switch links.
 func (r *RRN) Wires() int { return r.G.M() }
 
-// TotalPorts counts network ports plus terminal ports, the Figure 7 cost
-// measure.
-func (r *RRN) TotalPorts() int { return 2*r.G.M() + r.Terminals() }
-
 // Diameter returns the exact switch-graph diameter (-1 when disconnected).
 func (r *RRN) Diameter() int { return r.G.Diameter() }
-
-// Expand grows the RRN to n2 switches (n2 >= N) preserving degree d, using
-// the Jellyfish incremental expansion procedure: each new switch is wired by
-// repeatedly removing a random existing edge {u, v} and adding {u, new} and
-// {new, v}, until the new switch reaches full degree. Returns the number of
-// existing links that were rewired.
-func (r *RRN) Expand(n2 int, rnd *rng.Rand) (rewired int, err error) {
-	if n2 < r.G.N() {
-		return 0, fmt.Errorf("topology: RRN cannot shrink from %d to %d", r.G.N(), n2)
-	}
-	if r.Degree < 2 || r.Degree%2 != 0 {
-		return 0, fmt.Errorf("topology: RRN expansion needs even degree >= 2, got %d", r.Degree)
-	}
-	old := r.G
-	g := graph.New(n2)
-	for _, e := range old.Edges() {
-		g.AddEdge(int(e.U), int(e.V))
-	}
-	for v := old.N(); v < n2; v++ {
-		for g.Degree(v)+1 < r.Degree {
-			// Pick a random existing edge not incident to v and splice v in.
-			u, w, ok := randomEdgeAvoiding(g, v, rnd)
-			if !ok {
-				return rewired, fmt.Errorf("topology: RRN expansion stuck at switch %d", v)
-			}
-			g.RemoveEdge(u, w)
-			g.AddEdge(u, v)
-			g.AddEdge(v, w)
-			rewired++
-		}
-	}
-	r.G = g
-	return rewired, nil
-}
-
-// randomEdgeAvoiding returns a uniformly random edge {u, w} with u != v,
-// w != v, and neither u nor w already adjacent to v.
-func randomEdgeAvoiding(g *graph.Graph, v int, rnd *rng.Rand) (int, int, bool) {
-	edges := g.Edges()
-	// Try random probes first, then fall back to a scan.
-	for try := 0; try < 64; try++ {
-		e := edges[rnd.Intn(len(edges))]
-		u, w := int(e.U), int(e.V)
-		if u != v && w != v && !g.HasEdge(u, v) && !g.HasEdge(w, v) {
-			return u, w, true
-		}
-	}
-	for _, e := range edges {
-		u, w := int(e.U), int(e.V)
-		if u != v && w != v && !g.HasEdge(u, v) && !g.HasEdge(w, v) {
-			return u, w, true
-		}
-	}
-	return 0, 0, false
-}

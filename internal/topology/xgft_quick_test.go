@@ -3,6 +3,8 @@ package topology
 import (
 	"testing"
 	"testing/quick"
+
+	"rfclos/internal/graph"
 )
 
 func TestOFTFourLevels(t *testing.T) {
@@ -74,7 +76,7 @@ func TestXGFTFatTreeRecursion(t *testing.T) {
 			g.RemoveEdge(int(s), int(d))
 		}
 	}
-	comps := g.Components()
+	comps := components(g)
 	// Components: k_l subtrees plus the now-isolated root switches.
 	nonTrivial := 0
 	for _, comp := range comps {
@@ -103,7 +105,7 @@ func TestOFTFatTreeRecursion(t *testing.T) {
 		}
 	}
 	nonTrivial := 0
-	for _, comp := range g.Components() {
+	for _, comp := range components(g) {
 		if len(comp) > 1 {
 			nonTrivial++
 		}
@@ -112,4 +114,31 @@ func TestOFTFatTreeRecursion(t *testing.T) {
 	if nonTrivial != want {
 		t.Errorf("OFT(%d,3) splits into %d subtrees, want k_l = %d", q, nonTrivial, want)
 	}
+}
+
+// components returns the vertex sets of g's connected components.
+func components(g *graph.Graph) [][]int32 {
+	comp := make([]int32, g.N())
+	for i := range comp {
+		comp[i] = -1
+	}
+	var out [][]int32
+	for s := 0; s < g.N(); s++ {
+		if comp[s] >= 0 {
+			continue
+		}
+		id := int32(len(out))
+		comp[s] = id
+		members := []int32{int32(s)}
+		for head := 0; head < len(members); head++ {
+			for _, v := range g.Neighbors(int(members[head])) {
+				if comp[v] < 0 {
+					comp[v] = id
+					members = append(members, v)
+				}
+			}
+		}
+		out = append(out, members)
+	}
+	return out
 }

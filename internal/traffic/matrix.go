@@ -168,14 +168,6 @@ func StormMatrix(t, storms int, r *rng.Rand) []Demand {
 	return out
 }
 
-// MatrixNames lists the canonical matrix generators NewMatrix accepts: the
-// four packet patterns (via MatrixFromPattern) plus the flow-only
-// workloads.
-func MatrixNames() []string {
-	return []string{"uniform", "random-pairing", "fixed-random", "shift",
-		"hotspot", "incast", "elephant-mice", "storm"}
-}
-
 // NewMatrix builds the named canonical traffic matrix over t terminals,
 // consuming randomness from r. Pattern-backed names reuse the §6 pattern
 // constructors, except "uniform", which becomes 4 flows per source so the

@@ -67,7 +67,7 @@ func TestPairingIsRandom(t *testing.T) {
 	counts := make([]int, n)
 	r := rng.New(3)
 	for i := 0; i < trials; i++ {
-		counts[NewPairing(n, r).Partner(0)]++
+		counts[NewPairing(n, r).Dest(0, nil)]++
 	}
 	want := float64(trials) / (n - 1)
 	for i := 1; i < n; i++ {
