@@ -1,7 +1,7 @@
 // Solver benchmark at datacenter scale: a uniform matrix over a 64K-leaf
 // XGFT (262,144 terminals, one flow per terminal), resolved and
-// water-filled end to end. scripts/bench.sh records the flows/sec rate as
-// the flow-solver datapoint in BENCH_engine.json.
+// water-filled end to end, reported as flows/sec (the flow-solver
+// datapoint of BENCH_engine.json). Run with -count N for repeated samples.
 package flow_test
 
 import (

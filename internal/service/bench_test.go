@@ -11,7 +11,7 @@ import (
 
 // BenchmarkCachedPath measures GET /v1/path throughput against a warm
 // cache through the full HTTP stack (in-process server + Go client), the
-// serving-layer datapoint scripts/bench.sh records. Reported in req/sec.
+// serving-layer datapoint of BENCH_engine.json. Reported in req/sec.
 func BenchmarkCachedPath(b *testing.B) {
 	srv := service.New(service.Options{CacheSize: 4})
 	ts := httptest.NewServer(srv.Handler())

@@ -11,7 +11,7 @@ import (
 
 // BenchmarkEngineCycles measures raw engine speed — simulated cycles per
 // wall-clock second on a radix-8 3-level CFT at 0.6 load — and reports it as
-// the cycles/sec metric scripts/bench.sh records into BENCH_engine.json.
+// the cycles/sec metric of BENCH_engine.json's engine datapoints.
 func BenchmarkEngineCycles(b *testing.B) {
 	c, err := topology.NewCFT(8, 3)
 	if err != nil {

@@ -2,8 +2,8 @@
 // level emitter and reports the sealed store's footprint next to the
 // pre-refactor arena cost model ([][]int32 up/down lists: 8 bytes of int32
 // per wire across the two directions plus two 24-byte slice headers per
-// switch). scripts/bench.sh records both at 64K and 512K leaves as the
-// topology-build datapoint in BENCH_engine.json.
+// switch), at 64K and 512K leaves (the topology-build datapoint of
+// BENCH_engine.json).
 package topology_test
 
 import (
@@ -43,9 +43,8 @@ func BenchmarkTopologyBuild(b *testing.B) {
 }
 
 // BenchmarkExportEdges measures streaming the full link set, sealed
-// (CSR-direct fast path) vs after one mutation (overlay fallback).
-// scripts/bench.sh records the sealed 64K-leaf rate as the export-edges
-// datapoint in BENCH_engine.json.
+// (CSR-direct fast path) vs after one mutation (overlay fallback). The
+// sealed 64K-leaf rate is the export-edges datapoint of BENCH_engine.json.
 func BenchmarkExportEdges(b *testing.B) {
 	m3 := 65536 / 8
 	c, err := topology.NewXGFT([]int{4, 8, m3}, []int{1, 8, 2}, m3)
