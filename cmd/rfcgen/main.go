@@ -13,7 +13,6 @@
 // (GET /v1/topology/{key}/export): output is produced edge-by-edge from the
 // topology's link iterators without materializing the edge list, so offline
 // and online exports of the same build are byte-identical at any scale.
-// -dot and -edges remain as shorthands.
 package main
 
 import (
@@ -40,18 +39,9 @@ func main() {
 		seed   = flag.Uint64("seed", 1, "random seed")
 		format = flag.String("format", "",
 			"export format: "+strings.Join(topology.ExportFormats(), " | ")+" (empty = summary)")
-		edges = flag.Bool("edges", false, "shorthand for -format edges")
-		dot   = flag.Bool("dot", false, "shorthand for -format dot")
 	)
 	flag.Parse()
-	f := *format
-	if f == "" && *dot {
-		f = "dot"
-	}
-	if f == "" && *edges {
-		f = "edges"
-	}
-	if err := run(*topo, *radix, *levels, *leaves, *q, *k, *n, *degree, *terms, *seed, f); err != nil {
+	if err := run(*topo, *radix, *levels, *leaves, *q, *k, *n, *degree, *terms, *seed, *format); err != nil {
 		fmt.Fprintln(os.Stderr, "rfcgen:", err)
 		os.Exit(1)
 	}

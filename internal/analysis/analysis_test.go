@@ -44,9 +44,27 @@ func TestFaultsToDisconnectKnownGraphs(t *testing.T) {
 	if got := FaultsToDisconnect(k5, r); got < 4 {
 		t.Errorf("K5 disconnected after %d removals, want >= 4", got)
 	}
-	if avg := meanFraction(disconnectObs(cyc, 20, 0, 1, engine.Shard{}), cyc.M()); avg != 2.0/8.0 {
+	obs, err := trialObs(20, 0, 1, engine.Shard{}, func(r *rng.Rand) (float64, error) {
+		return float64(FaultsToDisconnect(cyc, r)), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg := meanFraction(obs, cyc.M()); avg != 2.0/8.0 {
 		t.Errorf("average fraction = %v, want 0.25", avg)
 	}
+}
+
+// upDownFaultObs runs the Figure 11 measure's trials on every worker.
+func upDownFaultObs(t *testing.T, c *topology.Clos, trials int, seed uint64) []metrics.Obs {
+	t.Helper()
+	obs, err := trialObs(trials, 0, seed, engine.Shard{}, func(r *rng.Rand) (float64, error) {
+		return float64(FaultsUntilUpDownLost(c, r)), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return obs
 }
 
 // meanFraction is the mean of a trial cell's observations as a fraction of
@@ -79,7 +97,7 @@ func TestUpDownFaultToleranceCFTPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tol := meanFraction(upDownFaultObs(c, 3, 0, 3, engine.Shard{}), c.Wires())
+	tol := meanFraction(upDownFaultObs(t, c, 3, 3), c.Wires())
 	if tol <= 0 || tol >= 1 {
 		t.Errorf("CFT tolerance = %v, want in (0,1)", tol)
 	}
@@ -98,8 +116,8 @@ func TestRFCToleratesMoreThanCFTAtEqualRadix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cftTol := meanFraction(upDownFaultObs(cft, 4, 0, 4, engine.Shard{}), cft.Wires())
-	rfcTol := meanFraction(upDownFaultObs(rfc, 4, 0, 4, engine.Shard{}), rfc.Wires())
+	cftTol := meanFraction(upDownFaultObs(t, cft, 4, 4), cft.Wires())
+	rfcTol := meanFraction(upDownFaultObs(t, rfc, 4, 4), rfc.Wires())
 	if rfcTol <= cftTol {
 		t.Errorf("RFC tolerance %v not above CFT tolerance %v", rfcTol, cftTol)
 	}

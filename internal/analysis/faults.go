@@ -32,36 +32,24 @@ func FaultsToDisconnect(g *graph.Graph, r *rng.Rand) int {
 	return 0
 }
 
-// disconnectObs fans this shard's FaultsToDisconnect trials out over the
-// worker pool and returns the per-trial removal counts as job-indexed
-// observations (trial i drawing from rng.At(seed, i)), ready for a mergeable
-// Mean cell. Unowned trials never run.
-func disconnectObs(g *graph.Graph, trials, workers int, seed uint64, sh engine.Shard) []metrics.Obs {
-	counts, _ := engine.RunShard(trials, workers, sh, func(i int) (int, error) {
-		return FaultsToDisconnect(g, rng.At(seed, uint64(i))), nil
+// trialObs runs this shard's Monte-Carlo trials on the worker pool, trial
+// i measuring on its own stream rng.At(seed, i), and returns the owned
+// outcomes as job-indexed observations in trial order, ready for a
+// mergeable Mean cell. Unowned trials never run.
+func trialObs(trials, workers int, seed uint64, sh engine.Shard, measure func(*rng.Rand) (float64, error)) ([]metrics.Obs, error) {
+	vals, err := engine.RunShard(trials, workers, sh, func(i int) (float64, error) {
+		return measure(rng.At(seed, uint64(i)))
 	})
-	return ownedObs(counts, sh)
-}
-
-// upDownFaultObs is disconnectObs for the Figure 11 measure: this shard's
-// FaultsUntilUpDownLost trials as job-indexed observations.
-func upDownFaultObs(c *topology.Clos, trials, workers int, seed uint64, sh engine.Shard) []metrics.Obs {
-	counts, _ := engine.RunShard(trials, workers, sh, func(i int) (int, error) {
-		return FaultsUntilUpDownLost(c, rng.At(seed, uint64(i))), nil
-	})
-	return ownedObs(counts, sh)
-}
-
-// ownedObs converts a RunShard result (full-length, zero where unowned) to
-// the owned observations in trial order.
-func ownedObs(counts []int, sh engine.Shard) []metrics.Obs {
-	obs := make([]metrics.Obs, 0, len(counts))
-	for i, n := range counts {
+	if err != nil {
+		return nil, err
+	}
+	obs := make([]metrics.Obs, 0, len(vals))
+	for i, v := range vals {
 		if sh.Owns(i) {
-			obs = append(obs, metrics.Obs{Job: i, V: float64(n)})
+			obs = append(obs, metrics.Obs{Job: i, V: v})
 		}
 	}
-	return obs
+	return obs, nil
 }
 
 // FaultsUntilUpDownLost returns the number of random link removals a folded

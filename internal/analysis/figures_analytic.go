@@ -7,7 +7,6 @@ import (
 	"rfclos/internal/core"
 	"rfclos/internal/engine"
 	"rfclos/internal/gf"
-	"rfclos/internal/metrics"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
 	"rfclos/internal/topology"
@@ -264,7 +263,16 @@ func Thm42Sharded(opts Thm42Options) (*Report, error) {
 			continue
 		}
 		rowSeed := rng.DeriveSeed(opts.Seed, rng.StringCoord("thm42"), uint64(radix))
-		obs, err := routableTrialObs(p, opts.Trials, opts.Workers, rowSeed, opts.Shard)
+		obs, err := trialObs(opts.Trials, opts.Workers, rowSeed, opts.Shard, func(r *rng.Rand) (float64, error) {
+			c, err := core.Generate(p, r)
+			if err != nil {
+				return 0, err
+			}
+			if routing.New(c).Routable() {
+				return 1, nil
+			}
+			return 0, nil
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -280,34 +288,6 @@ func Thm42Sharded(opts Thm42Options) (*Report, error) {
 // the facade keeps exporting.
 func Thm42(n1, trials, workers int, seed uint64) (*Report, error) {
 	return Thm42Sharded(Thm42Options{N1: n1, Trials: trials, Workers: workers, Seed: seed})
-}
-
-// routableTrialObs runs this shard's generation trials for one Theorem 4.2
-// row (trial i generating from rng.At(seed, i)) and returns the 0/1
-// routability outcomes as job-indexed observations.
-func routableTrialObs(p core.Params, trials, workers int, seed uint64, sh engine.Shard) ([]metrics.Obs, error) {
-	oks, err := engine.RunShard(trials, workers, sh, func(i int) (bool, error) {
-		c, err := core.Generate(p, rng.At(seed, uint64(i)))
-		if err != nil {
-			return false, err
-		}
-		return routing.New(c).Routable(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	obs := make([]metrics.Obs, 0, len(oks))
-	for i, ok := range oks {
-		if !sh.Owns(i) {
-			continue
-		}
-		v := 0.0
-		if ok {
-			v = 1
-		}
-		obs = append(obs, metrics.Obs{Job: i, V: v})
-	}
-	return obs, nil
 }
 
 // exactRoutableProb computes e^{-λ} with the exact hypergeometric pair

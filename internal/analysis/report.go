@@ -266,7 +266,3 @@ func (r *Report) MissingObs() int {
 	}
 	return missing
 }
-
-func itoa(v int) string { return fmt.Sprintf("%d", v) }
-
-func ftoa(v float64) string { return fmt.Sprintf("%.4g", v) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strconv"
 	"testing"
 
 	"rfclos/internal/metrics"
@@ -60,7 +61,7 @@ func fuzzReport(data []byte) *Report {
 	}
 	rep := &Report{Exhibit: "fuzz", Params: "seed=1", Title: "fuzz", Header: []string{"row", "mean", "std"}}
 	for r := range obs {
-		rep.AddKeyed(itoa(r), Int(r), Mean(obs[r], len(obs[r]), "%.17g"), Std(obs[r], len(obs[r]), "%.17g"))
+		rep.AddKeyed(strconv.Itoa(r), Int(r), Mean(obs[r], len(obs[r]), "%.17g"), Std(obs[r], len(obs[r]), "%.17g"))
 	}
 	return rep
 }

@@ -62,7 +62,9 @@ func Table3Disconnect(opts Table3Options) (*Report, error) {
 	// disconnectCell renders mean(count)/links*100 with the radix suffix,
 	// from this shard's trials of the cell.
 	disconnectCell := func(g *graph.Graph, topo string, target, radix int) Cell {
-		obs := disconnectObs(g, opts.Trials, opts.Workers, cellSeed(topo, target), opts.Shard)
+		// The measure cannot fail, so neither can trialObs.
+		obs, _ := trialObs(opts.Trials, opts.Workers, cellSeed(topo, target), opts.Shard,
+			func(r *rng.Rand) (float64, error) { return float64(FaultsToDisconnect(g, r)), nil })
 		c := Mean(obs, opts.Trials, "%.1f")
 		c.Div = float64(g.M())
 		c.Mul = 100
@@ -231,7 +233,9 @@ func Fig11UpDownFaults(opts Fig11Options) (*Report, error) {
 			order = append(order, pt.series)
 		}
 		trialSeed := rng.DeriveSeed(opts.Seed, rng.StringCoord("fig11/trial/"+pt.series), uint64(pt.x))
-		obs := upDownFaultObs(pt.c, opts.Trials, opts.Workers, trialSeed, opts.Shard)
+		// The measure cannot fail, so neither can trialObs.
+		obs, _ := trialObs(opts.Trials, opts.Workers, trialSeed, opts.Shard,
+			func(r *rng.Rand) (float64, error) { return float64(FaultsUntilUpDownLost(pt.c, r)), nil })
 		rowsBySeries[pt.series] = append(rowsBySeries[pt.series], f11row{pt.x, pt.c.Wires(), obs})
 	}
 	rep := &Report{

@@ -31,9 +31,9 @@ func formatCrossval(fc goldencases.FlowCase, res *flow.Result) string {
 		fc.Name, res.Flows, res.Unroutable, res.Accepted, res.MinRate, res.MeanRate, res.Jain, res.Rounds)
 }
 
-// TestCrossvalGolden pins the flow backend's output on the 14 simcore
-// golden cases, byte for byte, at two worker counts (worker invariance
-// rides along). Refresh with UPDATE_FLOW_GOLDEN=1.
+// TestCrossvalGolden pins the flow backend's output on the 14 flow golden
+// points (12 of them shared with simcore's goldens), byte for byte, at two
+// worker counts (worker invariance rides along). Refresh with UPDATE_FLOW_GOLDEN=1.
 func TestCrossvalGolden(t *testing.T) {
 	var got string
 	for i, fc := range goldencases.FlowCases() {

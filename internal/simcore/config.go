@@ -42,17 +42,6 @@ type Config struct {
 	// once. The default (false) models a NIC that drains one phit per
 	// cycle, symmetric with injection.
 	InfiniteSink bool
-	// SampleInterval, when positive, records a Timeline sample every that
-	// many cycles (warm-up included): generated/delivered packet rates and
-	// mean latency over the interval. Use it to verify the warm-up is long
-	// enough for the statistic of interest.
-	SampleInterval int
-	// AutoWarmup, when true, extends the warm-up beyond WarmupCycles until
-	// the delivery rate stabilises: consecutive windows of WarmupCycles/2
-	// cycles must agree within 5% (or a hard cap of 8× WarmupCycles is
-	// hit) before measurement starts. The Result's MeasuredCycles is
-	// unchanged; the extra cycles only delay the window.
-	AutoWarmup bool
 	// Seed makes the whole simulation reproducible.
 	Seed uint64
 }
@@ -107,18 +96,6 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// TimePoint is one Timeline sample covering the interval ending at Cycle.
-type TimePoint struct {
-	Cycle     int
-	Generated int
-	Delivered int
-	// AvgLatency is the mean latency of packets delivered in the interval
-	// (0 when none).
-	AvgLatency float64
-	// InFlight is the packet population at the sample instant.
-	InFlight int
-}
-
 // Result reports one simulation run.
 type Result struct {
 	// OfferedLoad is the configured generation rate in phits per terminal
@@ -160,23 +137,4 @@ type Result struct {
 	// happened) — impossible under a correct deadlock-free routing policy
 	// and a strong canary in fault experiments.
 	Stalled bool
-	// Timeline holds per-interval samples when Config.SampleInterval > 0.
-	Timeline []TimePoint
-}
-
-// rateStable reports whether two consecutive window delivery counts agree
-// within 5%.
-func rateStable(a, b int) bool {
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
-	}
-	max := a
-	if b > max {
-		max = b
-	}
-	if max == 0 {
-		return true
-	}
-	return float64(diff) <= 0.05*float64(max)
 }

@@ -109,12 +109,6 @@ type Engine struct {
 	inFlight      int
 	lastDelivery  int32
 
-	// Timeline interval accumulators (Config.SampleInterval > 0).
-	timeline  []TimePoint
-	intGen    int
-	intDel    int
-	intLatSum float64
-
 	// Arbitration scratch, sized to the max outputs of any switch.
 	candCount []int32
 	candSrc   []int64
@@ -194,28 +188,8 @@ func (e *Engine) Run(load float64) Result {
 	for t := 0; t < e.terms; t++ {
 		e.nextGen[t] = e.drawGap(p)
 	}
-	warm := int32(e.cfg.WarmupCycles)
 	e.cycle = 0
-	e.advance(warm, p)
-	if e.cfg.AutoWarmup {
-		// Keep warming in half-windows until the delivery rate of two
-		// consecutive windows agrees within 5%, capped at 8x the base
-		// warm-up.
-		win := warm / 2
-		if win < 100 {
-			win = 100
-		}
-		prev := -1
-		for extra := int32(0); extra < 8*warm; extra += win {
-			before := e.totDelivered
-			e.advance(win, p)
-			cur := e.totDelivered - before
-			if prev >= 0 && rateStable(prev, cur) {
-				break
-			}
-			prev = cur
-		}
-	}
+	e.advance(int32(e.cfg.WarmupCycles), p)
 	e.measuring = true
 	e.generated, e.delivered, e.droppedSrc, e.unroutable = 0, 0, 0, 0
 	e.lat = metrics.Histogram{}
@@ -251,7 +225,6 @@ func (e *Engine) Run(load float64) Result {
 	inNetwork := e.inFlight - inSource
 	quiet := total - e.lastDelivery
 	res.Stalled = inNetwork > 0 && quiet > int32(e.cfg.MeasureCycles)/4
-	res.Timeline = e.timeline
 	return res
 }
 
@@ -261,19 +234,6 @@ func (e *Engine) advance(n int32, p float64) {
 		e.processEvents()
 		e.generate(p)
 		e.arbitrate()
-		if si := e.cfg.SampleInterval; si > 0 && (int(e.cycle)+1)%si == 0 {
-			tp := TimePoint{
-				Cycle:     int(e.cycle) + 1,
-				Generated: e.intGen,
-				Delivered: e.intDel,
-				InFlight:  e.inFlight,
-			}
-			if e.intDel > 0 {
-				tp.AvgLatency = e.intLatSum / float64(e.intDel)
-			}
-			e.timeline = append(e.timeline, tp)
-			e.intGen, e.intDel, e.intLatSum = 0, 0, 0
-		}
 	}
 }
 
@@ -309,8 +269,6 @@ func (e *Engine) processEvents() {
 		e.totDelivered++
 		e.inFlight--
 		e.lastDelivery = e.cycle
-		e.intDel++
-		e.intLatSum += float64(e.cycle - p.genAt)
 		if e.measuring {
 			e.delivered++
 			e.lat.Add(int(e.cycle - p.genAt))
@@ -348,7 +306,6 @@ func (e *Engine) generate(p float64) {
 			e.generated++
 		}
 		e.totGenerated++
-		e.intGen++
 		if len(e.srcQ[t]) >= e.cfg.SourceQueueCap {
 			e.totDropped++
 			if e.measuring {

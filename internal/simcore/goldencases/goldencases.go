@@ -8,9 +8,14 @@
 // RNG consumption order, arbitration scan order or event scheduling shows up
 // as a byte difference. They deliberately cover every policy branch of both
 // network classes: plain and hash up/down routing, infinite-sink reception,
-// auto-warm-up, timeline sampling, minimal buffering, request-refresh
-// extremes, faulted topologies with unroutable pairs, and the hop-indexed
-// VC scheme of the direct networks.
+// minimal buffering, request-refresh extremes, faulted topologies with
+// unroutable pairs, and the hop-indexed VC scheme of the direct networks.
+//
+// FlowCases, the flow-level view used by internal/flow's cross-validation
+// goldens, has 14 points: the 12 of Cases plus two uniform cft8x3 points
+// (loads 0.5 and 0.4) whose cycle-engine counterparts exercised engine
+// modes that no longer exist. Each flow point is seeded by its index, so
+// the list keeps its original order.
 package goldencases
 
 import (
@@ -103,10 +108,10 @@ func fixedRandom(t int) traffic.Pattern {
 
 // FlowCase is the topology/pattern view of one golden point, used by the
 // flow-level backend's cross-validation goldens (internal/flow): same
-// builders, same fixed seeds, same canonical order and names as Cases, so
-// the two backends are pinned against identical networks. Exactly one of
-// BuildClos/BuildRRN is non-nil. Engine-config mutations of the cycle cases
-// (VCs, warm-up, sampling) have no flow-level counterpart and are omitted.
+// builders, same fixed seeds and same names as Cases, so the two backends
+// are pinned against identical networks. Exactly one of BuildClos/BuildRRN
+// is non-nil. Engine-config mutations of the cycle cases (VCs, buffering,
+// request refresh) have no flow-level counterpart and are omitted.
 type FlowCase struct {
 	Name      string
 	Load      float64
@@ -122,7 +127,10 @@ func buildRRN(n, d, tps int) func() (*topology.RRN, error) {
 	}
 }
 
-// FlowCases returns the flow-level view of Cases, index for index.
+// FlowCases returns the flow-level golden points in their canonical order:
+// every Case's network and pattern, plus the two flow-only points named in
+// the package doc. The order is fixed because each point is seeded by its
+// index.
 func FlowCases() []FlowCase {
 	return []FlowCase{
 		{Name: "clos/cft8x3/uniform/0.2", Load: 0.2, BuildClos: cft(8, 3), Pattern: uniform},
@@ -152,10 +160,6 @@ func Cases() []Case {
 			func(c *simnet.Config) { c.InfiniteSink = true }),
 		closCase("clos/cft8x3/uniform/0.6/hash-routing", cft(8, 3), uniform, 0.6,
 			func(c *simnet.Config) { c.HashRouting = true }),
-		closCase("clos/cft8x3/uniform/0.5/auto-warmup", cft(8, 3), uniform, 0.5,
-			func(c *simnet.Config) { c.AutoWarmup = true }),
-		closCase("clos/cft8x3/uniform/0.4/timeline", cft(8, 3), uniform, 0.4,
-			func(c *simnet.Config) { c.SampleInterval = 250 }),
 		closCase("clos/cft8x3/uniform/1.0/1vc-1buf", cft(8, 3), uniform, 1.0,
 			func(c *simnet.Config) { c.VCs = 1; c.BufferPackets = 1 }),
 		closCase("clos/cft8x3/uniform/0.7/refresh-1", cft(8, 3), uniform, 0.7,

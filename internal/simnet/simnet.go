@@ -22,9 +22,6 @@ import (
 // Config carries the Table 2 simulation parameters (shared engine type).
 type Config = simcore.Config
 
-// TimePoint is one Timeline sample (shared engine type).
-type TimePoint = simcore.TimePoint
-
 // Result reports one simulation run (shared engine type).
 type Result = simcore.Result
 

@@ -113,7 +113,7 @@ func (a *refArena) wires() int {
 	return n
 }
 
-// refJSONBytes renders the old WriteJSON output (encoding/json over the
+// refJSONBytes renders Export's json format (encoding/json over the
 // materialised link slice) for the arena's state.
 func refJSONBytes(t *testing.T, c *topology.Clos, a *refArena) []byte {
 	t.Helper()
@@ -136,7 +136,7 @@ func refJSONBytes(t *testing.T, c *topology.Clos, a *refArena) []byte {
 	return buf.Bytes()
 }
 
-// refEdgeBytes renders the old WriteEdgeList output for the arena's state.
+// refEdgeBytes renders Export's edges format for the arena's state.
 func refEdgeBytes(a *refArena) []byte {
 	var buf bytes.Buffer
 	for _, l := range a.links() {
@@ -171,18 +171,18 @@ func requireEqual(t *testing.T, label string, c *topology.Clos, a *refArena) {
 		t.Fatalf("%s: EdgeSeq yielded %d links, arena has %d", label, i, len(want))
 	}
 	var gotJSON bytes.Buffer
-	if err := c.WriteJSON(&gotJSON); err != nil {
+	if err := topology.Export(c, "json", &gotJSON); err != nil {
 		t.Fatal(err)
 	}
 	if wantJSON := refJSONBytes(t, c, a); !bytes.Equal(gotJSON.Bytes(), wantJSON) {
-		t.Fatalf("%s: WriteJSON diverges from the arena reference", label)
+		t.Fatalf("%s: json export diverges from the arena reference", label)
 	}
 	var gotEdges bytes.Buffer
-	if err := c.WriteEdgeList(&gotEdges); err != nil {
+	if err := topology.Export(c, "edges", &gotEdges); err != nil {
 		t.Fatal(err)
 	}
 	if wantEdges := refEdgeBytes(a); !bytes.Equal(gotEdges.Bytes(), wantEdges) {
-		t.Fatalf("%s: WriteEdgeList diverges from the arena reference", label)
+		t.Fatalf("%s: edges export diverges from the arena reference", label)
 	}
 }
 

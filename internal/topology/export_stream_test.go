@@ -1,6 +1,6 @@
-// Streamed-export byte-identity goldens: the hand-streamed encoders in
-// io.go/export.go must reproduce, byte for byte, the output of the
-// pre-refactor encoders (encoding/json over materialised edge slices). The
+// Streamed-export byte-identity goldens: the hand-streamed encoder in
+// export.go must reproduce, byte for byte, the output of the reference
+// encoders below (encoding/json over materialised edge slices). The
 // reference encoders are copied here verbatim so any drift in the streaming
 // path fails loudly. An external test package so RFC builds can come from
 // internal/core, which imports this package.
@@ -17,7 +17,7 @@ import (
 	"rfclos/internal/topology"
 )
 
-// refClosJSON is the pre-refactor (*Clos).WriteJSON: encoding/json over the
+// refClosJSON is the reference for Export's json format: encoding/json over the
 // materialised link slice.
 func refClosJSON(t *testing.T, c *topology.Clos) []byte {
 	t.Helper()
@@ -40,7 +40,7 @@ func refClosJSON(t *testing.T, c *topology.Clos) []byte {
 	return buf.Bytes()
 }
 
-// refClosDOT is the pre-refactor (*Clos).WriteDOT loop.
+// refClosDOT is the reference for Export's dot format.
 func refClosDOT(c *topology.Clos) []byte {
 	var bw bytes.Buffer
 	fmt.Fprintln(&bw, "graph clos {")
@@ -60,7 +60,7 @@ func refClosDOT(c *topology.Clos) []byte {
 	return bw.Bytes()
 }
 
-// refClosEdges is the pre-refactor (*Clos).WriteEdgeList loop.
+// refClosEdges is the reference for Export's edges format.
 func refClosEdges(c *topology.Clos) []byte {
 	var bw bytes.Buffer
 	for _, l := range c.Links() {
@@ -69,8 +69,8 @@ func refClosEdges(c *topology.Clos) []byte {
 	return bw.Bytes()
 }
 
-// refRRNJSON is the pre-refactor (*RRN).WriteJSON, except for the edgeless
-// case where "edges" is now pinned to [] instead of null.
+// refRRNJSON is the reference for ExportRRN's json format, with "edges"
+// pinned to [] rather than null in the edgeless case.
 func refRRNJSON(t *testing.T, r *topology.RRN) []byte {
 	t.Helper()
 	out := struct {
@@ -89,7 +89,7 @@ func refRRNJSON(t *testing.T, r *topology.RRN) []byte {
 	return buf.Bytes()
 }
 
-// refRRNDOT is the pre-refactor (*RRN).WriteDOT loop.
+// refRRNDOT is the reference for ExportRRN's dot format.
 func refRRNDOT(r *topology.RRN) []byte {
 	var bw bytes.Buffer
 	fmt.Fprintln(&bw, "graph rrn {")
@@ -101,7 +101,7 @@ func refRRNDOT(r *topology.RRN) []byte {
 	return bw.Bytes()
 }
 
-// refRRNEdges is the pre-refactor (*RRN).WriteEdgeList loop.
+// refRRNEdges is the reference for ExportRRN's edges format.
 func refRRNEdges(r *topology.RRN) []byte {
 	var bw bytes.Buffer
 	for _, e := range r.G.Edges() {
@@ -164,19 +164,33 @@ func TestStreamedExportGoldens(t *testing.T) {
 }
 
 // TestRRNEmptyEdgesJSON is the regression test for the "edges": null bug: an
-// edgeless network must emit a stable empty array.
+// edgeless network of either kind must emit a stable empty array.
 func TestRRNEmptyEdgesJSON(t *testing.T) {
 	rrn, err := topology.NewRRN(4, 0, 2, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := rrn.WriteJSON(&buf); err != nil {
+	clos, err := topology.NewEmpty([]int{2, 1}, 1, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"n":4,"degree":0,"terms_per_switch":2,"edges":[]}` + "\n"
-	if buf.String() != want {
-		t.Fatalf("edgeless RRN JSON = %q, want %q", buf.String(), want)
+	for _, tc := range []struct {
+		name   string
+		export func(*bytes.Buffer) error
+		want   string
+	}{
+		{"rrn", func(b *bytes.Buffer) error { return topology.ExportRRN(rrn, "json", b) },
+			`{"n":4,"degree":0,"terms_per_switch":2,"edges":[]}` + "\n"},
+		{"clos", func(b *bytes.Buffer) error { return topology.Export(clos, "json", b) },
+			`{"radix":2,"terms_per_leaf":1,"level_sizes":[2,1],"links":[]}` + "\n"},
+	} {
+		var buf bytes.Buffer
+		if err := tc.export(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != tc.want {
+			t.Errorf("edgeless %s JSON = %q, want %q", tc.name, buf.String(), tc.want)
+		}
 	}
 }
 

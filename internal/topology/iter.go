@@ -4,9 +4,9 @@ import "iter"
 
 // This file is the iteration layer of Clos: links stream level by level
 // straight out of the CSR store without materialising edge slices. The
-// encoders in io.go, the service export endpoint, and cmd/rfcgen all
-// consume these sequences, so multi-gigabyte topologies export in constant
-// memory.
+// export encoder (export.go), which the service export endpoint and
+// cmd/rfcgen both call, consumes these sequences, so multi-gigabyte
+// topologies export in constant memory.
 
 // EdgeSeq yields every inter-switch link exactly once, in the canonical
 // order Links returns: ascending lower-endpoint switch id, up-neighbours in

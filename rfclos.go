@@ -17,6 +17,12 @@
 //   - Cycle-level simulation (§6, Table 2): Simulate and SimConfig.
 //   - Paper experiments (Figures 5-12, Table 3): the Fig*/Table*/...
 //     functions returning printable Reports.
+//
+// Several types here are aliases of internal types (Clos, RRN, Params,
+// Router, SimConfig, SimResult, TrafficPattern, Report). Every exported
+// method and field of an aliased type is public API of this package, even
+// where this file names none of them: removing or renaming one is an API
+// change and is recorded in README's API-change notes.
 package rfclos
 
 import (
