@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"rfclos/internal/graph"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
 	"rfclos/internal/topology"
@@ -32,30 +31,12 @@ func GenerateStream(p Params, r *rng.Rand, sink topology.LevelSink) (*topology.C
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	sizes := p.LevelSizes()
 	half := p.Radix / 2
-	c, err := topology.NewEmpty(sizes, half, p.Radix)
-	if err != nil {
-		return nil, err
+	up := make([]int, p.Levels-1)
+	for i := range up {
+		up[i] = half
 	}
-	c.SetLevelSink(sink)
-	for i := 0; i < p.Levels-1; i++ {
-		nA, nB := sizes[i], sizes[i+1]
-		dB := nA * half / nB // R/2 below the top pair, R at the top pair
-		bp, err := graph.RandomBipartite(nA, half, nB, dB, r)
-		if err != nil {
-			return nil, fmt.Errorf("core: level %d-%d wiring: %w", i+1, i+2, err)
-		}
-		e := c.WireLevel(i+1, nA*half)
-		for a, ns := range bp.AdjA {
-			sa := c.SwitchID(i+1, a)
-			for _, b := range ns {
-				e.Link(sa, c.SwitchID(i+2, int(b)))
-			}
-		}
-		e.Seal()
-	}
-	return c, nil
+	return generateGeneral(GeneralParams{TermsPerLeaf: half, Sizes: p.LevelSizes(), UpDeg: up}, r, sink)
 }
 
 // GenerateRoutable repeatedly generates RFCs until one has the
