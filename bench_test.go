@@ -1,7 +1,7 @@
 package rfclos
 
-// One benchmark per paper exhibit (Figures 5-12, Table 3, Theorem 4.2),
-// plus micro-benchmarks of the core operations. The benchmarks run reduced
+// One sub-benchmark per registered exhibit (BenchmarkExhibit/<id>), plus
+// micro-benchmarks of the core operations. The benchmarks run reduced
 // workloads so `go test -bench=.` finishes on a laptop; cmd/rfcpaper runs
 // the full versions and EXPERIMENTS.md records paper-vs-measured numbers.
 
@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rfclos/internal/analysis"
+	"rfclos/internal/exhibit"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
 	"rfclos/internal/simnet"
@@ -16,146 +17,36 @@ import (
 	"rfclos/internal/traffic"
 )
 
-func BenchmarkFig5Diameter(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rep := Fig5Diameter(36); len(rep.Rows) == 0 {
-			b.Fatal("empty")
-		}
-	}
+// benchParams shrinks every exhibit to a laptop-sized run: one rep, a
+// 400-cycle window, two loads, uniform traffic and two trials.
+var benchParams = ExhibitParams{
+	Scale: ScaleSmall, Seed: 1, Trials: 2, Cycles: 400, Reps: 1,
+	Loads: []float64{0.4, 0.6}, Patterns: []string{"uniform"},
 }
 
-func BenchmarkFig6Scalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rep := Fig6Scalability(nil); len(rep.Rows) == 0 {
-			b.Fatal("empty")
+// BenchmarkExhibit runs every registered exhibit serially, plus fig8 on one
+// worker per CPU. Serial and parallel runs produce identical reports; only
+// wall-clock differs.
+func BenchmarkExhibit(b *testing.B) {
+	run := func(id string, workers int) func(*testing.B) {
+		return func(b *testing.B) {
+			p := benchParams
+			p.Workers = workers
+			for i := 0; i < b.N; i++ {
+				rep, err := RunExhibit(id, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(rep.Rows) == 0 {
+					b.Fatal("empty")
+				}
+			}
 		}
 	}
-}
-
-func BenchmarkFig7Expandability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rep := Fig7Expandability(36, 0, 40); len(rep.Rows) == 0 {
-			b.Fatal("empty")
-		}
+	for _, id := range exhibit.IDs() {
+		b.Run(id, run(id, 1))
 	}
-}
-
-// benchSweep runs a reduced sweep of one §6 scenario on a worker pool of
-// the given size (0 = one worker per CPU). Serial and parallel variants
-// produce identical reports; only wall-clock differs.
-func benchSweep(b *testing.B, scenario, workers int) {
-	b.Helper()
-	opts := SimOptions{
-		Loads:   []float64{0.4, 0.6},
-		Reps:    2,
-		Sim:     simnet.Config{WarmupCycles: 200, MeasureCycles: 600},
-		Seed:    uint64(scenario + 1),
-		Workers: workers,
-	}
-	opts.Patterns = []string{"uniform"}
-	for i := 0; i < b.N; i++ {
-		rep, err := ScenarioSweep(ScaleSmall, scenario, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Rows) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
-
-func BenchmarkFig8Scenario11K(b *testing.B)          { benchSweep(b, 0, 1) }
-func BenchmarkFig8Scenario11KParallel(b *testing.B)  { benchSweep(b, 0, 0) }
-func BenchmarkFig9Scenario100K(b *testing.B)         { benchSweep(b, 1, 1) }
-func BenchmarkFig9Scenario100KParallel(b *testing.B) { benchSweep(b, 1, 0) }
-func BenchmarkFig10Scenario200K(b *testing.B)        { benchSweep(b, 2, 1) }
-
-func BenchmarkFig11UpDownFaults(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := Fig11UpDownFaults(Fig11Options{Radix: 8, Trials: 2, MaxLeavesCap: 80, Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Rows) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
-
-func BenchmarkFig12FaultThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := Fig12FaultThroughput(Fig12Options{
-			Scale:      ScaleSmall,
-			FaultSteps: 2,
-			Reps:       1,
-			Sim:        simnet.Config{WarmupCycles: 150, MeasureCycles: 400},
-			Seed:       5,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Rows) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
-
-func BenchmarkTable3Disconnect(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := Table3Disconnect(Table3Options{Targets: []int{512, 1024}, Trials: 10, Seed: 7})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Rows) != 2 {
-			b.Fatal("bad rows")
-		}
-	}
-}
-
-func BenchmarkThm42MonteCarlo(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := Thm42(120, 20, 0, 9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Rows) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
-
-func BenchmarkAblations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := Ablations(AblationOptions{
-			Scale: ScaleSmall,
-			Reps:  1,
-			Sim:   simnet.Config{WarmupCycles: 100, MeasureCycles: 300},
-			Seed:  11,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Rows) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
-
-func BenchmarkJellyfishComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := Jellyfish(JellyfishOptions{
-			Loads: []float64{0.5},
-			Reps:  1,
-			Sim:   simnet.Config{WarmupCycles: 100, MeasureCycles: 300},
-			Seed:  13,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Rows) == 0 {
-			b.Fatal("empty")
-		}
-	}
+	b.Run("fig8-parallel", run("fig8", 0))
 }
 
 // --- micro-benchmarks of the core operations ---

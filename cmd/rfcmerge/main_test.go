@@ -29,7 +29,7 @@ func writeReport(t *testing.T, dir, name string, rep *analysis.Report) string {
 func table3(t *testing.T, seed uint64, sh engine.Shard) *analysis.Report {
 	t.Helper()
 	e, _ := exhibit.Lookup("table3")
-	rep, err := e.Run(exhibit.Params{Seed: seed, Trials: 4, Shard: sh})
+	rep, err := e.Run(analysis.Params{Seed: seed, Trials: 4, Shard: sh})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func main() {
 		os.Exit(2)
 	}
 	r := runner{
-		params: exhibit.Params{
+		params: analysis.Params{
 			Scale:        analysis.Scale(*scale),
 			Seed:         *seed,
 			Trials:       *trials,
@@ -113,7 +113,7 @@ func main() {
 }
 
 type runner struct {
-	params exhibit.Params
+	params analysis.Params
 	asCSV  bool
 	asJSON bool
 	outDir string

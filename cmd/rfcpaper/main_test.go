@@ -20,7 +20,7 @@ func TestEveryExhibitRoundTripsThroughRun(t *testing.T) {
 	}
 	dir := t.TempDir()
 	r := runner{
-		params: exhibit.Params{
+		params: analysis.Params{
 			Scale: "small", Seed: 7, Trials: 2, Cycles: 300, Reps: 1,
 			Loads: []float64{0.5}, Patterns: []string{"uniform"},
 		},

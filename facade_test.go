@@ -1,51 +1,29 @@
 package rfclos
 
 import (
+	"strings"
 	"testing"
 )
 
-// TestFacadeSmoke exercises every report-producing wrapper of the public
-// API once, at minimal sizes, so a downstream user can rely on each entry
-// point compiling and running.
+// TestFacadeSmoke exercises the public API's entry points once, at minimal
+// sizes: the generators and the planner, and RunExhibit for one exhibit of
+// each kind plus an unknown id.
 func TestFacadeSmoke(t *testing.T) {
-	quick := SimConfig{WarmupCycles: 100, MeasureCycles: 300}
-
 	if _, err := NewRFCUnchecked(Params{Radix: 8, Levels: 2, Leaves: 8}, 1); err != nil {
 		t.Errorf("NewRFCUnchecked: %v", err)
 	}
 	if _, err := NewGeneralRFC(NewHashnetParams(8, 3, 4, 4), 1); err != nil {
 		t.Errorf("NewGeneralRFC: %v", err)
 	}
-	if rep, err := Thm42(60, 10, 0, 1); err != nil || len(rep.Rows) == 0 {
-		t.Errorf("Thm42: %v", err)
+	quick := ExhibitParams{Scale: ScaleSmall, Seed: 1, Trials: 2, Cycles: 300, Reps: 1,
+		Loads: []float64{0.3}, Patterns: []string{"uniform"}}
+	for _, id := range []string{"thm42", "fig8", "table3", "hotspot"} {
+		if rep, err := RunExhibit(id, quick); err != nil || len(rep.Rows) == 0 {
+			t.Errorf("RunExhibit(%q): %v", id, err)
+		}
 	}
-	if rep, err := Table3Disconnect(Table3Options{Targets: []int{256}, Trials: 5, Seed: 1}); err != nil || len(rep.Rows) != 1 {
-		t.Errorf("Table3Disconnect: %v", err)
-	}
-	if rep, err := Fig11UpDownFaults(Fig11Options{Radix: 8, Trials: 1, MaxLeavesCap: 40, Seed: 1}); err != nil || len(rep.Rows) == 0 {
-		t.Errorf("Fig11UpDownFaults: %v", err)
-	}
-	if rep, err := Fig12FaultThroughput(Fig12Options{FaultSteps: 1, Reps: 1, Sim: quick, Seed: 1}); err != nil || len(rep.Rows) == 0 {
-		t.Errorf("Fig12FaultThroughput: %v", err)
-	}
-	opts := SimOptions{Loads: []float64{0.3}, Reps: 1, Sim: quick, Patterns: []string{"uniform"}, Seed: 1}
-	if rep, err := ScenarioSweep(ScaleSmall, 0, opts); err != nil || len(rep.Rows) == 0 {
-		t.Errorf("ScenarioSweep: %v", err)
-	}
-	if rep, err := Ablations(AblationOptions{Reps: 1, Sim: quick, Seed: 1}); err != nil || len(rep.Rows) == 0 {
-		t.Errorf("Ablations: %v", err)
-	}
-	if rep, err := Structure(StructureOptions{Target: 128, PairSamples: 16, Seed: 1}); err != nil || len(rep.Rows) == 0 {
-		t.Errorf("Structure: %v", err)
-	}
-	if rep, err := Adversarial(AdversarialOptions{Reps: 1, Sim: quick, Seed: 1}); err != nil || len(rep.Rows) == 0 {
-		t.Errorf("Adversarial: %v", err)
-	}
-	if rep, err := TablesReport(ScaleSmall, 2, 1); err != nil || len(rep.Rows) == 0 {
-		t.Errorf("TablesReport: %v", err)
-	}
-	if rep, err := Jellyfish(JellyfishOptions{Loads: []float64{0.3}, Reps: 1, Sim: quick, Seed: 1}); err != nil || len(rep.Rows) == 0 {
-		t.Errorf("Jellyfish: %v", err)
+	if _, err := RunExhibit("fig99", quick); err == nil || !strings.Contains(err.Error(), "fig5") {
+		t.Errorf("RunExhibit(fig99) = %v, want an error listing the known ids", err)
 	}
 	if steps, err := PlanExpansion(16, 3, 1024, 2048, 5); err != nil || len(steps) == 0 {
 		t.Errorf("PlanExpansion: %v", err)
@@ -53,9 +31,11 @@ func TestFacadeSmoke(t *testing.T) {
 }
 
 func TestFacadeReportFormat(t *testing.T) {
-	rep := Costs()
-	out := rep.Format()
-	if len(out) < 100 {
+	rep, err := RunExhibit("costs", ExhibitParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := rep.Format(); len(out) < 100 {
 		t.Errorf("Format produced suspiciously short output: %q", out)
 	}
 }

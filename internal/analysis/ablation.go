@@ -3,26 +3,10 @@ package analysis
 import (
 	"fmt"
 
-	"rfclos/internal/engine"
 	"rfclos/internal/rng"
 	"rfclos/internal/simnet"
 	"rfclos/internal/traffic"
 )
-
-// AblationOptions configures the design-choice ablations.
-type AblationOptions struct {
-	Scale Scale
-	Load  float64 // offered load, default 0.9 (near saturation, where the knobs matter)
-	Reps  int
-	Sim   simnet.Config
-	// Workers sizes the worker pool the (knob × value × rep) grid fans out
-	// on; 0 means one per CPU. The report is identical for any worker count.
-	Workers int
-	Seed    uint64
-	// Shard restricts execution to the grid jobs this process owns;
-	// partial reports merge byte-identically (see engine.Shard).
-	Shard engine.Shard
-}
 
 // ablationKnob is one knob of the ablation grid and the values it takes.
 type ablationKnob struct {
@@ -39,25 +23,14 @@ type ablationKnob struct {
 //   - request-refresh period (1 = INSEE's re-randomized request per cycle;
 //     larger trades adaptivity for simulation speed).
 //
-// Each row reports accepted load and latency at the configured offered
-// load under uniform traffic. The whole (knob, value, rep) grid runs as
-// independent jobs on the worker pool, each drawing its stream from its own
-// coordinates, so the report is byte-identical for any opts.Workers.
-func Ablations(opts AblationOptions) (*Report, error) {
-	if opts.Scale == "" {
-		opts.Scale = ScaleSmall
-	}
-	if opts.Load <= 0 {
-		opts.Load = 0.9
-	}
-	if opts.Reps <= 0 {
-		opts.Reps = 2
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	sc := Scenarios(opts.Scale)[0]
-	rfc, ud, err := buildRoutableRFC(sc.RFC, rng.At(opts.Seed, rng.StringCoord("ablation/topology/RFC")))
+// Each row reports accepted load and latency at the given offered load
+// under uniform traffic. It reads Scale, Seed, Cycles and Reps (default 2).
+// The whole (knob, value, rep) grid runs as independent jobs on the worker
+// pool, each drawing its stream from its own coordinates, so the report is
+// byte-identical for any p.Workers.
+func Ablations(p Params, load float64) (*Report, error) {
+	sc := Scenarios(p.scale())[0]
+	rfc, ud, err := buildRoutableRFC(sc.RFC, rng.At(p.seed(), rng.StringCoord("ablation/topology/RFC")))
 	if err != nil {
 		return nil, err
 	}
@@ -77,21 +50,21 @@ func Ablations(opts AblationOptions) (*Report, error) {
 		groups[i] = gridGroup{name: k.name, xs: k.values}
 	}
 	rfcNet := netUnderTest{c: rfc, ud: ud}
+	sim := p.sim()
 	set, err := grid{
-		groups: groups,
-		reps:   opts.Reps,
-		cols:   []string{"accepted", "latency"},
-		seed:   opts.Seed,
+		p:           p,
+		groups:      groups,
+		defaultReps: 2,
+		cols:        []string{"accepted", "latency"},
 		coords: func(j gridJob) []uint64 {
 			return []uint64{rng.StringCoord("ablation/" + knobs[j.g].name), uint64(j.x), uint64(j.rep)}
 		},
 		run: func(j gridJob, stream *rng.Rand) ([]float64, error) {
-			cfg := opts.Sim
+			cfg := sim
 			knobs[j.g].set(&cfg, int(j.x))
-			res, err := rfcNet.simulate(traffic.NewUniform(rfc.Terminals()), cfg, stream.Uint64(), opts.Load)
+			res, err := rfcNet.simulate(traffic.NewUniform(rfc.Terminals()), cfg, stream.Uint64(), load)
 			return []float64{res.AcceptedLoad, res.AvgLatency}, err
 		},
-		workers: opts.Workers, shard: opts.Shard,
 	}.collect()
 	if err != nil {
 		return nil, err
@@ -99,7 +72,7 @@ func Ablations(opts AblationOptions) (*Report, error) {
 
 	rep := &Report{
 		Title: fmt.Sprintf("Ablations: simulator design knobs (%s equal-resources RFC, uniform @ %.2f)",
-			opts.Scale, opts.Load),
+			p.scale(), load),
 		Header: []string{"knob", "value", "accepted", "latency"},
 	}
 	for _, k := range knobs {

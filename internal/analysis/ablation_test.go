@@ -1,19 +1,9 @@
 package analysis
 
-import (
-	"testing"
-
-	"rfclos/internal/simnet"
-)
+import "testing"
 
 func TestAblations(t *testing.T) {
-	rep, err := Ablations(AblationOptions{
-		Scale: ScaleSmall,
-		Load:  0.9,
-		Reps:  1,
-		Sim:   simnet.Config{WarmupCycles: 200, MeasureCycles: 600},
-		Seed:  21,
-	})
+	rep, err := Ablations(Params{Scale: ScaleSmall, Reps: 1, Cycles: 600, Seed: 21}, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,9 @@ import (
 	"testing"
 
 	"rfclos/internal/core"
-	"rfclos/internal/engine"
 	"rfclos/internal/graph"
 	"rfclos/internal/metrics"
 	"rfclos/internal/rng"
-	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
 )
 
@@ -44,7 +42,7 @@ func TestFaultsToDisconnectKnownGraphs(t *testing.T) {
 	if got := FaultsToDisconnect(k5, r); got < 4 {
 		t.Errorf("K5 disconnected after %d removals, want >= 4", got)
 	}
-	obs, err := trialObs(20, 0, 1, engine.Shard{}, func(r *rng.Rand) (float64, error) {
+	obs, err := trialObs(Params{}, 20, 1, func(r *rng.Rand) (float64, error) {
 		return float64(FaultsToDisconnect(cyc, r)), nil
 	})
 	if err != nil {
@@ -58,7 +56,7 @@ func TestFaultsToDisconnectKnownGraphs(t *testing.T) {
 // upDownFaultObs runs the Figure 11 measure's trials on every worker.
 func upDownFaultObs(t *testing.T, c *topology.Clos, trials int, seed uint64) []metrics.Obs {
 	t.Helper()
-	obs, err := trialObs(trials, 0, seed, engine.Shard{}, func(r *rng.Rand) (float64, error) {
+	obs, err := trialObs(Params{}, trials, seed, func(r *rng.Rand) (float64, error) {
 		return float64(FaultsUntilUpDownLost(c, r)), nil
 	})
 	if err != nil {
@@ -242,7 +240,7 @@ func TestCostsReport(t *testing.T) {
 }
 
 func TestThm42Report(t *testing.T) {
-	rep, err := Thm42(120, 30, 0, 9)
+	rep, err := Thm42(Params{Trials: 30, Seed: 9}, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +266,7 @@ func TestThm42Report(t *testing.T) {
 }
 
 func TestTable3Small(t *testing.T) {
-	rep, err := Table3Disconnect(Table3Options{Targets: []int{512, 1024}, Trials: 15, Seed: 3})
+	rep, err := Table3Disconnect(Params{Trials: 15, Seed: 3}, []int{512, 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +294,7 @@ func TestTable3Small(t *testing.T) {
 }
 
 func TestFig11Small(t *testing.T) {
-	rep, err := Fig11UpDownFaults(Fig11Options{Radix: 8, Trials: 2, MaxLeavesCap: 60, Seed: 5})
+	rep, err := Fig11UpDownFaults(Params{Trials: 2, Seed: 5}, 8, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,13 +322,7 @@ func TestScenarioSweepTiny(t *testing.T) {
 		CFT:  CFTSpec{Radix: 8, Levels: 3, TermsPerLeaf: 4},
 		RFC:  core.Params{Radix: 8, Levels: 3, Leaves: 32},
 	}
-	opts := SimOptions{
-		Loads: []float64{0.2, 0.6},
-		Reps:  1,
-		Sim:   simnet.Config{WarmupCycles: 300, MeasureCycles: 1000},
-		Seed:  11,
-	}
-	rep, err := ScenarioSweep(sc, opts)
+	rep, err := ScenarioSweep(sc, Params{Loads: []float64{0.2, 0.6}, Reps: 1, Cycles: 1000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,13 +341,7 @@ func TestScenarioSweepTiny(t *testing.T) {
 }
 
 func TestFig12Tiny(t *testing.T) {
-	rep, err := Fig12FaultThroughput(Fig12Options{
-		Scale:      ScaleSmall,
-		FaultSteps: 2,
-		Reps:       1,
-		Sim:        simnet.Config{WarmupCycles: 200, MeasureCycles: 500},
-		Seed:       13,
-	})
+	rep, err := Fig12FaultThroughput(Params{Scale: ScaleSmall, Reps: 1, Cycles: 500, Seed: 13}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,13 +357,7 @@ func TestFig12Tiny(t *testing.T) {
 }
 
 func TestRRNFaultsTiny(t *testing.T) {
-	rep, err := RRNFaults(RRNFaultsOptions{
-		Scale:      ScaleSmall,
-		FaultSteps: 2,
-		Reps:       1,
-		Sim:        simnet.Config{WarmupCycles: 200, MeasureCycles: 500},
-		Seed:       13,
-	})
+	rep, err := RRNFaults(Params{Scale: ScaleSmall, Reps: 1, Cycles: 500, Seed: 13}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,16 +3,15 @@ package analysis
 // Worker and shard invariance at the analysis layer for the exhibit runners
 // whose option surfaces are richest (scenario sweeps, Table 3, Theorem 4.2,
 // flow sweeps). The registry-wide determinism matrix in internal/exhibit
-// covers every registered exhibit through its CLI-facing options; these tests
-// pin the same contract on the runners' own options, at shapes (e.g. two
-// loads, two reps, 8 workers) the matrix does not use.
+// covers every registered exhibit at its registered shapes; these tests pin
+// the same contract on the runners directly, at shapes (e.g. a tiny
+// scenario, two loads, two reps, 8 workers) the matrix does not use.
 
 import (
 	"testing"
 
 	"rfclos/internal/core"
 	"rfclos/internal/engine"
-	"rfclos/internal/simnet"
 )
 
 // reportText renders a report the way cmd/rfcpaper prints it; comparing the
@@ -34,19 +33,19 @@ func tinyScenario() Scenario {
 	}
 }
 
-func tinySimOpts(sh engine.Shard) SimOptions {
-	return SimOptions{
+func tinySimParams(sh engine.Shard) Params {
+	return Params{
 		Loads:    []float64{0.2, 0.6},
 		Reps:     2,
 		Patterns: []string{"uniform"},
-		Sim:      simnet.Config{WarmupCycles: 100, MeasureCycles: 300},
+		Cycles:   300,
 		Seed:     21,
 		Shard:    sh,
 	}
 }
 
-func tinyFlowOpts(sh engine.Shard) FlowOptions {
-	return FlowOptions{
+func tinyFlowParams(sh engine.Shard) Params {
+	return Params{
 		Loads:    []float64{0.3, 0.9},
 		Reps:     2,
 		Patterns: []string{"uniform", "hotspot"},
@@ -111,52 +110,52 @@ func assertShardMerge(t *testing.T, name string, run func(engine.Shard) (*Report
 
 func TestScenarioSweepWorkerInvariance(t *testing.T) {
 	assertWorkerInvariance(t, "ScenarioSweep", func(workers int) (*Report, error) {
-		o := tinySimOpts(engine.Shard{})
-		o.Workers = workers
-		return ScenarioSweep(tinyScenario(), o)
+		p := tinySimParams(engine.Shard{})
+		p.Workers = workers
+		return ScenarioSweep(tinyScenario(), p)
 	})
 }
 
 func TestTable3WorkerInvariance(t *testing.T) {
 	assertWorkerInvariance(t, "Table3Disconnect", func(workers int) (*Report, error) {
-		return Table3Disconnect(Table3Options{Targets: []int{256}, Trials: 8, Seed: 25, Workers: workers})
+		return Table3Disconnect(Params{Trials: 8, Seed: 25, Workers: workers}, []int{256})
 	})
 }
 
 func TestThm42WorkerInvariance(t *testing.T) {
 	assertWorkerInvariance(t, "Thm42", func(workers int) (*Report, error) {
-		return Thm42(60, 12, workers, 27)
+		return Thm42(Params{Trials: 12, Seed: 27, Workers: workers}, 60)
 	})
 }
 
 func TestFlowScenarioSweepWorkerInvariance(t *testing.T) {
 	assertWorkerInvariance(t, "FlowScenarioSweep", func(workers int) (*Report, error) {
-		o := tinyFlowOpts(engine.Shard{})
-		o.Workers = workers
-		return FlowScenarioSweep(tinyScenario(), o)
+		p := tinyFlowParams(engine.Shard{})
+		p.Workers = workers
+		return FlowScenarioSweep(tinyScenario(), p)
 	})
 }
 
 func TestScenarioSweepShardMerge(t *testing.T) {
 	assertShardMerge(t, "ScenarioSweep", func(sh engine.Shard) (*Report, error) {
-		return ScenarioSweep(tinyScenario(), tinySimOpts(sh))
+		return ScenarioSweep(tinyScenario(), tinySimParams(sh))
 	})
 }
 
 func TestTable3ShardMerge(t *testing.T) {
 	assertShardMerge(t, "Table3Disconnect", func(sh engine.Shard) (*Report, error) {
-		return Table3Disconnect(Table3Options{Targets: []int{256}, Trials: 8, Seed: 25, Shard: sh})
+		return Table3Disconnect(Params{Trials: 8, Seed: 25, Shard: sh}, []int{256})
 	})
 }
 
 func TestThm42ShardMerge(t *testing.T) {
 	assertShardMerge(t, "Thm42", func(sh engine.Shard) (*Report, error) {
-		return Thm42Sharded(Thm42Options{N1: 60, Trials: 12, Seed: 27, Shard: sh})
+		return Thm42(Params{Trials: 12, Seed: 27, Shard: sh}, 60)
 	})
 }
 
 func TestFlowScenarioSweepShardMerge(t *testing.T) {
 	assertShardMerge(t, "FlowScenarioSweep", func(sh engine.Shard) (*Report, error) {
-		return FlowScenarioSweep(tinyScenario(), tinyFlowOpts(sh))
+		return FlowScenarioSweep(tinyScenario(), tinyFlowParams(sh))
 	})
 }

@@ -32,12 +32,12 @@ func FaultsToDisconnect(g *graph.Graph, r *rng.Rand) int {
 	return 0
 }
 
-// trialObs runs this shard's Monte-Carlo trials on the worker pool, trial
-// i measuring on its own stream rng.At(seed, i), and returns the owned
-// outcomes as job-indexed observations in trial order, ready for a
-// mergeable Mean cell. Unowned trials never run.
-func trialObs(trials, workers int, seed uint64, sh engine.Shard, measure func(*rng.Rand) (float64, error)) ([]metrics.Obs, error) {
-	vals, err := engine.RunShard(trials, workers, sh, func(i int) (float64, error) {
+// trialObs runs p.Shard's slice of the Monte-Carlo trials on p.Workers
+// workers, trial i measuring on its own stream rng.At(seed, i), and returns
+// the owned outcomes as job-indexed observations in trial order, ready for
+// a mergeable Mean cell. Unowned trials never run.
+func trialObs(p Params, trials int, seed uint64, measure func(*rng.Rand) (float64, error)) ([]metrics.Obs, error) {
+	vals, err := engine.RunShard(trials, p.Workers, p.Shard, func(i int) (float64, error) {
 		return measure(rng.At(seed, uint64(i)))
 	})
 	if err != nil {
@@ -45,7 +45,7 @@ func trialObs(trials, workers int, seed uint64, sh engine.Shard, measure func(*r
 	}
 	obs := make([]metrics.Obs, 0, len(vals))
 	for i, v := range vals {
-		if sh.Owns(i) {
+		if p.Shard.Owns(i) {
 			obs = append(obs, metrics.Obs{Job: i, V: v})
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"rfclos/internal/core"
-	"rfclos/internal/engine"
 	"rfclos/internal/gf"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
@@ -215,39 +214,20 @@ func Costs() *Report {
 	return rep
 }
 
-// Thm42Options parameterises the Theorem 4.2 Monte-Carlo check.
-type Thm42Options struct {
-	N1      int // leaves of the 2-level RFC (default 200)
-	Trials  int // generations per radix row (default 100)
-	Workers int // worker pool size; 0 means one per CPU
-	Seed    uint64
-	// Shard restricts each row's generation trials to the ones this process
-	// owns; partial reports merge byte-identically (see engine.Shard).
-	Shard engine.Shard
-}
-
-// Thm42Sharded reproduces the Theorem 4.2 probability curve empirically: for
-// a 2-level RFC of N1 leaves, it sweeps the radix across the threshold and
+// Thm42 reproduces the Theorem 4.2 probability curve empirically: for a
+// 2-level RFC of n1 leaves, it sweeps the radix across the threshold and
 // reports empirical routability frequency against the asymptotic e^{-e^{-x}}
-// and the exact finite-size Poisson prediction. The Monte-Carlo trials of
-// every radix row fan out on a worker pool; each trial's generator is
-// derived from (seed, radix, trial), so the report is byte-identical for any
-// worker count, and each row's empirical frequency is a mergeable aggregate
-// over per-trial 0/1 outcomes (exact under sharding: sums of 0/1 floats
-// carry no rounding).
-func Thm42Sharded(opts Thm42Options) (*Report, error) {
-	if opts.N1 <= 0 {
-		opts.N1 = 200
-	}
-	if opts.Trials <= 0 {
-		opts.Trials = 100
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	n1 := opts.N1
+// and the exact finite-size Poisson prediction. It reads Seed and Trials
+// (generations per radix row, default 100). The Monte-Carlo trials of every
+// radix row fan out on a worker pool; each trial's generator is derived
+// from (seed, radix, trial), so the report is byte-identical for any worker
+// count, and each row's empirical frequency is a mergeable aggregate over
+// per-trial 0/1 outcomes (exact under sharding: sums of 0/1 floats carry no
+// rounding).
+func Thm42(p Params, n1 int) (*Report, error) {
+	trials := p.trials(100)
 	rep := &Report{
-		Title: fmt.Sprintf("Theorem 4.2 Monte-Carlo (2-level RFC, N1=%d, %d trials/row)", n1, opts.Trials),
+		Title: fmt.Sprintf("Theorem 4.2 Monte-Carlo (2-level RFC, N1=%d, %d trials/row)", n1, trials),
 		Notes: []string{
 			"empirical = fraction of generated RFCs with the common-ancestor property",
 			"asymptotic = e^{-e^{-x}}; exact = e^{-λ} with hypergeometric λ",
@@ -258,13 +238,13 @@ func Thm42Sharded(opts Thm42Options) (*Report, error) {
 	lo := int(thr*0.8) &^ 1
 	hi := int(thr*1.25) &^ 1
 	for radix := lo; radix <= hi; radix += 2 {
-		p := core.Params{Radix: radix, Levels: 2, Leaves: n1}
-		if p.Validate() != nil {
+		rp := core.Params{Radix: radix, Levels: 2, Leaves: n1}
+		if rp.Validate() != nil {
 			continue
 		}
-		rowSeed := rng.DeriveSeed(opts.Seed, rng.StringCoord("thm42"), uint64(radix))
-		obs, err := trialObs(opts.Trials, opts.Workers, rowSeed, opts.Shard, func(r *rng.Rand) (float64, error) {
-			c, err := core.Generate(p, r)
+		rowSeed := rng.DeriveSeed(p.seed(), rng.StringCoord("thm42"), uint64(radix))
+		obs, err := trialObs(p, trials, rowSeed, func(r *rng.Rand) (float64, error) {
+			c, err := core.Generate(rp, r)
 			if err != nil {
 				return 0, err
 			}
@@ -278,16 +258,10 @@ func Thm42Sharded(opts Thm42Options) (*Report, error) {
 		}
 		x := core.XParam(radix, n1, 2)
 		rep.AddKeyed(fmt.Sprintf("R=%d", radix),
-			Int(radix), Float(x, "%.4g"), Mean(obs, opts.Trials, "%.4g"),
+			Int(radix), Float(x, "%.4g"), Mean(obs, trials, "%.4g"),
 			Float(core.SuccessProbability(x), "%.4g"), Float(exactRoutableProb(n1, radix), "%.4g"))
 	}
 	return rep, nil
-}
-
-// Thm42 is Thm42Sharded over the whole trial grid, the pre-shard signature
-// the facade keeps exporting.
-func Thm42(n1, trials, workers int, seed uint64) (*Report, error) {
-	return Thm42Sharded(Thm42Options{N1: n1, Trials: trials, Workers: workers, Seed: seed})
 }
 
 // exactRoutableProb computes e^{-λ} with the exact hypergeometric pair

@@ -5,59 +5,12 @@ import (
 	"math"
 
 	"rfclos/internal/core"
-	"rfclos/internal/engine"
 	"rfclos/internal/flow"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
 )
-
-// FlowOptions controls the flow-level (max-min-fair) backend sweeps: the
-// backend=flow variant of the scenario exhibits, the flow-only workload
-// exhibits (hotspot, incast, elephant-and-mice, storm) and the 10×-scale
-// comparison. Loads scale the matrix rates; there is no cycle count — each
-// grid point is one exact water-filling solve.
-type FlowOptions struct {
-	// Loads is the offered-load sweep (fraction of a terminal's injection
-	// bandwidth each matrix offers per source).
-	Loads []float64
-	// Reps is the number of independent matrix+path draws averaged per
-	// point.
-	Reps int
-	// Patterns selects traffic matrices by canonical name (see
-	// traffic.NewMatrix); default: the three §6 packet patterns.
-	Patterns []string
-	// Seed drives every random choice. Each job derives its stream from
-	// its coordinates — rng.At(Seed, StringCoord(network),
-	// StringCoord(pattern), Float64bits(load), rep) — so reports are
-	// byte-identical for any Workers setting.
-	Seed uint64
-	// Workers sizes the worker pool for the (network × pattern × load ×
-	// rep) grid; 0 means one per CPU.
-	Workers int
-	// Shard restricts execution to the jobs this process owns (see
-	// engine.Shard); partial reports merge byte-identically.
-	Shard engine.Shard
-	// Progress, when non-nil, receives one line per completed job.
-	Progress func(string)
-}
-
-func (o FlowOptions) withDefaults() FlowOptions {
-	if len(o.Loads) == 0 {
-		o.Loads = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
-	}
-	if o.Reps <= 0 {
-		o.Reps = 3
-	}
-	if len(o.Patterns) == 0 {
-		o.Patterns = traffic.Names()
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
 
 // flowNet couples a named network with its flow-level routing adapter.
 type flowNet struct {
@@ -71,8 +24,8 @@ type flowNet struct {
 // with three series per (network, pattern) group: accepted throughput per
 // terminal, the minimum flow rate (the starved-flow floor the mean hides)
 // and Jain's fairness index — the flow backend's new report columns.
-func runFlowGrid(title string, notes []string, nets []flowNet, opts FlowOptions) (*Report, error) {
-	set, err := flowGrid(nets, opts).collect()
+func runFlowGrid(title string, notes []string, nets []flowNet, p Params, patterns []string) (*Report, error) {
+	set, err := flowGrid(nets, p, patterns).collect()
 	if err != nil {
 		return nil, err
 	}
@@ -83,30 +36,30 @@ func runFlowGrid(title string, notes []string, nets []flowNet, opts FlowOptions)
 }
 
 // flowGrid is runFlowGrid's job grid: group g is network g/np under
-// pattern g%np, for np patterns.
-func flowGrid(nets []flowNet, opts FlowOptions) grid {
+// patterns[g%np], for np patterns, over p's loads (default 0.1..1.0) with
+// p's reps (default 3).
+func flowGrid(nets []flowNet, p Params, patterns []string) grid {
 	var groups []gridGroup
 	for _, n := range nets {
-		groups = append(groups, patternGroups(n.name, opts.Patterns, opts.Loads)...)
+		groups = append(groups, patternGroups(n.name, patterns, p.loads(sweepLoads))...)
 	}
-	np := len(opts.Patterns)
+	np := len(patterns)
 	return grid{
-		groups: groups,
-		reps:   opts.Reps,
-		cols:   []string{"accepted", "minrate", "jain"},
-		seed:   opts.Seed,
+		p:           p,
+		groups:      groups,
+		defaultReps: 3,
+		cols:        []string{"accepted", "minrate", "jain"},
 		coords: func(j gridJob) []uint64 {
-			return []uint64{rng.StringCoord("flow/" + nets[j.g/np].name), rng.StringCoord(opts.Patterns[j.g%np]),
+			return []uint64{rng.StringCoord("flow/" + nets[j.g/np].name), rng.StringCoord(patterns[j.g%np]),
 				math.Float64bits(j.x), uint64(j.rep)}
 		},
 		run: func(j gridJob, stream *rng.Rand) ([]float64, error) {
-			res, err := solveFlowJob(nets[j.g/np], opts.Patterns[j.g%np], j.x, stream)
+			res, err := solveFlowJob(nets[j.g/np], patterns[j.g%np], j.x, stream)
 			if err != nil {
 				return nil, err
 			}
 			return []float64{res.Accepted, res.MinRate, res.Jain}, nil
 		},
-		workers: opts.Workers, shard: opts.Shard, progress: opts.Progress,
 	}
 }
 
@@ -123,10 +76,12 @@ func solveFlowJob(n flowNet, pattern string, load float64, stream *rng.Rand) (*f
 // FlowScenarioSweep is ScenarioSweep on the flow-level backend: the same
 // scenario networks (identical generation streams, so the topologies match
 // the cycle backend's run for run), each matrix pattern swept across
-// offered loads with per-flow max-min rates instead of cycle simulation.
-func FlowScenarioSweep(sc Scenario, opts FlowOptions) (*Report, error) {
-	opts = opts.withDefaults()
-	nets, err := buildScenarioNets(sc, opts.Seed)
+// offered loads with per-flow max-min rates instead of cycle simulation. It
+// reads Seed, Reps (default 3), Loads (default 0.1..1.0) and Patterns
+// (default the three §6 packet patterns); there is no cycle count, each
+// grid point is one exact water-filling solve.
+func FlowScenarioSweep(sc Scenario, p Params) (*Report, error) {
+	nets, err := buildScenarioNets(sc, p.seed())
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +92,7 @@ func FlowScenarioSweep(sc Scenario, opts FlowOptions) (*Report, error) {
 	notes := []string{
 		fmt.Sprintf("scenario %s: CFT T=%d, RFC T=%d", sc.Name, sc.CFT.Terminals(), sc.RFC.Terminals()),
 	}
-	return runFlowGrid("Flow backend: max-min throughput, scenario "+sc.Name, notes, fnets, opts)
+	return runFlowGrid("Flow backend: max-min throughput, scenario "+sc.Name, notes, fnets, p, p.patterns(traffic.Names()))
 }
 
 // flowScaleSpec sizes the 10× comparison: the equal-resources scenario's
@@ -172,42 +127,35 @@ func flowScaleFor(scale Scale) flowScaleSpec {
 // FlowScale runs the flow-only headline comparison the cycle engine cannot
 // reach: RFC vs RRN vs XGFT at ~10× the equal-resources scenario's size
 // (116,640 terminals at paper scale). All three networks carry identical
-// terminal counts.
-func FlowScale(scale Scale, opts FlowOptions) (*Report, error) {
-	if scale == "" {
-		scale = ScaleSmall
-	}
-	if len(opts.Patterns) == 0 {
-		// At 10× scale the default is the cheap pair that separates the
-		// topologies; callers can still ask for any matrix by name.
-		opts.Patterns = []string{"uniform", "storm"}
-	}
-	opts = opts.withDefaults()
-	nets, notes, err := flowScaleNets(scale, opts)
+// terminal counts. It reads Scale and FlowScenarioSweep's settings, but at
+// 10× scale the default patterns are the cheap pair that separates the
+// topologies (uniform, storm).
+func FlowScale(p Params) (*Report, error) {
+	nets, notes, err := flowScaleNets(p)
 	if err != nil {
 		return nil, err
 	}
-	title := fmt.Sprintf("Flow backend: RFC vs RRN vs XGFT at 10× scale (%s)", scale)
-	return runFlowGrid(title, notes, nets, opts)
+	title := fmt.Sprintf("Flow backend: RFC vs RRN vs XGFT at 10× scale (%s)", p.scale())
+	return runFlowGrid(title, notes, nets, p, p.patterns([]string{"uniform", "storm"}))
 }
 
 // flowScaleNets builds FlowScale's three networks and its note line.
-func flowScaleNets(scale Scale, opts FlowOptions) ([]flowNet, []string, error) {
-	spec := flowScaleFor(scale)
+func flowScaleNets(p Params) ([]flowNet, []string, error) {
+	spec := flowScaleFor(p.scale())
 	xgft, err := spec.xgft.Build()
 	if err != nil {
 		return nil, nil, err
 	}
-	rfc, rud, err := buildRoutableRFC(spec.rfc, rng.At(opts.Seed, rng.StringCoord("flowscale/topology/RFC")))
+	rfc, rud, err := buildRoutableRFC(spec.rfc, rng.At(p.seed(), rng.StringCoord("flowscale/topology/RFC")))
 	if err != nil {
 		return nil, nil, err
 	}
 	rrn, err := topology.NewRRN(spec.rrnN, spec.rrnDeg, spec.rrnTps,
-		rng.At(opts.Seed, rng.StringCoord("flowscale/topology/RRN")))
+		rng.At(p.seed(), rng.StringCoord("flowscale/topology/RRN")))
 	if err != nil {
 		return nil, nil, err
 	}
-	rrnNet, err := flow.NewRRN(rrn, opts.Workers)
+	rrnNet, err := flow.NewRRN(rrn, p.Workers)
 	if err != nil {
 		return nil, nil, err
 	}

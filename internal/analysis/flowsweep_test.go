@@ -26,13 +26,13 @@ func TestFlowScaleSolveBits(t *testing.T) {
 		8: "fe2036a7c9d428963e120b74e9eb60959571c2dc06f12cd9687375fa156e502f",
 	}
 	for _, seed := range []uint64{7, 8} {
-		opts := FlowOptions{Loads: []float64{0.5, 1.0}, Reps: 1, Patterns: []string{"uniform", "storm"}, Seed: seed, Workers: 1}
-		nets, _, err := flowScaleNets(ScaleSmall, opts)
+		p := Params{Scale: ScaleSmall, Loads: []float64{0.5, 1.0}, Reps: 1, Patterns: []string{"uniform", "storm"}, Seed: seed, Workers: 1}
+		nets, _, err := flowScaleNets(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := flowGrid(nets, opts)
-		np := len(opts.Patterns)
+		g := flowGrid(nets, p, p.Patterns)
+		np := len(p.Patterns)
 		h := sha256.New()
 		var word [8]byte
 		put := func(v uint64) {
@@ -41,7 +41,7 @@ func TestFlowScaleSolveBits(t *testing.T) {
 		}
 		solves := 0
 		g.run = func(j gridJob, stream *rng.Rand) ([]float64, error) {
-			res, err := solveFlowJob(nets[j.g/np], opts.Patterns[j.g%np], j.x, stream)
+			res, err := solveFlowJob(nets[j.g/np], p.Patterns[j.g%np], j.x, stream)
 			if err != nil {
 				return nil, err
 			}

@@ -14,23 +14,22 @@ import (
 // name and its x values) runs every x reps times. Jobs are numbered
 // group-major, then x, then rep; that index is what shards own and what
 // observations are tagged with, so the grid is the one place a sweep
-// exhibit indexes its jobs. Each job draws from rng.At(seed, coords(job)...)
-// and returns one value per column.
+// exhibit indexes its jobs. Each job draws from
+// rng.At(p.Seed, coords(job)...) and returns one value per column.
 type grid struct {
+	// p supplies the seed, the repetitions, the worker pool, the shard and
+	// the progress sink.
+	p      Params
 	groups []gridGroup
-	reps   int
+	// defaultReps is the repetition count when p.Reps is unset.
+	defaultReps int
 	// cols names the values run returns. Each (group, column) pair is one
 	// series, named "group/column", or just "group" for a one-column grid.
 	cols []string
-	seed uint64
 	// coords returns the job's stream coordinates. They are per exhibit:
 	// each keeps the coordinates its streams have always had.
 	coords func(gridJob) []uint64
 	run    func(gridJob, *rng.Rand) ([]float64, error)
-
-	workers  int
-	shard    engine.Shard
-	progress func(string)
 }
 
 // gridGroup is one group of a grid: a series name and its x values.
@@ -66,18 +65,19 @@ func (gr grid) collect() (*seriesSet, error) {
 		}
 	}
 	var jobs []gridJob
+	reps := gr.p.reps(gr.defaultReps)
 	for g, grp := range gr.groups {
 		for _, x := range grp.xs {
-			for rep := 0; rep < gr.reps; rep++ {
+			for rep := 0; rep < reps; rep++ {
 				jobs = append(jobs, gridJob{g: g, x: x, rep: rep})
 			}
 		}
 	}
-	vals, err := engine.RunShard(len(jobs), gr.workers, gr.shard, func(i int) ([]float64, error) {
+	vals, err := engine.RunShard(len(jobs), gr.p.Workers, gr.p.Shard, func(i int) ([]float64, error) {
 		j := jobs[i]
-		v, err := gr.run(j, rng.At(gr.seed, gr.coords(j)...))
-		if err == nil && gr.progress != nil {
-			gr.progress(gr.line(j, v))
+		v, err := gr.run(j, rng.At(gr.p.seed(), gr.coords(j)...))
+		if err == nil && gr.p.Progress != nil {
+			gr.p.Progress(gr.line(j, v))
 		}
 		return v, err
 	})
@@ -94,7 +94,7 @@ func (gr grid) collect() (*seriesSet, error) {
 	for i, j := range jobs {
 		for c, col := range cols[j.g] {
 			col.Expect(j.x)
-			if gr.shard.Owns(i) {
+			if gr.p.Shard.Owns(i) {
 				col.Observe(j.x, i, vals[i][c])
 			}
 		}

@@ -4,27 +4,10 @@ import (
 	"fmt"
 	"math"
 
-	"rfclos/internal/engine"
 	"rfclos/internal/rng"
-	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
 )
-
-// JellyfishOptions configures the RFC-vs-RRN simulated comparison.
-type JellyfishOptions struct {
-	Scale Scale
-	Loads []float64
-	Reps  int
-	Sim   simnet.Config // Table 2 parameters, shared by both simulators
-	// Workers sizes the worker pool the (network × load × rep) grid fans
-	// out on; 0 means one per CPU. The report is identical for any count.
-	Workers int
-	Seed    uint64
-	// Shard restricts execution to the grid jobs this process owns;
-	// partial reports merge byte-identically (see engine.Shard).
-	Shard engine.Shard
-}
 
 // Jellyfish runs the comparison the paper declines to simulate (§6): the
 // equal-resources RFC against Jellyfish-style random regular networks,
@@ -39,32 +22,22 @@ type JellyfishOptions struct {
 // The direct networks route ECMP-shortest with hop-indexed virtual
 // channels for deadlock freedom — the extra mechanism (VCs >= diameter)
 // that the paper's §1/§6 cost argument is about; the report records the VC
-// requirement next to the throughput. The (network × load × rep) grid runs
-// on the worker pool with coordinate-derived per-job streams, so the report
-// is byte-identical for any opts.Workers.
-func Jellyfish(opts JellyfishOptions) (*Report, error) {
-	if opts.Scale == "" {
-		opts.Scale = ScaleSmall
-	}
-	if len(opts.Loads) == 0 {
-		opts.Loads = []float64{0.3, 0.6, 0.9, 1.0}
-	}
-	if opts.Reps <= 0 {
-		opts.Reps = 2
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	sc := Scenarios(opts.Scale)[0]
+// requirement next to the throughput. It reads Scale, Seed, Cycles, Reps
+// (default 2) and Loads (default 0.3, 0.6, 0.9, 1.0). The (network × load ×
+// rep) grid runs on the worker pool with coordinate-derived per-job streams,
+// so the report is byte-identical for any p.Workers.
+func Jellyfish(p Params) (*Report, error) {
+	sc := Scenarios(p.scale())[0]
+	loads := p.loads([]float64{0.3, 0.6, 0.9, 1.0})
 
-	rfc, rud, err := buildRoutableRFC(sc.RFC, rng.At(opts.Seed, rng.StringCoord("jellyfish/topology/RFC")))
+	rfc, rud, err := buildRoutableRFC(sc.RFC, rng.At(p.seed(), rng.StringCoord("jellyfish/topology/RFC")))
 	if err != nil {
 		return nil, err
 	}
 	// Equal-T RRN (minimal radix for the same terminals at diameter 4).
 	spec := rrnSpecFor(sc.RFC.Terminals(), 4)
 	eqT, err := topology.NewRRN(spec.N, spec.Degree, spec.TermsPerSwitch,
-		rng.At(opts.Seed, rng.StringCoord("jellyfish/topology/RRN-eqT")))
+		rng.At(p.seed(), rng.StringCoord("jellyfish/topology/RRN-eqT")))
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +51,7 @@ func Jellyfish(opts JellyfishOptions) (*Report, error) {
 		eqSwitches++
 	}
 	eqEquip, err := topology.NewRRN(eqSwitches, deg, tps,
-		rng.At(opts.Seed, rng.StringCoord("jellyfish/topology/RRN-eqEquip")))
+		rng.At(p.seed(), rng.StringCoord("jellyfish/topology/RRN-eqEquip")))
 	if err != nil {
 		return nil, err
 	}
@@ -92,29 +65,29 @@ func Jellyfish(opts JellyfishOptions) (*Report, error) {
 	}
 	groups := make([]gridGroup, len(rows))
 	for i, row := range rows {
-		groups[i] = gridGroup{name: row.name, xs: opts.Loads}
+		groups[i] = gridGroup{name: row.name, xs: loads}
 	}
+	sim := p.sim()
 	set, err := grid{
-		groups: groups,
-		reps:   opts.Reps,
-		cols:   []string{"accepted", "latency"},
-		seed:   opts.Seed,
+		p:           p,
+		groups:      groups,
+		defaultReps: 2,
+		cols:        []string{"accepted", "latency"},
 		coords: func(j gridJob) []uint64 {
 			return []uint64{rng.StringCoord("jellyfish/" + rows[j.g].name), math.Float64bits(j.x), uint64(j.rep)}
 		},
 		run: func(j gridJob, stream *rng.Rand) ([]float64, error) {
 			row := rows[j.g]
-			res, err := row.simulate(traffic.NewUniform(row.terminals()), opts.Sim, stream.Uint64(), j.x)
+			res, err := row.simulate(traffic.NewUniform(row.terminals()), sim, stream.Uint64(), j.x)
 			return []float64{res.AcceptedLoad, res.AvgLatency}, err
 		},
-		workers: opts.Workers, shard: opts.Shard,
 	}.collect()
 	if err != nil {
 		return nil, err
 	}
 
 	rep := &Report{
-		Title: fmt.Sprintf("Extension: RFC vs Jellyfish (RRN), uniform traffic (%s scale)", opts.Scale),
+		Title: fmt.Sprintf("Extension: RFC vs Jellyfish (RRN), uniform traffic (%s scale)", p.scale()),
 		Notes: []string{
 			fmt.Sprintf("RFC: %v — deadlock-free with 0 required VCs", sc.RFC),
 			fmt.Sprintf("RRN equal-T: %d switches × R%d, T=%d", eqT.N(), spec.Radix(), eqT.Terminals()),
@@ -126,7 +99,7 @@ func Jellyfish(opts JellyfishOptions) (*Report, error) {
 		Header: []string{"network", "load", "accepted", "latency"},
 	}
 	for _, row := range rows {
-		for _, load := range opts.Loads {
+		for _, load := range loads {
 			rep.AddKeyed(fmt.Sprintf("%s@%g", row.name, load), Str(row.name), Float(load, "%.4g"),
 				set.mean(row.name+"/accepted", load, "%.4f"), set.mean(row.name+"/latency", load, "%.1f"))
 		}

@@ -9,44 +9,23 @@ import (
 	"rfclos/internal/metrics"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
-	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
 )
 
-// Table3Options parameterises the disconnection experiment.
-type Table3Options struct {
-	Targets []int // terminal counts; default the paper's 512..8192
-	Trials  int   // removal orders averaged per cell (paper: 100)
-	// Workers sizes the worker pool the removal trials fan out on; 0 means
-	// one per CPU. The table is identical for any worker count.
-	Workers int
-	Seed    uint64
-	// Shard restricts each cell's removal trials to the ones this process
-	// owns; partial reports merge byte-identically (see engine.Shard).
-	Shard engine.Shard
-}
-
 // Table3Disconnect reproduces Table 3: the average percentage of links that
 // must be randomly removed to disconnect a diameter-4 (3-level) network of
-// each topology, sized per the paper's rules for each terminal target. Each
-// cell's removal trials run on the worker pool with per-trial seeds derived
-// from the cell coordinates (topology name, terminal target), so the report
-// is byte-identical for any opts.Workers.
-func Table3Disconnect(opts Table3Options) (*Report, error) {
-	if len(opts.Targets) == 0 {
-		opts.Targets = []int{512, 1024, 2048, 4096, 8192}
-	}
-	if opts.Trials <= 0 {
-		opts.Trials = 100
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
+// each topology, sized per the paper's rules for each terminal target. It
+// reads Seed and Trials (removal orders averaged per cell, default 100 as
+// in the paper). Each cell's removal trials run on the worker pool with
+// per-trial seeds derived from the cell coordinates (topology name,
+// terminal target), so the report is byte-identical for any p.Workers.
+func Table3Disconnect(p Params, targets []int) (*Report, error) {
+	trials := p.trials(100)
 	rep := &Report{
 		Title: "Table 3: % of links removed to disconnect a diameter-4 network",
 		Notes: []string{
-			fmt.Sprintf("%d random removal orders per cell; radix chosen per topology as in §7", opts.Trials),
+			fmt.Sprintf("%d random removal orders per cell; radix chosen per topology as in §7", trials),
 		},
 		Header: []string{"~T", "CFT", "RRN", "RFC", "OFT"},
 	}
@@ -54,24 +33,24 @@ func Table3Disconnect(opts Table3Options) (*Report, error) {
 	// no two cells can share a removal order and the table is invariant to
 	// row or column reordering.
 	cellSeed := func(topo string, target int) uint64 {
-		return rng.DeriveSeed(opts.Seed, rng.StringCoord("table3/trials/"+topo), uint64(target))
+		return rng.DeriveSeed(p.seed(), rng.StringCoord("table3/trials/"+topo), uint64(target))
 	}
 	genStream := func(topo string, target int) *rng.Rand {
-		return rng.At(opts.Seed, rng.StringCoord("table3/gen/"+topo), uint64(target))
+		return rng.At(p.seed(), rng.StringCoord("table3/gen/"+topo), uint64(target))
 	}
 	// disconnectCell renders mean(count)/links*100 with the radix suffix,
 	// from this shard's trials of the cell.
 	disconnectCell := func(g *graph.Graph, topo string, target, radix int) Cell {
 		// The measure cannot fail, so neither can trialObs.
-		obs, _ := trialObs(opts.Trials, opts.Workers, cellSeed(topo, target), opts.Shard,
+		obs, _ := trialObs(p, trials, cellSeed(topo, target),
 			func(r *rng.Rand) (float64, error) { return float64(FaultsToDisconnect(g, r)), nil })
-		c := Mean(obs, opts.Trials, "%.1f")
+		c := Mean(obs, trials, "%.1f")
 		c.Div = float64(g.M())
 		c.Mul = 100
 		c.Suffix = fmt.Sprintf("%% (R=%d)", radix)
 		return c
 	}
-	for _, target := range opts.Targets {
+	for _, target := range targets {
 		cells := []Cell{Int(target)}
 
 		cftR := cftRadixFor(target, 3)
@@ -88,12 +67,12 @@ func Table3Disconnect(opts Table3Options) (*Report, error) {
 		}
 		cells = append(cells, disconnectCell(rrn.G, "RRN", target, spec.Radix()))
 
-		p := rfcParamsFor(target, 3)
-		rfc, err := core.Generate(p, genStream("RFC", target))
+		rp := rfcParamsFor(target, 3)
+		rfc, err := core.Generate(rp, genStream("RFC", target))
 		if err != nil {
 			return nil, err
 		}
-		cells = append(cells, disconnectCell(rfc.SwitchGraph(), "RFC", target, p.Radix))
+		cells = append(cells, disconnectCell(rfc.SwitchGraph(), "RFC", target, rp.Radix))
 
 		if q, ok := oftOrderFor(target, 3); ok {
 			oft, err := topology.NewOFT(q, 3)
@@ -107,23 +86,6 @@ func Table3Disconnect(opts Table3Options) (*Report, error) {
 		rep.AddKeyed(fmt.Sprintf("T=%d", target), cells...)
 	}
 	return rep, nil
-}
-
-// Fig11Options parameterises the up/down fault-tolerance experiment.
-type Fig11Options struct {
-	Radix  int // paper: 12
-	Trials int // removal orders per point
-	// MaxLeavesCap bounds the largest RFC per level (the level-4 maximum
-	// is ~5,000 leaves at radix 12, heavy for one machine). 0 = default.
-	MaxLeavesCap int
-	// Workers sizes the worker pool for RFC generation and removal trials;
-	// 0 means one per CPU. The report is identical for any worker count.
-	Workers int
-	Seed    uint64
-	// Shard restricts each point's removal trials to the ones this process
-	// owns (networks are still generated everywhere — they fix the row
-	// structure); partial reports merge byte-identically.
-	Shard engine.Shard
 }
 
 // fig11Point is one network point of the Figure 11 sweep: a series label,
@@ -141,20 +103,13 @@ type fig11Point struct {
 // radix. The expensive RFC generations fan out over the worker pool, as do
 // each point's removal trials; generation and trial streams are derived
 // from the point coordinates, so the report is byte-identical for any
-// opts.Workers.
-func Fig11UpDownFaults(opts Fig11Options) (*Report, error) {
-	if opts.Radix <= 0 {
-		opts.Radix = 12
-	}
-	if opts.Trials <= 0 {
-		opts.Trials = 5
-	}
-	if opts.MaxLeavesCap <= 0 {
-		opts.MaxLeavesCap = 1200
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
+// p.Workers. It reads Seed and Trials (removal orders per point, default
+// 5). maxLeaves bounds the largest RFC per level (the level-4 maximum is
+// ~5,000 leaves at radix 12, heavy for one machine). A shard still
+// generates every network, since they fix the row structure, and runs only
+// the removal trials it owns.
+func Fig11UpDownFaults(p Params, radix, maxLeaves int) (*Report, error) {
+	trials := p.trials(5)
 
 	// RFC points: fix the parameter grid first (pure arithmetic), then
 	// generate every network on the worker pool with per-point streams.
@@ -164,25 +119,22 @@ func Fig11UpDownFaults(opts Fig11Options) (*Report, error) {
 	}
 	var specs []rfcSpec
 	for _, levels := range []int{2, 3, 4} {
-		maxN1 := core.MaxLeaves(opts.Radix, levels)
-		if maxN1 > opts.MaxLeavesCap {
-			maxN1 = opts.MaxLeavesCap
-		}
+		maxN1 := min(core.MaxLeaves(radix, levels), maxLeaves)
 		for _, frac := range []float64{0.3, 0.5, 0.7, 0.9, 1.0} {
 			n1 := int(float64(maxN1)*frac) &^ 1
-			if n1 < opts.Radix {
+			if n1 < radix {
 				continue
 			}
-			p := core.Params{Radix: opts.Radix, Levels: levels, Leaves: n1}
-			if p.Validate() != nil {
+			rp := core.Params{Radix: radix, Levels: levels, Leaves: n1}
+			if rp.Validate() != nil {
 				continue
 			}
-			specs = append(specs, rfcSpec{fmt.Sprintf("RFC-%dL", levels), p})
+			specs = append(specs, rfcSpec{fmt.Sprintf("RFC-%dL", levels), rp})
 		}
 	}
-	points, err := engine.Run(len(specs), opts.Workers, func(i int) (fig11Point, error) {
+	points, err := engine.Run(len(specs), p.Workers, func(i int) (fig11Point, error) {
 		s := specs[i]
-		gen := rng.At(opts.Seed, rng.StringCoord("fig11/gen/"+s.series), uint64(s.p.Leaves))
+		gen := rng.At(p.seed(), rng.StringCoord("fig11/gen/"+s.series), uint64(s.p.Leaves))
 		c, _, _, err := core.GenerateRoutable(s.p, 50, gen)
 		if err != nil {
 			return fig11Point{series: s.series}, nil // skipped point, not an error
@@ -195,13 +147,13 @@ func Fig11UpDownFaults(opts Fig11Options) (*Report, error) {
 
 	// CFT and OFT reference points are deterministic builds.
 	for _, levels := range []int{2, 3, 4} {
-		c, err := topology.NewCFT(opts.Radix, levels)
+		c, err := topology.NewCFT(radix, levels)
 		if err != nil {
 			return nil, err
 		}
 		points = append(points, fig11Point{"CFT", float64(c.Terminals()), c})
 	}
-	if q := opts.Radix/2 - 1; q >= 2 {
+	if q := radix/2 - 1; q >= 2 {
 		for _, levels := range []int{2, 3} {
 			c, err := topology.NewOFT(q, levels)
 			if err != nil {
@@ -232,20 +184,20 @@ func Fig11UpDownFaults(opts Fig11Options) (*Report, error) {
 		if _, ok := rowsBySeries[pt.series]; !ok {
 			order = append(order, pt.series)
 		}
-		trialSeed := rng.DeriveSeed(opts.Seed, rng.StringCoord("fig11/trial/"+pt.series), uint64(pt.x))
+		trialSeed := rng.DeriveSeed(p.seed(), rng.StringCoord("fig11/trial/"+pt.series), uint64(pt.x))
 		// The measure cannot fail, so neither can trialObs.
-		obs, _ := trialObs(opts.Trials, opts.Workers, trialSeed, opts.Shard,
+		obs, _ := trialObs(p, trials, trialSeed,
 			func(r *rng.Rand) (float64, error) { return float64(FaultsUntilUpDownLost(pt.c, r)), nil })
 		rowsBySeries[pt.series] = append(rowsBySeries[pt.series], f11row{pt.x, pt.c.Wires(), obs})
 	}
 	rep := &Report{
-		Title:  fmt.Sprintf("Figure 11: up/down fault tolerance, radix %d", opts.Radix),
+		Title:  fmt.Sprintf("Figure 11: up/down fault tolerance, radix %d", radix),
 		Notes:  []string{"y = fraction of links removable before some leaf pair loses every up/down path"},
 		Header: []string{"series", "terminals", "tolerated fraction", "stddev"},
 	}
 	for _, name := range order {
 		for _, row := range rowsBySeries[name] {
-			tol := Mean(row.obs, opts.Trials, "%.4f")
+			tol := Mean(row.obs, trials, "%.4f")
 			tol.Div = float64(row.wires)
 			rep.AddKeyed(fmt.Sprintf("%s@%g", name, row.x),
 				Str(name), Float(row.x, "%g"), tol, Float(0, "%.4f"))
@@ -254,49 +206,23 @@ func Fig11UpDownFaults(opts Fig11Options) (*Report, error) {
 	return rep, nil
 }
 
-// Fig12Options parameterises the throughput-under-faults experiment.
-type Fig12Options struct {
-	Scale      Scale
-	FaultSteps int // number of fault increments (paper: 10 steps of 300)
-	Reps       int
-	Sim        simnet.Config
-	// Workers sizes the worker pool the (network × pattern × fault step ×
-	// rep) grid fans out on; 0 means one per CPU.
-	Workers  int
-	Seed     uint64
-	Progress func(string)
-	// Shard restricts execution to the grid jobs this process owns;
-	// partial reports merge byte-identically.
-	Shard engine.Shard
-}
-
 // Fig12FaultThroughput reproduces Figure 12: maximum throughput (accepted
 // load at offered 1.0) of the equal-resources CFT and RFC as links fail, for
-// the three traffic patterns. Faults are injected in equal increments up to
-// ~13% of the wires, the paper's range. Every grid point is an independent
-// job — clone the topology, remove the links, rebuild routing, simulate —
-// with streams derived from its (network, pattern, faults, rep) coordinates,
-// so the report is byte-identical for any opts.Workers.
-func Fig12FaultThroughput(opts Fig12Options) (*Report, error) {
-	if opts.FaultSteps <= 0 {
-		opts.FaultSteps = 10
-	}
-	if opts.Reps <= 0 {
-		opts.Reps = 2
-	}
-	if opts.Scale == "" {
-		opts.Scale = ScaleSmall
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	sc := Scenarios(opts.Scale)[0]
+// the three traffic patterns. The fault count grows from 0 in the given
+// number of equal steps up to ~13% of the wires, the paper's range (10
+// steps of 300 at paper scale). It reads Scale, Seed, Cycles and Reps (default 2). Every grid
+// point is an independent job — clone the topology, remove the links,
+// rebuild routing, simulate — with streams derived from its (network,
+// pattern, faults, rep) coordinates, so the report is byte-identical for
+// any p.Workers.
+func Fig12FaultThroughput(p Params, steps int) (*Report, error) {
+	sc := Scenarios(p.scale())[0]
 
 	cft, err := sc.CFT.Build()
 	if err != nil {
 		return nil, err
 	}
-	rfc, _, err := buildRoutableRFC(sc.RFC, rng.At(opts.Seed, rng.StringCoord("fig12/topology/RFC")))
+	rfc, _, err := buildRoutableRFC(sc.RFC, rng.At(p.seed(), rng.StringCoord("fig12/topology/RFC")))
 	if err != nil {
 		return nil, err
 	}
@@ -307,14 +233,15 @@ func Fig12FaultThroughput(opts Fig12Options) (*Report, error) {
 	patterns := traffic.Names()
 	var groups []gridGroup
 	for _, n := range nets {
-		groups = append(groups, patternGroups(n.name, patterns, faultCounts(n.c.Wires(), opts.FaultSteps))...)
+		groups = append(groups, patternGroups(n.name, patterns, faultCounts(n.c.Wires(), steps))...)
 	}
 	np := len(patterns)
+	sim := p.sim()
 	set, err := grid{
-		groups: groups,
-		reps:   opts.Reps,
-		cols:   []string{"accepted"},
-		seed:   opts.Seed,
+		p:           p,
+		groups:      groups,
+		defaultReps: 2,
+		cols:        []string{"accepted"},
 		coords: func(j gridJob) []uint64 {
 			return []uint64{rng.StringCoord("fig12/" + nets[j.g/np].name), rng.StringCoord(patterns[j.g%np]),
 				uint64(j.x), uint64(j.rep)}
@@ -327,16 +254,15 @@ func Fig12FaultThroughput(opts Fig12Options) (*Report, error) {
 				return nil, err
 			}
 			n := netUnderTest{c: faulty, ud: routing.New(faulty)}
-			res, err := n.simulate(pat, opts.Sim, stream.Uint64(), 1.0)
+			res, err := n.simulate(pat, sim, stream.Uint64(), 1.0)
 			return []float64{res.AcceptedLoad}, err
 		},
-		workers: opts.Workers, shard: opts.Shard, progress: opts.Progress,
 	}.collect()
 	if err != nil {
 		return nil, err
 	}
 	return set.report("Figure 12: max throughput under link faults (equal-resources scenario)",
-		[]string{fmt.Sprintf("scale=%s; offered load 1.0; faults up to ~13%% of wires", opts.Scale)},
+		[]string{fmt.Sprintf("scale=%s; offered load 1.0; faults up to ~13%% of wires", p.scale())},
 		"faulty links", "accepted load"), nil
 }
 

@@ -3,31 +3,12 @@ package analysis
 import (
 	"fmt"
 
-	"rfclos/internal/engine"
 	"rfclos/internal/graph"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
-	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
 )
-
-// RRNFaultsOptions parameterises the direct-network fault-throughput
-// extension.
-type RRNFaultsOptions struct {
-	Scale      Scale
-	FaultSteps int // fault increments up to ~13% of each network's wires
-	Reps       int
-	Sim        simnet.Config // Table 2 parameters, shared by both simulators
-	// Workers sizes the worker pool the (network × pattern × fault step ×
-	// rep) grid fans out on; 0 means one per CPU.
-	Workers  int
-	Seed     uint64
-	Progress func(string)
-	// Shard restricts execution to the grid jobs this process owns;
-	// partial reports merge byte-identically (see engine.Shard).
-	Shard engine.Shard
-}
 
 // RRNFaults extends the Figure 12 fault methodology to the random baseline
 // the paper leaves unsimulated: maximum throughput (accepted load at offered
@@ -39,30 +20,20 @@ type RRNFaultsOptions struct {
 // recompute shortest paths on the faulted graph and score 0 when the faults
 // disconnect it or push its diameter past the hop-indexed VC budget — the
 // deadlock-freedom fragility §1/§6 attribute to direct random networks.
-// Every grid point is an independent job with streams derived from its
-// coordinates, so the report is byte-identical for any opts.Workers.
-func RRNFaults(opts RRNFaultsOptions) (*Report, error) {
-	if opts.FaultSteps <= 0 {
-		opts.FaultSteps = 10
-	}
-	if opts.Reps <= 0 {
-		opts.Reps = 2
-	}
-	if opts.Scale == "" {
-		opts.Scale = ScaleSmall
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	sc := Scenarios(opts.Scale)[0]
+// The fault count grows from 0 in the given number of equal steps up to
+// ~13% of each network's wires. It reads Scale, Seed, Cycles and Reps (default 2). Every grid
+// point is an independent job with streams derived from its coordinates, so
+// the report is byte-identical for any p.Workers.
+func RRNFaults(p Params, steps int) (*Report, error) {
+	sc := Scenarios(p.scale())[0]
 
-	rfc, _, err := buildRoutableRFC(sc.RFC, rng.At(opts.Seed, rng.StringCoord("rrnfaults/topology/RFC")))
+	rfc, _, err := buildRoutableRFC(sc.RFC, rng.At(p.seed(), rng.StringCoord("rrnfaults/topology/RFC")))
 	if err != nil {
 		return nil, err
 	}
 	spec := rrnSpecFor(sc.RFC.Terminals(), 4)
 	rrn, err := topology.NewRRN(spec.N, spec.Degree, spec.TermsPerSwitch,
-		rng.At(opts.Seed, rng.StringCoord("rrnfaults/topology/RRN")))
+		rng.At(p.seed(), rng.StringCoord("rrnfaults/topology/RRN")))
 	if err != nil {
 		return nil, err
 	}
@@ -71,14 +42,15 @@ func RRNFaults(opts RRNFaultsOptions) (*Report, error) {
 		{name: fmt.Sprintf("RRN-R%d", spec.Radix()), rrn: rrn},
 	}
 	patterns := []string{"uniform", "shift"}
-	groups := append(patternGroups(nets[0].name, patterns, faultCounts(rfc.Wires(), opts.FaultSteps)),
-		patternGroups(nets[1].name, patterns, faultCounts(rrn.Wires(), opts.FaultSteps))...)
+	groups := append(patternGroups(nets[0].name, patterns, faultCounts(rfc.Wires(), steps)),
+		patternGroups(nets[1].name, patterns, faultCounts(rrn.Wires(), steps))...)
 	np := len(patterns)
+	sim := p.sim()
 	set, err := grid{
-		groups: groups,
-		reps:   opts.Reps,
-		cols:   []string{"accepted"},
-		seed:   opts.Seed,
+		p:           p,
+		groups:      groups,
+		defaultReps: 2,
+		cols:        []string{"accepted"},
 		coords: func(j gridJob) []uint64 {
 			return []uint64{rng.StringCoord("rrnfaults/" + nets[j.g/np].name), rng.StringCoord(patterns[j.g%np]),
 				uint64(j.x), uint64(j.rep)}
@@ -101,20 +73,19 @@ func RRNFaults(opts RRNFaultsOptions) (*Report, error) {
 			}
 			// An RRN that faults disconnected, or whose diameter grew past
 			// the VC budget, cannot route deadlock-free any more: it scores 0.
-			res, err := n.simulate(pat, opts.Sim, stream.Uint64(), 1.0)
+			res, err := n.simulate(pat, sim, stream.Uint64(), 1.0)
 			if err != nil {
 				return []float64{0}, nil
 			}
 			return []float64{res.AcceptedLoad}, nil
 		},
-		workers: opts.Workers, shard: opts.Shard, progress: opts.Progress,
 	}.collect()
 	if err != nil {
 		return nil, err
 	}
 	return set.report("Extension: max throughput under link faults, RFC vs RRN (unified engine)",
 		[]string{
-			fmt.Sprintf("scale=%s; offered load 1.0; faults up to ~13%% of each network's wires", opts.Scale),
+			fmt.Sprintf("scale=%s; offered load 1.0; faults up to ~13%% of each network's wires", p.scale()),
 			fmt.Sprintf("RFC: %v, up/down routing around faults; RRN: %d switches × R%d, minimal routing with %d hop-indexed VCs",
 				sc.RFC, rrn.N(), spec.Radix(), rrnVCs),
 			"RRN points score 0 when faults disconnect the graph or push its diameter past the VC budget",

@@ -4,50 +4,26 @@ import (
 	"fmt"
 
 	"rfclos/internal/core"
-	"rfclos/internal/engine"
 	"rfclos/internal/graph"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
-	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
 )
-
-// StructureOptions configures the topological-metrics comparison.
-type StructureOptions struct {
-	// Target terminal count for sizing each topology (diameter-4 rules,
-	// same as Table 3). Default 1024.
-	Target int
-	// PairSamples is how many random leaf pairs to sample for distance
-	// and path-diversity statistics. Default 200.
-	PairSamples int
-	Seed        uint64
-}
-
-// structureStream derives the experiment's generator from the root seed;
-// the label keeps it disjoint from every other experiment's streams.
-func structureStream(seed uint64) *rng.Rand {
-	if seed == 0 {
-		seed = 1
-	}
-	return rng.At(seed, rng.StringCoord("structure"))
-}
 
 // Structure compares the diameter-4 networks on the structural metrics the
 // paper discusses outside the big exhibits: exact/sampled diameter, mean
 // leaf distance, empirical bisection (heuristic upper bound) against the
 // §4.2 Bollobás-style lower bounds, and path diversity (mean leaf-to-leaf
-// edge connectivity), which §7 ties to fault tolerance.
-func Structure(opts StructureOptions) (*Report, error) {
-	if opts.Target <= 0 {
-		opts.Target = 1024
-	}
-	if opts.PairSamples <= 0 {
-		opts.PairSamples = 200
-	}
-	r := structureStream(opts.Seed)
+// edge connectivity), which §7 ties to fault tolerance. Each topology is
+// sized for the target terminal count by the diameter-4 rules of Table 3,
+// and pairSamples random leaf pairs feed the distance and path-diversity
+// statistics. It reads Seed only: one stream, labelled to keep it disjoint
+// from every other experiment's, draws everything.
+func Structure(p Params, target, pairSamples int) (*Report, error) {
+	r := rng.At(p.seed(), rng.StringCoord("structure"))
 	rep := &Report{
-		Title: fmt.Sprintf("Structural comparison at diameter 4, T ≈ %d", opts.Target),
+		Title: fmt.Sprintf("Structural comparison at diameter 4, T ≈ %d", target),
 		Notes: []string{
 			"sw-bisection = heuristic min cut over equal halves of *switches* (upper bound)",
 			"§4.2 bound = the paper's Bollobás-style lower bound on the *terminal-halving* cut;",
@@ -60,8 +36,8 @@ func Structure(opts StructureOptions) (*Report, error) {
 	addClos := func(name string, c *topology.Clos, radix int, lb float64) {
 		g := c.SwitchGraph()
 		n1 := c.LevelSize(1)
-		diam, mean := leafDistanceStats(c, g, opts.PairSamples, r)
-		div := pathDiversity(g, n1, opts.PairSamples/4, r)
+		diam, mean := leafDistanceStats(c, g, pairSamples, r)
+		div := pathDiversity(g, n1, pairSamples/4, r)
 		ub := g.BisectionUpperBound(3, r)
 		lbs := "-"
 		if lb > 0 {
@@ -71,21 +47,21 @@ func Structure(opts StructureOptions) (*Report, error) {
 			Float(mean, "%.2f"), Float(div, "%.2f"), Int(ub), Str(lbs))
 	}
 
-	cftR := cftRadixFor(opts.Target, 3)
+	cftR := cftRadixFor(target, 3)
 	cft, err := topology.NewCFT(cftR, 3)
 	if err != nil {
 		return nil, err
 	}
 	addClos("CFT", cft, cftR, 0)
 
-	p := rfcParamsFor(opts.Target, 3)
-	rfc, _, _, err := core.GenerateRoutable(p, 50, r)
+	rp := rfcParamsFor(target, 3)
+	rfc, _, _, err := core.GenerateRoutable(rp, 50, r)
 	if err != nil {
 		return nil, err
 	}
-	addClos("RFC", rfc, p.Radix, core.BisectionLowerBoundRFC(p.Leaves, p.Radix, p.Levels))
+	addClos("RFC", rfc, rp.Radix, core.BisectionLowerBoundRFC(rp.Leaves, rp.Radix, rp.Levels))
 
-	if q, ok := oftOrderFor(opts.Target, 3); ok {
+	if q, ok := oftOrderFor(target, 3); ok {
 		oft, err := topology.NewOFT(q, 3)
 		if err != nil {
 			return nil, err
@@ -93,7 +69,7 @@ func Structure(opts StructureOptions) (*Report, error) {
 		addClos("OFT", oft, 2*(q+1), 0)
 	}
 
-	spec := rrnSpecFor(opts.Target, 4)
+	spec := rrnSpecFor(target, 4)
 	rrn, err := topology.NewRRN(spec.N, spec.Degree, spec.TermsPerSwitch, r)
 	if err != nil {
 		return nil, err
@@ -101,7 +77,7 @@ func Structure(opts StructureOptions) (*Report, error) {
 	g := rrn.G
 	diam := g.DiameterSampled(8, r)
 	mean := g.AverageDistance(minInt(g.N(), 50), r)
-	div := pathDiversity(g, g.N(), opts.PairSamples/4, r)
+	div := pathDiversity(g, g.N(), pairSamples/4, r)
 	ub := g.BisectionUpperBound(3, r)
 	rep.AddKeyed("RRN", Str("RRN"), Int(spec.Radix()), Int(rrn.Terminals()), Int(diam),
 		Float(mean, "%.2f"), Float(div, "%.2f"), Int(ub),
@@ -182,54 +158,32 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// AdversarialOptions configures the adversarial-permutation experiment.
-type AdversarialOptions struct {
-	Scale Scale
-	Reps  int
-	Sim   simnet.Config
-	// Workers sizes the worker pool the (network × rep) jobs fan out on;
-	// 0 means one per CPU. The report is identical for any worker count.
-	Workers int
-	Seed    uint64
-	// Shard restricts execution to the (network × rep) jobs this process
-	// owns; partial reports merge byte-identically (see engine.Shard).
-	Shard engine.Shard
-}
-
 // Adversarial measures the §4.2/§3 claim that RFCs route adversarial
 // permutations at much better than 50% of full rate without Valiant
 // randomization: it drives the equal-resources CFT and RFC with the shift
 // permutation (every packet crosses the bisection) at full offered load and
 // reports accepted throughput next to the normalized-bisection prediction.
 // An equal-T RRN row (minimal routing, hop-indexed VCs, on the same unified
-// engine) extends the comparison to the random baseline.
-func Adversarial(opts AdversarialOptions) (*Report, error) {
-	if opts.Scale == "" {
-		opts.Scale = ScaleSmall
-	}
-	if opts.Reps <= 0 {
-		opts.Reps = 2
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	sc := Scenarios(opts.Scale)[0]
+// engine) extends the comparison to the random baseline. It reads Scale,
+// Seed, Cycles and Reps (default 2).
+func Adversarial(p Params) (*Report, error) {
+	sc := Scenarios(p.scale())[0]
 	cft, err := sc.CFT.Build()
 	if err != nil {
 		return nil, err
 	}
-	rfc, rud, err := buildRoutableRFC(sc.RFC, rng.At(opts.Seed, rng.StringCoord("adversarial/topology/RFC")))
+	rfc, rud, err := buildRoutableRFC(sc.RFC, rng.At(p.seed(), rng.StringCoord("adversarial/topology/RFC")))
 	if err != nil {
 		return nil, err
 	}
 	spec := rrnSpecFor(sc.RFC.Terminals(), 4)
 	rrn, err := topology.NewRRN(spec.N, spec.Degree, spec.TermsPerSwitch,
-		rng.At(opts.Seed, rng.StringCoord("adversarial/topology/RRN")))
+		rng.At(p.seed(), rng.StringCoord("adversarial/topology/RRN")))
 	if err != nil {
 		return nil, err
 	}
 	rep := &Report{
-		Title: fmt.Sprintf("Adversarial shift permutation at full load (%s equal-resources scenario)", opts.Scale),
+		Title: fmt.Sprintf("Adversarial shift permutation at full load (%s equal-resources scenario)", p.scale()),
 		Notes: []string{
 			"shift by T/2: every packet crosses the bisection",
 			fmt.Sprintf("§4.2 normalized bisection prediction for this RFC: %.2f",
@@ -249,20 +203,20 @@ func Adversarial(opts AdversarialOptions) (*Report, error) {
 	for i, row := range rows {
 		groups[i] = gridGroup{name: row.name, xs: []float64{1}}
 	}
+	sim := p.sim()
 	set, err := grid{
-		groups: groups,
-		reps:   opts.Reps,
-		cols:   []string{"accepted", "latency"},
-		seed:   opts.Seed,
+		p:           p,
+		groups:      groups,
+		defaultReps: 2,
+		cols:        []string{"accepted", "latency"},
 		coords: func(j gridJob) []uint64 {
 			return []uint64{rng.StringCoord("adversarial/" + rows[j.g].name), uint64(j.rep)}
 		},
 		run: func(j gridJob, stream *rng.Rand) ([]float64, error) {
 			row := rows[j.g]
-			res, err := row.simulate(traffic.NewShift(row.terminals(), 0), opts.Sim, stream.Uint64(), j.x)
+			res, err := row.simulate(traffic.NewShift(row.terminals(), 0), sim, stream.Uint64(), j.x)
 			return []float64{res.AcceptedLoad, res.AvgLatency}, err
 		},
-		workers: opts.Workers, shard: opts.Shard,
 	}.collect()
 	if err != nil {
 		return nil, err

@@ -3,12 +3,10 @@ package analysis
 import (
 	"strings"
 	"testing"
-
-	"rfclos/internal/simnet"
 )
 
 func TestStructureReport(t *testing.T) {
-	rep, err := Structure(StructureOptions{Target: 256, PairSamples: 40, Seed: 3})
+	rep, err := Structure(Params{Seed: 3}, 256, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +38,7 @@ func TestStructureReport(t *testing.T) {
 }
 
 func TestAdversarialReport(t *testing.T) {
-	rep, err := Adversarial(AdversarialOptions{
-		Scale: ScaleSmall,
-		Reps:  1,
-		Sim:   simnet.Config{WarmupCycles: 300, MeasureCycles: 1200},
-		Seed:  7,
-	})
+	rep, err := Adversarial(Params{Scale: ScaleSmall, Reps: 1, Cycles: 1200, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +68,7 @@ func TestAdversarialReport(t *testing.T) {
 }
 
 func TestTablesReport(t *testing.T) {
-	rep, err := TablesReport(ScaleSmall, 4, 9)
+	rep, err := TablesReport(Params{Scale: ScaleSmall, Seed: 9}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +89,7 @@ func TestTablesReport(t *testing.T) {
 }
 
 func TestJellyfishReport(t *testing.T) {
-	rep, err := Jellyfish(JellyfishOptions{
-		Scale: ScaleSmall,
-		Loads: []float64{0.4},
-		Reps:  1,
-		Sim:   simnet.Config{WarmupCycles: 300, MeasureCycles: 1000},
-		Seed:  17,
-	})
+	rep, err := Jellyfish(Params{Scale: ScaleSmall, Loads: []float64{0.4}, Reps: 1, Cycles: 1000, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"rfclos/internal/engine"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
 	"rfclos/internal/simdirect"
@@ -12,51 +11,6 @@ import (
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
 )
-
-// SimOptions controls the simulation-based experiments (Figures 8-10, 12).
-type SimOptions struct {
-	// Loads is the offered-load sweep (phits/node/cycle).
-	Loads []float64
-	// Reps is the number of independent repetitions averaged per point
-	// (the paper averages at least 5).
-	Reps int
-	// Sim carries the Table 2 parameters; zero fields take defaults.
-	Sim simnet.Config
-	// Patterns restricts the traffic patterns (default: all three).
-	Patterns []string
-	// Seed drives every random choice. Each simulation job derives its
-	// stream from its coordinates — rng.At(Seed, StringCoord(network),
-	// StringCoord(pattern), Float64bits(load), rep) — so reports are
-	// byte-identical for any Workers setting.
-	Seed uint64
-	// Workers is the worker-pool size for the (load × rep × pattern ×
-	// network) job grid; 0 means one worker per CPU (engine.Workers).
-	Workers int
-	// Shard restricts execution to the jobs this process owns (see
-	// engine.Shard); the zero value runs the whole grid. Sharded runs emit
-	// partial aggregates that MergeReports combines byte-identically.
-	Shard engine.Shard
-	// Progress, when non-nil, receives one line per completed job. It is
-	// called from worker goroutines, so it must be safe for concurrent use
-	// when Workers != 1 (obs.Progress builds a safe, counting sink).
-	Progress func(string)
-}
-
-func (o SimOptions) withDefaults() SimOptions {
-	if len(o.Loads) == 0 {
-		o.Loads = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
-	}
-	if o.Reps <= 0 {
-		o.Reps = 3
-	}
-	if len(o.Patterns) == 0 {
-		o.Patterns = traffic.Names()
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
 
 // rrnVCs is the hop-indexed virtual-channel budget of every simulated RRN:
 // it covers any small-network diameter.
@@ -84,20 +38,12 @@ func (n netUnderTest) terminals() int {
 // on the direct one with the same Table 2 parameters, minimal routing and
 // rrnVCs hop-indexed VCs, and fails when it cannot route deadlock-free.
 func (n netUnderTest) simulate(pat traffic.Pattern, sim simnet.Config, seed uint64, load float64) (simnet.Result, error) {
+	sim.Seed = seed
 	if n.rrn == nil {
-		sim.Seed = seed
 		return simnet.New(n.c, n.ud, pat, sim).Run(load), nil
 	}
-	d, err := simdirect.New(n.rrn, pat, simdirect.Config{
-		VCs:            rrnVCs,
-		BufferPackets:  sim.BufferPackets,
-		PacketLength:   sim.PacketLength,
-		LinkLatency:    sim.LinkLatency,
-		WarmupCycles:   sim.WarmupCycles,
-		MeasureCycles:  sim.MeasureCycles,
-		SourceQueueCap: sim.SourceQueueCap,
-		Seed:           seed,
-	})
+	sim.VCs = rrnVCs
+	d, err := simdirect.New(n.rrn, pat, sim)
 	if err != nil {
 		return simnet.Result{}, err
 	}
@@ -142,40 +88,42 @@ func buildScenarioNets(sc Scenario, seed uint64) ([]netUnderTest, error) {
 
 // ScenarioSweep runs the full Figure 8/9/10 experiment for one scenario:
 // every network in the scenario × every traffic pattern × the load sweep,
-// one (network × pattern × load × rep) job grid on the worker pool. Each
-// job's stream is rng.At(Seed, StringCoord(network), StringCoord(pattern),
-// Float64bits(load), rep), so the report is byte-identical for any
-// opts.Workers.
-func ScenarioSweep(sc Scenario, opts SimOptions) (*Report, error) {
-	opts = opts.withDefaults()
-	nets, err := buildScenarioNets(sc, opts.Seed)
+// one (network × pattern × load × rep) job grid on the worker pool. It
+// reads Seed, Cycles, Reps (default 3), Loads (default 0.1..1.0), Patterns
+// (default all three) and InfiniteSink. Each job's stream is rng.At(Seed,
+// StringCoord(network), StringCoord(pattern), Float64bits(load), rep), so
+// the report is byte-identical for any p.Workers.
+func ScenarioSweep(sc Scenario, p Params) (*Report, error) {
+	nets, err := buildScenarioNets(sc, p.seed())
 	if err != nil {
 		return nil, err
 	}
+	patterns := p.patterns(traffic.Names())
 	var groups []gridGroup
 	for _, n := range nets {
-		groups = append(groups, patternGroups(n.name, opts.Patterns, opts.Loads)...)
+		groups = append(groups, patternGroups(n.name, patterns, p.loads(sweepLoads))...)
 	}
-	np := len(opts.Patterns)
+	sim := p.sim()
+	sim.InfiniteSink = p.InfiniteSink
+	np := len(patterns)
 	set, err := grid{
-		groups: groups,
-		reps:   opts.Reps,
-		cols:   []string{"throughput", "latency"},
-		seed:   opts.Seed,
+		p:           p,
+		groups:      groups,
+		defaultReps: 3,
+		cols:        []string{"throughput", "latency"},
 		coords: func(j gridJob) []uint64 {
-			return []uint64{rng.StringCoord(nets[j.g/np].name), rng.StringCoord(opts.Patterns[j.g%np]),
+			return []uint64{rng.StringCoord(nets[j.g/np].name), rng.StringCoord(patterns[j.g%np]),
 				math.Float64bits(j.x), uint64(j.rep)}
 		},
 		run: func(j gridJob, stream *rng.Rand) ([]float64, error) {
 			n := nets[j.g/np]
-			pat, err := traffic.New(opts.Patterns[j.g%np], n.terminals(), stream)
+			pat, err := traffic.New(patterns[j.g%np], n.terminals(), stream)
 			if err != nil {
 				return nil, err
 			}
-			res, err := n.simulate(pat, opts.Sim, stream.Uint64(), j.x)
+			res, err := n.simulate(pat, sim, stream.Uint64(), j.x)
 			return []float64{res.AcceptedLoad, res.AvgLatency}, err
 		},
-		workers: opts.Workers, shard: opts.Shard, progress: opts.Progress,
 	}.collect()
 	if err != nil {
 		return nil, err

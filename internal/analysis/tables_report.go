@@ -14,16 +14,12 @@ import (
 // port references and memory, next to the compressed cover state the router
 // actually uses. The RRN column estimates the k-shortest-path state Jellyfish
 // requires (k paths × average path length per switch pair), which grows
-// faster and must be recomputed globally on every expansion or fault.
-func TablesReport(scale Scale, kPaths int, seed uint64) (*Report, error) {
-	if kPaths <= 0 {
-		kPaths = 8 // the Jellyfish paper's k
-	}
-	if seed == 0 {
-		seed = 1
-	}
+// faster and must be recomputed globally on every expansion or fault. It
+// reads Scale and Seed.
+func TablesReport(p Params, kPaths int) (*Report, error) {
+	scale := p.scale()
 	sc := Scenarios(scale)[0]
-	r := rng.At(seed, rng.StringCoord("tables"))
+	r := rng.At(p.seed(), rng.StringCoord("tables"))
 	rep := &Report{
 		Title: fmt.Sprintf("Forwarding state comparison (%s equal-resources scenario)", scale),
 		Notes: []string{

@@ -1,18 +1,17 @@
 // Package exhibit is the registry of the paper's exhibits: one descriptor
-// per figure/table/extension, each knowing how to produce its Report from a
-// shared parameter set. The registry is the single source of truth for the
-// exhibit ids, their "all" execution order, the per-exhibit defaults the CLI
-// help prints, and the shard-aware entry point rfcpaper and rfcmerge share.
+// per figure/table/extension, each producing its Report from the shared run
+// settings (analysis.Params) and the shape constants its entry pins. The
+// registry is the single source of truth for the exhibit ids, their "all"
+// execution order, the per-exhibit defaults the CLI help prints, and the
+// shard-aware entry point rfcpaper, rfcmerge and the rfclos facade share.
 package exhibit
 
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"rfclos/internal/analysis"
-	"rfclos/internal/engine"
 )
 
 // Kind classifies an exhibit by how it computes: closed-form or sampled
@@ -33,53 +32,6 @@ const (
 // Result is the structured report an exhibit produces.
 type Result = analysis.Report
 
-// Params carries every run-time knob rfcpaper exposes; each exhibit reads
-// the subset it understands and applies its own defaults for the rest, so
-// one Params value can drive the whole registry ("-exhibit all").
-type Params struct {
-	Scale analysis.Scale // small | paper (sim exhibits)
-	Seed  uint64
-	// Trials overrides the trials/repetitions default of thm42, fig11 and
-	// table3 when > 0.
-	Trials int
-	// Cycles overrides MeasureCycles when > 0 (warmup becomes Cycles/4).
-	Cycles int
-	// Reps is the per-point repetition count for simulation sweeps (0 =
-	// exhibit default).
-	Reps int
-	// Workers sizes the worker pools; 0 means one per CPU. Reports are
-	// byte-identical for any value.
-	Workers int
-	// Loads and Patterns override the sweep grids of the sim exhibits.
-	Loads    []float64
-	Patterns []string
-	// InfiniteSink models infinite reception bandwidth (fig8-10 only, as in
-	// the pre-registry CLI).
-	InfiniteSink bool
-	// Backend selects the throughput engine of the scenario sweeps
-	// (fig8-10): "" or "cycle" runs the cycle-accurate simulator, "flow"
-	// the flow-level max-min-fair solver. Flow-kind exhibits always use the
-	// flow backend; other exhibits ignore the knob.
-	Backend string
-	// Progress, when non-nil, receives one line per completed job of the
-	// exhibits that report progress.
-	Progress func(string)
-	// Shard restricts the job grids to the slice this process owns; the
-	// zero value runs everything (see engine.Shard).
-	Shard engine.Shard
-}
-
-// stamp renders every field of p except Workers, Progress and Shard, the
-// ones a report does not depend on, in one canonical line.
-func (p Params) stamp() string {
-	loads := make([]string, len(p.Loads))
-	for i, v := range p.Loads {
-		loads[i] = strconv.FormatFloat(v, 'g', -1, 64)
-	}
-	return fmt.Sprintf("scale=%s seed=%d trials=%d cycles=%d reps=%d loads=[%s] patterns=%v infinite-sink=%t backend=%s",
-		p.Scale, p.Seed, p.Trials, p.Cycles, p.Reps, strings.Join(loads, " "), p.Patterns, p.InfiniteSink, p.Backend)
-}
-
 // Exhibit describes one registered exhibit.
 type Exhibit struct {
 	// ID is the CLI name ("fig5", "table3", ...).
@@ -87,11 +39,11 @@ type Exhibit struct {
 	// Title is a one-line description of what the exhibit reproduces.
 	Title string
 	Kind  Kind
-	// Defaults summarises the parameter defaults this exhibit applies when
-	// the corresponding Params fields are zero.
+	// Defaults summarises the shapes this exhibit pins and the defaults it
+	// applies when the corresponding Params fields are zero.
 	Defaults string
-	// Run produces the exhibit's report for the given parameters.
-	Run func(Params) (*Result, error)
+	// Run produces the exhibit's report for the given run settings.
+	Run func(analysis.Params) (*Result, error)
 }
 
 var (
@@ -112,12 +64,12 @@ func register(e Exhibit) {
 	inner := c.Run
 	// Stamp provenance on every report so the JSON form and rfcmerge can
 	// group partials, and refuse to mix runs, without side channels.
-	c.Run = func(p Params) (*Result, error) {
+	c.Run = func(p analysis.Params) (*Result, error) {
 		rep, err := inner(p)
 		if rep != nil {
 			rep.Exhibit = c.ID
 			rep.Shard = p.Shard
-			rep.Params = p.stamp()
+			rep.Params = p.Stamp()
 		}
 		return rep, err
 	}

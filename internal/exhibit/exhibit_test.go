@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rfclos/internal/analysis"
 	"rfclos/internal/engine"
 )
 
@@ -80,7 +81,7 @@ func TestRunStampsProvenance(t *testing.T) {
 		t.Fatal("fig5 not registered")
 	}
 	sh := engine.Shard{K: 1, N: 2}
-	rep, err := e.Run(Params{Seed: 1, Shard: sh})
+	rep, err := e.Run(analysis.Params{Seed: 1, Shard: sh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestRunStampsProvenance(t *testing.T) {
 	if rep.Shard != sh {
 		t.Errorf("Shard = %v, want %v", rep.Shard, sh)
 	}
-	if want := (Params{Seed: 1}).stamp(); rep.Params != want {
+	if want := (analysis.Params{Seed: 1}).Stamp(); rep.Params != want {
 		t.Errorf("Params = %q, want %q", rep.Params, want)
 	}
 }
@@ -100,11 +101,11 @@ func TestRunStampsProvenance(t *testing.T) {
 // a field added later cannot slip past the merge check unstamped.
 func TestParamsStampCoversEveryField(t *testing.T) {
 	unstamped := map[string]bool{"Workers": true, "Progress": true, "Shard": true}
-	base := Params{}.stamp()
-	typ := reflect.TypeOf(Params{})
+	base := analysis.Params{}.Stamp()
+	typ := reflect.TypeOf(analysis.Params{})
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
-		var p Params
+		var p analysis.Params
 		v := reflect.ValueOf(&p).Elem().Field(i)
 		switch v.Kind() {
 		case reflect.String:
@@ -129,7 +130,7 @@ func TestParamsStampCoversEveryField(t *testing.T) {
 		default:
 			t.Fatalf("field %s: kind %s not covered by this test", f.Name, v.Kind())
 		}
-		if changed := p.stamp() != base; changed == unstamped[f.Name] {
+		if changed := p.Stamp() != base; changed == unstamped[f.Name] {
 			t.Errorf("field %s: stamp changed = %v, want %v", f.Name, changed, !unstamped[f.Name])
 		}
 	}

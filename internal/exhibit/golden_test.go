@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"rfclos/internal/analysis"
 )
 
 // The golden files under testdata/golden were captured from the pre-registry
@@ -14,8 +16,8 @@ import (
 
 // goldenParams returns the capture parameters for one exhibit (all were
 // captured with -seed 7 -quiet).
-func goldenParams(id string) Params {
-	p := Params{Scale: "small", Seed: 7} // the CLI's flag defaults
+func goldenParams(id string) analysis.Params {
+	p := analysis.Params{Scale: "small", Seed: 7} // the CLI's flag defaults
 	switch id {
 	case "thm42":
 		p.Trials = 6
@@ -83,7 +85,7 @@ func TestGoldenAll(t *testing.T) {
 	}
 	var got string
 	for _, e := range All() {
-		rep, err := e.Run(Params{
+		rep, err := e.Run(analysis.Params{
 			Scale: "small", Seed: 7, Trials: 2, Cycles: 300, Reps: 1,
 			Loads: []float64{0.5}, Patterns: []string{"uniform"},
 		})
@@ -117,7 +119,7 @@ func TestUpdateGoldens(t *testing.T) {
 		if err := os.WriteFile(path, []byte(rep.Format()+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		allRep, err := e.Run(Params{
+		allRep, err := e.Run(analysis.Params{
 			Scale: "small", Seed: 7, Trials: 2, Cycles: 300, Reps: 1,
 			Loads: []float64{0.5}, Patterns: []string{"uniform"},
 		})

@@ -27,7 +27,7 @@ import (
 // the simulated exhibits run fewer cycles and loads, the fault sweeps one
 // rep, thm42 fewer trials and flowscale one pattern at one load. The
 // other exhibits run at their golden parameters.
-func matrixParams(id string) Params {
+func matrixParams(id string) analysis.Params {
 	p := goldenParams(id)
 	switch id {
 	case "thm42":
@@ -50,7 +50,7 @@ func matrixParams(id string) Params {
 var slowMatrix = map[string]bool{"fig10": true, "fig11": true, "fig12": true, "rrnfaults": true}
 
 // matrixJSON runs one exhibit and returns its report's JSON bytes.
-func matrixJSON(t *testing.T, e *Exhibit, p Params) []byte {
+func matrixJSON(t *testing.T, e *Exhibit, p analysis.Params) []byte {
 	t.Helper()
 	rep, err := e.Run(p)
 	if err != nil {
@@ -65,7 +65,7 @@ func matrixJSON(t *testing.T, e *Exhibit, p Params) []byte {
 
 // mergedShards runs every shard of an n-way partition, round-trips each
 // partial through JSON and merges them.
-func mergedShards(t *testing.T, e *Exhibit, p Params, n int) *analysis.Report {
+func mergedShards(t *testing.T, e *Exhibit, p analysis.Params, n int) *analysis.Report {
 	t.Helper()
 	parts := make([]*analysis.Report, n)
 	for k := range parts {

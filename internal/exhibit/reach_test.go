@@ -32,16 +32,16 @@ var paramsReads = map[string][]string{
 }
 
 // paramsVary moves one stamped Params field to a different value.
-var paramsVary = map[string]func(*Params){
-	"Scale":        func(p *Params) { p.Scale = analysis.ScalePaper },
-	"Seed":         func(p *Params) { p.Seed++ },
-	"Trials":       func(p *Params) { p.Trials++ },
-	"Cycles":       func(p *Params) { p.Cycles += 20 },
-	"Reps":         func(p *Params) { p.Reps++ },
-	"Loads":        func(p *Params) { p.Loads = []float64{0.55} },
-	"Patterns":     func(p *Params) { p.Patterns = []string{"random-pairing"} },
-	"InfiniteSink": func(p *Params) { p.InfiniteSink = !p.InfiniteSink },
-	"Backend":      func(p *Params) { p.Backend = "flow" },
+var paramsVary = map[string]func(*analysis.Params){
+	"Scale":        func(p *analysis.Params) { p.Scale = analysis.ScalePaper },
+	"Seed":         func(p *analysis.Params) { p.Seed++ },
+	"Trials":       func(p *analysis.Params) { p.Trials++ },
+	"Cycles":       func(p *analysis.Params) { p.Cycles += 20 },
+	"Reps":         func(p *analysis.Params) { p.Reps++ },
+	"Loads":        func(p *analysis.Params) { p.Loads = []float64{0.55} },
+	"Patterns":     func(p *analysis.Params) { p.Patterns = []string{"random-pairing"} },
+	"InfiniteSink": func(p *analysis.Params) { p.InfiniteSink = !p.InfiniteSink },
+	"Backend":      func(p *analysis.Params) { p.Backend = "flow" },
 }
 
 // readSkip marks the exhibits whose read direction is left to a cheaper
@@ -66,7 +66,7 @@ func TestParamsReach(t *testing.T) {
 				t.Skip("slow exhibit skipped under -short")
 			}
 			t.Parallel()
-			format := func(p Params) string {
+			format := func(p analysis.Params) string {
 				t.Helper()
 				rep, err := e.Run(p)
 				if err != nil {

@@ -9,50 +9,17 @@ import (
 // paperRadix is the paper's commodity radix for the analytic exhibits.
 const paperRadix = 36
 
-// simOptions reproduces the pre-registry CLI's SimOptions wiring for the
-// Figure 8-10 sweeps (the only exhibits the InfiniteSink knob reaches).
-func simOptions(p Params) analysis.SimOptions {
-	opts := analysis.SimOptions{
-		Seed: p.Seed, Reps: p.Reps, Workers: p.Workers, Progress: p.Progress,
-		Loads: p.Loads, Patterns: p.Patterns, Shard: p.Shard,
-	}
-	opts.Sim.InfiniteSink = p.InfiniteSink
-	applyCycles(&opts.Sim.MeasureCycles, &opts.Sim.WarmupCycles, p)
-	return opts
-}
-
-// applyCycles applies the -cycles override: Cycles measured, Cycles/4
-// warmup, untouched when unset.
-func applyCycles(measure, warmup *int, p Params) {
-	if p.Cycles > 0 {
-		*measure = p.Cycles
-		*warmup = p.Cycles / 4
-	}
-}
-
-// flowOptions maps the shared Params onto the flow backend's options.
-func flowOptions(p Params) analysis.FlowOptions {
-	return analysis.FlowOptions{
-		Seed: p.Seed, Reps: p.Reps, Workers: p.Workers, Progress: p.Progress,
-		Loads: p.Loads, Patterns: p.Patterns, Shard: p.Shard,
-	}
-}
-
 // scenarioSweep builds the fig8/9/10 runner for one §6 scenario index,
 // dispatching on Params.Backend between the cycle engine and the flow-level
 // solver.
-func scenarioSweep(scenario int) func(Params) (*Result, error) {
-	return func(p Params) (*Result, error) {
-		scs := analysis.Scenarios(p.Scale)
-		sc := scs[0]
-		if scenario >= 0 && scenario < len(scs) {
-			sc = scs[scenario]
-		}
+func scenarioSweep(scenario int) func(analysis.Params) (*Result, error) {
+	return func(p analysis.Params) (*Result, error) {
+		sc := analysis.Scenarios(p.Scale)[scenario]
 		switch p.Backend {
 		case "", "cycle":
-			return analysis.ScenarioSweep(sc, simOptions(p))
+			return analysis.ScenarioSweep(sc, p)
 		case "flow":
-			return analysis.FlowScenarioSweep(sc, flowOptions(p))
+			return analysis.FlowScenarioSweep(sc, p)
 		default:
 			return nil, fmt.Errorf("exhibit: unknown backend %q (cycle|flow)", p.Backend)
 		}
@@ -62,11 +29,10 @@ func scenarioSweep(scenario int) func(Params) (*Result, error) {
 // flowWorkload builds a flow-only exhibit runner: the equal-resources
 // scenario's networks under one pinned traffic matrix. The matrix is the
 // exhibit's identity, so Params.Patterns is deliberately ignored.
-func flowWorkload(matrix string) func(Params) (*Result, error) {
-	return func(p Params) (*Result, error) {
-		opts := flowOptions(p)
-		opts.Patterns = []string{matrix}
-		return analysis.FlowScenarioSweep(analysis.Scenarios(p.Scale)[0], opts)
+func flowWorkload(matrix string) func(analysis.Params) (*Result, error) {
+	return func(p analysis.Params) (*Result, error) {
+		p.Patterns = []string{matrix}
+		return analysis.FlowScenarioSweep(analysis.Scenarios(p.Scale)[0], p)
 	}
 }
 
@@ -74,39 +40,27 @@ func init() {
 	register(Exhibit{
 		ID: "fig5", Kind: Analytic, Defaults: "radix=36",
 		Title: "Figure 5: diameter each topology needs as terminals grow",
-		Run: func(p Params) (*Result, error) {
-			return analysis.Fig5Diameter(paperRadix), nil
-		},
+		Run:   func(analysis.Params) (*Result, error) { return analysis.Fig5Diameter(paperRadix), nil },
 	})
 	register(Exhibit{
 		ID: "fig6", Kind: Analytic, Defaults: "radices=8..64",
 		Title: "Figure 6: scalability, terminals vs radix for 2-4 levels",
-		Run: func(p Params) (*Result, error) {
-			return analysis.Fig6Scalability(nil), nil
-		},
+		Run:   func(analysis.Params) (*Result, error) { return analysis.Fig6Scalability(nil), nil },
 	})
 	register(Exhibit{
 		ID: "fig7", Kind: Analytic, Defaults: "radix=36 points=40",
 		Title: "Figure 7: expandability, total ports vs terminals",
-		Run: func(p Params) (*Result, error) {
-			return analysis.Fig7Expandability(paperRadix, 0, 40), nil
-		},
+		Run:   func(analysis.Params) (*Result, error) { return analysis.Fig7Expandability(paperRadix, 0, 40), nil },
 	})
 	register(Exhibit{
 		ID: "costs", Kind: Analytic, Defaults: "radix=36, paper scale",
 		Title: "§5 cost comparison: switches and wires vs the CFT",
-		Run: func(p Params) (*Result, error) {
-			return analysis.Costs(), nil
-		},
+		Run:   func(analysis.Params) (*Result, error) { return analysis.Costs(), nil },
 	})
 	register(Exhibit{
 		ID: "thm42", Kind: Analytic, Defaults: "n1=300 trials=100",
 		Title: "Theorem 4.2 Monte-Carlo routability check",
-		Run: func(p Params) (*Result, error) {
-			return analysis.Thm42Sharded(analysis.Thm42Options{
-				N1: 300, Trials: p.Trials, Workers: p.Workers, Seed: p.Seed, Shard: p.Shard,
-			})
-		},
+		Run:   func(p analysis.Params) (*Result, error) { return analysis.Thm42(p, 300) },
 	})
 	register(Exhibit{
 		ID: "fig8", Kind: Sim, Defaults: "scale=small loads=0.1..1.0 reps=3",
@@ -126,77 +80,42 @@ func init() {
 	register(Exhibit{
 		ID: "fig11", Kind: Resiliency, Defaults: "radix=12 trials=5",
 		Title: "Figure 11: up/down fault tolerance across sizes",
-		Run: func(p Params) (*Result, error) {
-			opts := analysis.Fig11Options{Radix: 12, Seed: p.Seed, Workers: p.Workers, Shard: p.Shard}
-			if p.Trials > 0 {
-				opts.Trials = p.Trials
-			}
-			return analysis.Fig11UpDownFaults(opts)
-		},
+		Run:   func(p analysis.Params) (*Result, error) { return analysis.Fig11UpDownFaults(p, 12, 1200) },
 	})
 	register(Exhibit{
 		ID: "fig12", Kind: Resiliency, Defaults: "scale=small steps=10 reps=2",
 		Title: "Figure 12: max throughput as links fail",
-		Run: func(p Params) (*Result, error) {
-			opts := analysis.Fig12Options{Scale: p.Scale, Seed: p.Seed, Reps: p.Reps,
-				Workers: p.Workers, Progress: p.Progress, Shard: p.Shard}
-			applyCycles(&opts.Sim.MeasureCycles, &opts.Sim.WarmupCycles, p)
-			return analysis.Fig12FaultThroughput(opts)
-		},
+		Run:   func(p analysis.Params) (*Result, error) { return analysis.Fig12FaultThroughput(p, 10) },
 	})
 	register(Exhibit{
 		ID: "ablation", Kind: Sim, Defaults: "scale=small load=0.9 reps=2",
 		Title: "Ablations: simulator design knobs on the RFC",
-		Run: func(p Params) (*Result, error) {
-			opts := analysis.AblationOptions{Scale: p.Scale, Seed: p.Seed, Reps: p.Reps,
-				Workers: p.Workers, Shard: p.Shard}
-			applyCycles(&opts.Sim.MeasureCycles, &opts.Sim.WarmupCycles, p)
-			return analysis.Ablations(opts)
-		},
+		Run:   func(p analysis.Params) (*Result, error) { return analysis.Ablations(p, 0.9) },
 	})
 	register(Exhibit{
 		ID: "structure", Kind: Analytic, Defaults: "target=1024 samples=200",
 		Title: "Structural comparison: diameter, bisection, path diversity",
-		Run: func(p Params) (*Result, error) {
-			return analysis.Structure(analysis.StructureOptions{Seed: p.Seed})
-		},
+		Run:   func(p analysis.Params) (*Result, error) { return analysis.Structure(p, 1024, 200) },
 	})
 	register(Exhibit{
 		ID: "adversarial", Kind: Sim, Defaults: "scale=small reps=2",
 		Title: "Adversarial shift permutation at full load",
-		Run: func(p Params) (*Result, error) {
-			opts := analysis.AdversarialOptions{Scale: p.Scale, Seed: p.Seed, Reps: p.Reps,
-				Workers: p.Workers, Shard: p.Shard}
-			applyCycles(&opts.Sim.MeasureCycles, &opts.Sim.WarmupCycles, p)
-			return analysis.Adversarial(opts)
-		},
+		Run:   analysis.Adversarial,
 	})
 	register(Exhibit{
 		ID: "tables", Kind: Analytic, Defaults: "scale=small k=8",
 		Title: "Forwarding-state comparison vs Jellyfish k-paths",
-		Run: func(p Params) (*Result, error) {
-			return analysis.TablesReport(p.Scale, 8, p.Seed)
-		},
+		Run:   func(p analysis.Params) (*Result, error) { return analysis.TablesReport(p, 8) },
 	})
 	register(Exhibit{
 		ID: "jellyfish", Kind: Sim, Defaults: "scale=small loads=0.3,0.6,0.9,1.0 reps=2",
 		Title: "Extension: RFC vs Jellyfish-style RRNs, uniform traffic",
-		Run: func(p Params) (*Result, error) {
-			opts := analysis.JellyfishOptions{Scale: p.Scale, Seed: p.Seed, Reps: p.Reps,
-				Workers: p.Workers, Loads: p.Loads, Shard: p.Shard}
-			applyCycles(&opts.Sim.MeasureCycles, &opts.Sim.WarmupCycles, p)
-			return analysis.Jellyfish(opts)
-		},
+		Run:   analysis.Jellyfish,
 	})
 	register(Exhibit{
 		ID: "rrnfaults", Kind: Resiliency, Defaults: "scale=small steps=10 reps=2",
 		Title: "Extension: throughput under faults, RFC vs RRN",
-		Run: func(p Params) (*Result, error) {
-			opts := analysis.RRNFaultsOptions{Scale: p.Scale, Seed: p.Seed, Reps: p.Reps,
-				Workers: p.Workers, Progress: p.Progress, Shard: p.Shard}
-			applyCycles(&opts.Sim.MeasureCycles, &opts.Sim.WarmupCycles, p)
-			return analysis.RRNFaults(opts)
-		},
+		Run:   func(p analysis.Params) (*Result, error) { return analysis.RRNFaults(p, 10) },
 	})
 	register(Exhibit{
 		ID: "hotspot", Kind: Flow, Defaults: "scale=small loads=0.1..1.0 reps=3",
@@ -221,19 +140,13 @@ func init() {
 	register(Exhibit{
 		ID: "flowscale", Kind: Flow, Defaults: "scale=small loads=0.1..1.0 reps=3 patterns=uniform,storm",
 		Title: "Flow backend: RFC vs RRN vs XGFT at 10× scenario scale",
-		Run: func(p Params) (*Result, error) {
-			return analysis.FlowScale(p.Scale, flowOptions(p))
-		},
+		Run:   analysis.FlowScale,
 	})
 	register(Exhibit{
 		ID: "table3", Kind: Resiliency, Defaults: "targets=512..8192 trials=100",
 		Title: "Table 3: % of links removed to disconnect each topology",
-		Run: func(p Params) (*Result, error) {
-			opts := analysis.Table3Options{Seed: p.Seed, Workers: p.Workers, Shard: p.Shard}
-			if p.Trials > 0 {
-				opts.Trials = p.Trials
-			}
-			return analysis.Table3Disconnect(opts)
+		Run: func(p analysis.Params) (*Result, error) {
+			return analysis.Table3Disconnect(p, []int{512, 1024, 2048, 4096, 8192})
 		},
 	})
 }

@@ -66,7 +66,7 @@ func rrnCase(name string, n, d, tps int, pat func(terms int) traffic.Pattern, lo
 		if err != nil {
 			return simnet.Result{}, err
 		}
-		cfg := simdirect.Config{WarmupCycles: 200, MeasureCycles: 800, Seed: 5, VCs: 8}
+		cfg := simnet.Config{WarmupCycles: 200, MeasureCycles: 800, Seed: 5, VCs: 8}
 		s, err := simdirect.New(rrn, pat(rrn.Terminals()), cfg)
 		if err != nil {
 			return simnet.Result{}, err

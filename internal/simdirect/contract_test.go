@@ -6,6 +6,7 @@ import (
 
 	"rfclos/internal/rng"
 	"rfclos/internal/simcore"
+	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
 )
@@ -27,7 +28,7 @@ func TestMinimalRouterContract(t *testing.T) {
 	if want := rrn.G.Diameter(); diameter != want {
 		t.Fatalf("MinimalRouter diameter %d, want %d", diameter, want)
 	}
-	cfg := Config{VCs: 16, WarmupCycles: 10, MeasureCycles: 10}
+	cfg := simnet.Config{VCs: 16, WarmupCycles: 10, MeasureCycles: 10}
 	sim, err := New(rrn, traffic.NewUniform(rrn.Terminals()), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -29,38 +29,6 @@ import (
 	"rfclos/internal/traffic"
 )
 
-// Config mirrors simnet.Config for the direct-network case. VCs must be at
-// least the network diameter (hop-indexed deadlock avoidance).
-type Config struct {
-	VCs            int
-	BufferPackets  int
-	PacketLength   int
-	LinkLatency    int
-	WarmupCycles   int
-	MeasureCycles  int
-	SourceQueueCap int
-	Seed           uint64
-}
-
-// engineConfig maps onto the shared engine Config — the one defaulting path
-// for both network classes. RequestRefresh is pinned to 1 because the
-// minimal router's random hop choice must be re-drawn every cycle a head
-// packet stays blocked (INSEE behaviour); every cross-cycle request cache
-// would freeze a random choice the policy re-randomises.
-func (c Config) engineConfig() simcore.Config {
-	return simcore.Config{
-		VCs:            c.VCs,
-		BufferPackets:  c.BufferPackets,
-		PacketLength:   c.PacketLength,
-		LinkLatency:    c.LinkLatency,
-		WarmupCycles:   c.WarmupCycles,
-		MeasureCycles:  c.MeasureCycles,
-		SourceQueueCap: c.SourceQueueCap,
-		Seed:           c.Seed,
-		RequestRefresh: 1,
-	}.WithDefaults()
-}
-
 // Result aliases the indirect simulator's result type: the statistics have
 // identical meaning.
 type Result = simnet.Result
@@ -70,17 +38,24 @@ type Sim struct {
 	eng *simcore.Engine
 }
 
-// New builds the simulator, computing all-pairs distance tables. It fails
-// when the graph is disconnected or the VC count cannot cover the diameter.
-func New(rrn *topology.RRN, pat traffic.Pattern, cfg Config) (*Sim, error) {
-	ec := cfg.engineConfig()
+// New builds the simulator, computing all-pairs distance tables. cfg's
+// zero fields take the Table 2 defaults; cfg.VCs must be at least the
+// network diameter (hop-indexed deadlock avoidance). RequestRefresh is
+// pinned to 1 because the minimal router's random hop choice must be
+// re-drawn every cycle a head packet stays blocked (INSEE behaviour); any
+// cross-cycle request cache would freeze a choice the policy re-randomises.
+// New fails when the graph is disconnected or the VC count cannot cover the
+// diameter.
+func New(rrn *topology.RRN, pat traffic.Pattern, cfg simnet.Config) (*Sim, error) {
+	cfg.RequestRefresh = 1
+	cfg = cfg.WithDefaults()
 	router, diameter, err := MinimalRouter(rrn)
 	if err != nil {
 		return nil, err
 	}
-	if ec.VCs < diameter {
+	if cfg.VCs < diameter {
 		return nil, fmt.Errorf("simdirect: %d VCs cannot cover diameter %d (hop-indexed deadlock avoidance)",
-			ec.VCs, diameter)
+			cfg.VCs, diameter)
 	}
 	n := rrn.G.N()
 	spec := simcore.Spec{
@@ -92,7 +67,7 @@ func New(rrn *topology.RRN, pat traffic.Pattern, cfg Config) (*Sim, error) {
 	for sw := 0; sw < n; sw++ {
 		spec.Ports[sw] = rrn.G.Neighbors(sw)
 	}
-	return &Sim{eng: simcore.New(spec, router, pat, ec)}, nil
+	return &Sim{eng: simcore.New(spec, router, pat, cfg)}, nil
 }
 
 // Run simulates warm-up plus the measurement window at the offered load.

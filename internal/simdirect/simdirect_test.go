@@ -6,6 +6,7 @@ import (
 
 	"rfclos/internal/graph"
 	"rfclos/internal/rng"
+	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
 )
@@ -19,8 +20,8 @@ func buildRRN(t *testing.T, n, d, tps int) *topology.RRN {
 	return rrn
 }
 
-func testConfig() Config {
-	return Config{WarmupCycles: 500, MeasureCycles: 2000, Seed: 5, VCs: 8}
+func testConfig() simnet.Config {
+	return simnet.Config{WarmupCycles: 500, MeasureCycles: 2000, Seed: 5, VCs: 8}
 }
 
 func checkConservation(t *testing.T, r Result) {

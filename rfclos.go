@@ -15,19 +15,24 @@
 //   - Deadlock-free up/down ECMP routing: NewRouter and the Router type.
 //   - Incremental expansion (§5): Expand.
 //   - Cycle-level simulation (§6, Table 2): Simulate and SimConfig.
-//   - Paper experiments (Figures 5-12, Table 3): the Fig*/Table*/...
-//     functions returning printable Reports.
+//   - Paper experiments (Figures 5-12, Table 3, Theorem 4.2 and the
+//     extensions): RunExhibit, by rfcpaper exhibit id, with ExhibitParams,
+//     returning a printable Report.
 //
 // Several types here are aliases of internal types (Clos, RRN, Params,
-// Router, SimConfig, SimResult, TrafficPattern, Report). Every exported
-// method and field of an aliased type is public API of this package, even
-// where this file names none of them: removing or renaming one is an API
-// change and is recorded in README's API-change notes.
+// Router, SimConfig, SimResult, TrafficPattern, Report, ExhibitParams).
+// Every exported method and field of an aliased type is public API of this
+// package, even where this file names none of them: removing or renaming
+// one is an API change and is recorded in README's API-change notes.
 package rfclos
 
 import (
+	"fmt"
+	"strings"
+
 	"rfclos/internal/analysis"
 	"rfclos/internal/core"
+	"rfclos/internal/exhibit"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
 	"rfclos/internal/simnet"
@@ -161,111 +166,23 @@ func Simulate(c *Clos, r *Router, pat TrafficPattern, load float64, cfg SimConfi
 // DefaultSimConfig returns the Table 2 parameters.
 func DefaultSimConfig() SimConfig { return simnet.DefaultConfig() }
 
-// Fig5Diameter regenerates Figure 5 (diameter evolution) for a radix.
-func Fig5Diameter(radix int) *Report { return analysis.Fig5Diameter(radix) }
+// ExhibitParams carries the run settings of the paper's exhibits: scale,
+// seed, trials, cycles, repetitions, workers, loads, patterns, reception
+// model, backend, progress sink and shard. Zero fields take each exhibit's
+// defaults.
+type ExhibitParams = analysis.Params
 
-// Fig6Scalability regenerates Figure 6 (terminals vs radix, levels 2-4).
-func Fig6Scalability(radices []int) *Report { return analysis.Fig6Scalability(radices) }
-
-// Fig7Expandability regenerates Figure 7 (cost vs terminals under
-// expansion).
-func Fig7Expandability(radix, maxTerminals, points int) *Report {
-	return analysis.Fig7Expandability(radix, maxTerminals, points)
-}
-
-// Costs regenerates the §5 cost comparison table.
-func Costs() *Report { return analysis.Costs() }
-
-// Thm42 runs the Theorem 4.2 Monte-Carlo validation with its trials fanned
-// out on a worker pool (workers <= 0 means one per CPU). The report is
-// byte-identical for any worker count.
-func Thm42(n1, trials, workers int, seed uint64) (*Report, error) {
-	return analysis.Thm42(n1, trials, workers, seed)
-}
-
-// ScenarioSweep runs the Figure 8/9/10 latency-throughput sweep for one of
-// the §6 scenarios (index 0..2) at the given scale.
-func ScenarioSweep(scale analysis.Scale, scenario int, opts analysis.SimOptions) (*Report, error) {
-	scs := analysis.Scenarios(scale)
-	if scenario < 0 || scenario >= len(scs) {
-		scenario = 0
+// RunExhibit produces one of the paper's exhibits (Figures 5-12, Table 3,
+// Theorem 4.2, the §5 costs and the extension experiments) by its rfcpaper
+// -exhibit id ("fig5", "fig8", "table3", ...; rfcpaper -list names them
+// all). The report is the one rfcpaper prints for the same settings.
+func RunExhibit(id string, p ExhibitParams) (*Report, error) {
+	e, ok := exhibit.Lookup(id)
+	if !ok {
+		return nil, fmt.Errorf("rfclos: unknown exhibit %q (known: %s)", id, strings.Join(exhibit.IDs(), ", "))
 	}
-	return analysis.ScenarioSweep(scs[scenario], opts)
+	return e.Run(p)
 }
-
-// SimOptions configures ScenarioSweep (loads, repetitions, Table 2
-// parameters).
-type SimOptions = analysis.SimOptions
-
-// Fig11UpDownFaults regenerates Figure 11 (up/down fault tolerance).
-func Fig11UpDownFaults(opts analysis.Fig11Options) (*Report, error) {
-	return analysis.Fig11UpDownFaults(opts)
-}
-
-// Fig11Options configures Fig11UpDownFaults.
-type Fig11Options = analysis.Fig11Options
-
-// Fig12FaultThroughput regenerates Figure 12 (throughput under faults).
-func Fig12FaultThroughput(opts analysis.Fig12Options) (*Report, error) {
-	return analysis.Fig12FaultThroughput(opts)
-}
-
-// Fig12Options configures Fig12FaultThroughput.
-type Fig12Options = analysis.Fig12Options
-
-// Table3Disconnect regenerates Table 3 (links removed to disconnect).
-func Table3Disconnect(opts analysis.Table3Options) (*Report, error) {
-	return analysis.Table3Disconnect(opts)
-}
-
-// Table3Options configures Table3Disconnect.
-type Table3Options = analysis.Table3Options
-
-// Ablations quantifies the simulator design knobs (virtual channels,
-// buffer depth, request refresh) on the equal-resources RFC.
-func Ablations(opts analysis.AblationOptions) (*Report, error) {
-	return analysis.Ablations(opts)
-}
-
-// AblationOptions configures Ablations.
-type AblationOptions = analysis.AblationOptions
-
-// Structure compares diameter-4 networks on diameter, mean distance,
-// bisection and path diversity (§4.2/§7 side metrics).
-func Structure(opts analysis.StructureOptions) (*Report, error) { return analysis.Structure(opts) }
-
-// StructureOptions configures Structure.
-type StructureOptions = analysis.StructureOptions
-
-// Adversarial drives the equal-resources CFT and RFC with the shift
-// permutation at full load (the §4.2 adversarial-traffic discussion).
-func Adversarial(opts analysis.AdversarialOptions) (*Report, error) {
-	return analysis.Adversarial(opts)
-}
-
-// AdversarialOptions configures Adversarial.
-type AdversarialOptions = analysis.AdversarialOptions
-
-// TablesReport compares forwarding-state sizes (explicit ECMP tables,
-// router bitsets, estimated Jellyfish k-shortest state).
-func TablesReport(scale analysis.Scale, kPaths int, seed uint64) (*Report, error) {
-	return analysis.TablesReport(scale, kPaths, seed)
-}
-
-// Jellyfish runs the RFC-vs-RRN simulated comparison the paper declines to
-// perform, using the direct-network simulator with hop-indexed VCs.
-func Jellyfish(opts analysis.JellyfishOptions) (*Report, error) { return analysis.Jellyfish(opts) }
-
-// JellyfishOptions configures Jellyfish.
-type JellyfishOptions = analysis.JellyfishOptions
-
-// RRNFaults extends the Figure 12 fault methodology to the random baseline:
-// RFC vs equal-T RRN throughput under growing link faults, for uniform and
-// adversarial shift traffic, both on the unified cycle engine.
-func RRNFaults(opts analysis.RRNFaultsOptions) (*Report, error) { return analysis.RRNFaults(opts) }
-
-// RRNFaultsOptions configures RRNFaults.
-type RRNFaultsOptions = analysis.RRNFaultsOptions
 
 // GeneralParams describes an arbitrary (non-radix-regular) folded Clos
 // shape per Definition 4.1.

@@ -106,17 +106,13 @@ func TestPublicThresholds(t *testing.T) {
 }
 
 func TestPublicReports(t *testing.T) {
-	if rep := Fig5Diameter(36); len(rep.Rows) == 0 {
-		t.Error("Fig5 empty")
+	for _, id := range []string{"fig5", "fig6", "fig7"} {
+		if rep, err := RunExhibit(id, ExhibitParams{}); err != nil || len(rep.Rows) == 0 {
+			t.Errorf("%s: %v, empty report", id, err)
+		}
 	}
-	if rep := Fig6Scalability(nil); len(rep.Rows) == 0 {
-		t.Error("Fig6 empty")
-	}
-	if rep := Fig7Expandability(16, 5000, 10); len(rep.Rows) == 0 {
-		t.Error("Fig7 empty")
-	}
-	rep := Costs()
-	if !strings.Contains(rep.Format(), "RFC") {
-		t.Error("Costs missing RFC rows")
+	rep, err := RunExhibit("costs", ExhibitParams{})
+	if err != nil || !strings.Contains(rep.Format(), "RFC") {
+		t.Errorf("costs missing RFC rows (%v)", err)
 	}
 }
