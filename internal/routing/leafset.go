@@ -28,7 +28,9 @@ import (
 // Each set is compressed to its cheapest container as it is produced, so
 // the routing state's memory is proportional to the compressed size, not
 // N1²/8. Containers are immutable after construction and safe for
-// concurrent readers.
+// concurrent readers, so slots holding equal sets may share one container
+// (leafSetBuilder, RebuildStream); nothing compares containers by
+// identity.
 
 // LeafSet is an immutable set of leaf-switch indices in [0, n), the
 // abstraction UpDown routes through instead of concrete Bitsets. All
@@ -268,47 +270,58 @@ func newSingletonLeafSet(n, i int) LeafSet {
 	return &sparseSet{n: n, ids: []int32{int32(i)}}
 }
 
-// leafSetFromRange returns the contiguous set [lo, hi), the shape topology
+// fromRange returns the contiguous set [lo, hi), the shape topology
 // builders hand over directly when their wiring makes descendant leaf sets
 // contiguous (Clos.LeafRange).
-func leafSetFromRange(n, lo, hi int) LeafSet {
+func (b *leafSetBuilder) fromRange(lo, hi int) LeafSet {
 	switch {
 	case lo >= hi:
-		return emptySet{n: n}
-	case lo == 0 && hi == n:
-		return fullSet{n: n}
+		return b.empty
+	case lo == 0 && hi == b.n:
+		return b.full
 	case hi-lo == 1:
-		return newSingletonLeafSet(n, lo)
+		return newSingletonLeafSet(b.n, lo)
 	}
-	return &runSet{n: n, count: hi - lo, runs: []uint64{packRun(lo, hi)}}
+	return &runSet{n: b.n, count: hi - lo, runs: []uint64{packRun(lo, hi)}}
 }
 
-// compressBitset converts the first (n+63)/64 words of b into the
-// cheapest container. b is not retained (the bits container copies).
-// Bits at positions >= n must be clear.
-func compressBitset(b Bitset, n int) LeafSet {
-	words := (n + 63) / 64
-	b = b[:words]
-	cnt, nr := 0, 0
+// bitsetShape returns the member and maximal-run counts of the first
+// words words of b.
+func bitsetShape(b Bitset, words int) (cnt, nr int) {
 	carry := uint64(0)
-	for _, w := range b {
+	for _, w := range b[:words] {
 		cnt += bits.OnesCount64(w)
 		nr += bits.OnesCount64(w &^ (w<<1 | carry))
 		carry = w >> 63
 	}
+	return cnt, nr
+}
+
+// compressBitset converts the first (n+63)/64 words of bs into the
+// cheapest container. bs is not retained (the bits container copies).
+// Bits at positions >= n must be clear.
+func (b *leafSetBuilder) compressBitset(bs Bitset) LeafSet {
+	cnt, nr := bitsetShape(bs, b.words)
+	return b.fromBits(bs, cnt, nr)
+}
+
+// fromBits is compressBitset for a bitset whose shape is already counted.
+func (b *leafSetBuilder) fromBits(bs Bitset, cnt, nr int) LeafSet {
+	n := b.n
+	bs = bs[:b.words]
 	switch containerChoice(n, cnt, nr) {
 	case "empty":
-		return emptySet{n: n}
+		return b.empty
 	case "full":
-		return fullSet{n: n}
+		return b.full
 	case "run":
 		runs := make([]uint64, 0, nr)
 		for i := 0; i < n; {
-			lo := b.NextSet(i)
+			lo := bs.NextSet(i)
 			if lo < 0 || lo >= n {
 				break
 			}
-			hi := b.NextClear(lo)
+			hi := bs.NextClear(lo)
 			if hi > n {
 				hi = n
 			}
@@ -318,31 +331,32 @@ func compressBitset(b Bitset, n int) LeafSet {
 		return &runSet{n: n, count: cnt, runs: runs}
 	case "sparse":
 		ids := make([]int32, 0, cnt)
-		for i := b.NextSet(0); i >= 0 && i < n; i = b.NextSet(i + 1) {
+		for i := bs.NextSet(0); i >= 0 && i < n; i = bs.NextSet(i + 1) {
 			ids = append(ids, int32(i))
 		}
 		return &sparseSet{n: n, ids: ids}
 	case "comp":
 		holes := make([]int32, 0, n-cnt)
-		for i := b.NextClear(0); i < n; i = b.NextClear(i + 1) {
+		for i := bs.NextClear(0); i < n; i = bs.NextClear(i + 1) {
 			holes = append(holes, int32(i))
 		}
 		return &compSet{n: n, holes: holes}
 	}
-	bits := make(Bitset, words)
-	copy(bits, b)
+	bits := make(Bitset, b.words)
+	copy(bits, bs)
 	return &bitsSet{n: n, count: cnt, bits: bits}
 }
 
-// leafSetFromRuns builds the cheapest container from sorted disjoint
+// fromRuns builds the cheapest container from sorted disjoint
 // non-adjacent runs covering cnt members. The runs slice is copied when
 // retained (callers reuse their buffers).
-func leafSetFromRuns(n int, runs []uint64, cnt int) LeafSet {
+func (b *leafSetBuilder) fromRuns(runs []uint64, cnt int) LeafSet {
+	n := b.n
 	switch containerChoice(n, cnt, len(runs)) {
 	case "empty":
-		return emptySet{n: n}
+		return b.empty
 	case "full":
-		return fullSet{n: n}
+		return b.full
 	case "run":
 		return &runSet{n: n, count: cnt, runs: append([]uint64(nil), runs...)}
 	case "sparse":
@@ -380,6 +394,11 @@ func leafSetFromRuns(n int, runs []uint64, cnt int) LeafSet {
 // (bits, comp) or a run-count overflow falls back to one reusable scratch
 // bitset, so peak transient memory is a single N1-bit buffer regardless of
 // how many sets are built.
+//
+// One builder serves one routing-state build, and the containers it hands
+// out are shared wherever their sets are equal: every full or empty result
+// is the builder's one boxed full or empty set, and a union that adds no
+// member to its largest input returns that input itself.
 type leafSetBuilder struct {
 	n, words int
 	runCap   int
@@ -387,7 +406,10 @@ type leafSetBuilder struct {
 	scratch  Bitset
 	onBits   bool // union so far lives in scratch, not runs
 	sawFull  bool
-	dirty    bool // scratch contains stale bits from a previous union
+	dirty    bool    // scratch contains stale bits from a previous union
+	largest  LeafSet // first added set with the most members, or nil
+	// full and empty are boxed once per builder.
+	full, empty LeafSet
 }
 
 func newLeafSetBuilder(n int) *leafSetBuilder {
@@ -397,6 +419,8 @@ func newLeafSetBuilder(n int) *leafSetBuilder {
 		words:  words,
 		runCap: 2*words + 64,
 		runs:   make([]uint64, 0, 64),
+		full:   fullSet{n: n},
+		empty:  emptySet{n: n},
 	}
 }
 
@@ -405,6 +429,7 @@ func (b *leafSetBuilder) reset() {
 	b.runs = b.runs[:0]
 	b.onBits = false
 	b.sawFull = false
+	b.largest = nil
 }
 
 // toBits migrates the collected runs into the scratch bitset.
@@ -426,6 +451,9 @@ func (b *leafSetBuilder) toBits() {
 func (b *leafSetBuilder) add(s LeafSet) {
 	if s == nil || b.sawFull {
 		return
+	}
+	if b.largest == nil || s.Count() > b.largest.Count() {
+		b.largest = s
 	}
 	if s.Full() {
 		b.sawFull = true
@@ -463,13 +491,17 @@ func (b *leafSetBuilder) add(s LeafSet) {
 // leaves the builder ready for reset.
 func (b *leafSetBuilder) finish() LeafSet {
 	if b.sawFull {
-		return fullSet{n: b.n}
+		return b.full
 	}
 	if b.onBits {
-		return compressBitset(b.scratch, b.n)
+		cnt, nr := bitsetShape(b.scratch, b.words)
+		if s := b.reuse(cnt, nr); s != nil {
+			return s
+		}
+		return b.fromBits(b.scratch, cnt, nr)
 	}
 	if len(b.runs) == 0 {
-		return emptySet{n: b.n}
+		return b.empty
 	}
 	slices.Sort(b.runs)
 	// Merge overlapping or adjacent runs in place.
@@ -488,7 +520,29 @@ func (b *leafSetBuilder) finish() LeafSet {
 	for _, r := range out {
 		cnt += runHi(r) - runLo(r)
 	}
-	return leafSetFromRuns(b.n, out, cnt)
+	if s := b.reuse(cnt, len(out)); s != nil {
+		return s
+	}
+	return b.fromRuns(out, cnt)
+}
+
+// reuse returns an existing container for a union of cnt members in nr
+// runs, or nil when a new one must be built. The shared empty and full
+// sets need no check. The largest input contains the union's members only
+// if the union added none, that is when their counts are equal; it is
+// reused only when it is the container the union would compress to, so
+// the slot's Repr and SizeBytes are what a fresh container would report.
+func (b *leafSetBuilder) reuse(cnt, nr int) LeafSet {
+	switch {
+	case cnt == 0:
+		return b.empty
+	case cnt == b.n:
+		return b.full
+	case b.largest != nil && b.largest.Count() == cnt &&
+		b.largest.Repr() == containerChoice(b.n, cnt, nr):
+		return b.largest
+	}
+	return nil
 }
 
 // coverReprOrder is the fixed rendering order of CoverRepr.

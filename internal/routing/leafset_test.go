@@ -109,7 +109,7 @@ func TestContainerChoiceEdges(t *testing.T) {
 	for _, tc := range cases {
 		ref := NewBitset(n)
 		tc.fill(ref)
-		s := compressBitset(ref, n)
+		s := newLeafSetBuilder(n).compressBitset(ref)
 		if s.Repr() != tc.want {
 			t.Fatalf("%s: compressed to %q, want %q", tc.name, s.Repr(), tc.want)
 		}
@@ -130,9 +130,9 @@ func TestLeafSetFromRangeEdges(t *testing.T) {
 		{42, 43, "sparse"},
 		{17, 400, "run"},
 	} {
-		s := leafSetFromRange(n, tc.lo, tc.hi)
+		s := newLeafSetBuilder(n).fromRange(tc.lo, tc.hi)
 		if s.Repr() != tc.want {
-			t.Fatalf("leafSetFromRange(%d, %d) = %q, want %q", tc.lo, tc.hi, s.Repr(), tc.want)
+			t.Fatalf("fromRange(%d, %d) = %q, want %q", tc.lo, tc.hi, s.Repr(), tc.want)
 		}
 		ref := NewBitset(n)
 		ref.SetRange(tc.lo, tc.hi)
@@ -155,7 +155,7 @@ func TestCompressEquivalenceRandom(t *testing.T) {
 					ref.Set(i)
 				}
 			}
-			s := compressBitset(ref, n)
+			s := newLeafSetBuilder(n).compressBitset(ref)
 			checkLeafSetMatchesBitset(t, s, ref, n)
 		}
 	}
@@ -194,7 +194,7 @@ func TestLeafSetBuilderUnion(t *testing.T) {
 					}
 				}
 			}
-			parts[i] = compressBitset(ref, n)
+			parts[i] = newLeafSetBuilder(n).compressBitset(ref)
 			want.Or(ref)
 		}
 		bld.reset()
@@ -251,11 +251,11 @@ func TestBitsetHelpers(t *testing.T) {
 
 // FuzzLeafSet draws a membership over a universe of 1 to 4,096 leaves and
 // checks every container the constructors pick for it against a plain
-// bitset: compressBitset over the bitset, leafSetFromRuns over its maximal
-// runs, and leafSetFromRange over its hull [lo, hi). data is read
-// as alternating gap and run lengths, so short values give sparse or
-// high-entropy sets, long ones runs, and invert turns either into the
-// nearly-full shapes the complement container holds.
+// bitset: compressBitset over the bitset, fromRuns over its maximal runs,
+// and fromRange over its hull [lo, hi). data is read as alternating gap
+// and run lengths, so short values give sparse or high-entropy sets, long
+// ones runs, and invert turns either into the nearly-full shapes the
+// complement container holds.
 func FuzzLeafSet(f *testing.F) {
 	f.Fuzz(func(t *testing.T, size uint16, invert bool, data []byte) {
 		n := int(size%4096) + 1
@@ -288,13 +288,13 @@ func FuzzLeafSet(f *testing.F) {
 			}
 			hi = i + 1
 		}
-		checkLeafSetMatchesBitset(t, compressBitset(slices.Clone(ref), n), ref, n)
-		checkLeafSetMatchesBitset(t, leafSetFromRuns(n, runs, cnt), ref, n)
+		checkLeafSetMatchesBitset(t, newLeafSetBuilder(n).compressBitset(slices.Clone(ref)), ref, n)
+		checkLeafSetMatchesBitset(t, newLeafSetBuilder(n).fromRuns(runs, cnt), ref, n)
 
 		hull := NewBitset(n)
 		for i := lo; i < hi; i++ {
 			hull.Set(i)
 		}
-		checkLeafSetMatchesBitset(t, leafSetFromRange(n, lo, hi), hull, n)
+		checkLeafSetMatchesBitset(t, newLeafSetBuilder(n).fromRange(lo, hi), hull, n)
 	})
 }

@@ -25,6 +25,9 @@ type RebuildStream struct {
 	n1   int
 	bld  *leafSetBuilder
 	desc []LeafSet
+	// ranges maps each declared leaf range seen so far, packed lo<<32|hi,
+	// to its container, so switches with equal ranges share one.
+	ranges map[uint64]LeafSet
 	// done is the highest level whose desc sets are computed; levels seal
 	// bottom-up in every builder, so done advances 1, 2, ..., l.
 	done int
@@ -41,9 +44,15 @@ func (rs *RebuildStream) init(c *topology.Clos) {
 	rs.n1 = c.LevelSize(1)
 	rs.bld = newLeafSetBuilder(rs.n1)
 	rs.desc = make([]LeafSet, c.NumSwitches())
-	for i := 0; i < rs.n1; i++ {
-		rs.desc[c.SwitchID(1, i)] = newSingletonLeafSet(rs.n1, i)
+	// The leaf singletons are carved from two slabs, not 2·N1 allocations.
+	singles := make([]sparseSet, rs.n1)
+	ids := make([]int32, rs.n1)
+	for i := range singles {
+		ids[i] = int32(i)
+		singles[i] = sparseSet{n: rs.n1, ids: ids[i : i+1 : i+1]}
+		rs.desc[c.SwitchID(1, i)] = &singles[i]
 	}
+	rs.ranges = map[uint64]LeafSet{}
 	rs.done = 1
 }
 
@@ -61,13 +70,19 @@ func (rs *RebuildStream) LevelSealed(c *topology.Clos, level int) {
 // descLevel computes the descendant sets of one level from the level below,
 // taking the builder-declared interval fast path when the topology carries
 // leaf ranges (the XGFT family declares them before wiring, so the streamed
-// build uses them too).
+// build uses them too). Switches declaring equal ranges share a container.
 func (rs *RebuildStream) descLevel(lev int) {
 	c := rs.c
 	for i := 0; i < c.LevelSize(lev); i++ {
 		s := c.SwitchID(lev, i)
 		if lo, hi, ok := c.LeafRange(s); ok {
-			rs.desc[s] = leafSetFromRange(rs.n1, lo, hi)
+			key := packRun(lo, hi)
+			set, seen := rs.ranges[key]
+			if !seen {
+				set = rs.bld.fromRange(lo, hi)
+				rs.ranges[key] = set
+			}
+			rs.desc[s] = set
 			continue
 		}
 		rs.bld.reset()

@@ -115,3 +115,20 @@ func TestGenerateRoutableStreams(t *testing.T) {
 		t.Fatalf("CoverBytes: streamed %d, batch %d", got, want)
 	}
 }
+
+// TestRebuildAllocsPerDistinctSet pins container sharing on the 4096-leaf
+// XGFT: its 12,808 cover sets take few distinct values (the full set, the
+// 4,096 leaf singletons and 64 level-2 subtree intervals), and a rebuild
+// allocates per distinct value, not per set. Without sharing it allocated
+// about five objects per leaf.
+func TestRebuildAllocsPerDistinctSet(t *testing.T) {
+	c, err := topology.NewXGFT([]int{4, 64, 64}, []int{1, 4, 2}, 72)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := routing.New(c)
+	n1 := c.LevelSize(1)
+	if allocs := testing.AllocsPerRun(2, u.Rebuild); allocs > float64(n1)/8 {
+		t.Errorf("Rebuild allocated %.0f objects on %d leaves, want at most %d", allocs, n1, n1/8)
+	}
+}

@@ -57,6 +57,11 @@ func New(c *topology.Clos) *UpDown {
 // underlying topology excluded). It is the single source of truth for
 // cover-memory accounting: SizeBytes (the cache-budget charge) and
 // TableStats.CoverBytes (the stats report) both delegate here.
+//
+// The charge is per slot: a container that several slots share (equal sets
+// built once, see RebuildStream) is counted once for each of them. The
+// figure is therefore a function of the sets alone, and an upper bound on
+// the live bytes once slots share.
 func (u *UpDown) CoverBytes() int {
 	n := 0
 	for _, level := range u.cover {

@@ -172,6 +172,9 @@ type TopologySummary struct {
 	// (folded Clos kinds): CoverBytes is the memory the cache budget is
 	// charged for the cover containers, CoverRepr the per-container
 	// histogram (e.g. "run:520 sparse:64 full:8") — see routing.LeafSet.
+	// Both count per cover slot, so slots sharing one container are each
+	// charged in full and CoverBytes bounds the live cover bytes from
+	// above.
 	CoverBytes int    `json:"cover_bytes,omitempty"`
 	CoverRepr  string `json:"cover_repr,omitempty"`
 	// Theorem 4.2 placement, rfc only.

@@ -308,9 +308,10 @@ func (t *Topology) Wires() int {
 // MemBytes estimates the resident cost of the cached build: the topology's
 // own accounting of its CSR level store plus mutation overlay
 // (Clos.StoreBytes), the router's compressed cover containers
-// (UpDown.CoverBytes via SizeBytes), and the turn index. The cache charges
-// this against its byte budget, so one huge build evicts many small ones
-// rather than none.
+// (UpDown.CoverBytes via SizeBytes, charged per cover slot, so an upper
+// bound where slots share a container), and the turn index. The cache
+// charges this against its byte budget, so one huge build evicts many
+// small ones rather than none.
 func (t *Topology) MemBytes() int64 {
 	const sliceHeader = 24
 	if t.RRN != nil {
