@@ -42,6 +42,13 @@ func RandomRegular(n, d int, r *rng.Rand) (*Graph, error) {
 
 func tryRandomRegular(n, d int, r *rng.Rand) (*Graph, bool) {
 	g := New(n)
+	// Every vertex ends with exactly d neighbours, so the adjacency lists
+	// are carved from one slab, each capped at d: appends never move them
+	// and the finished graph holds no spare capacity.
+	slab := make([]int32, n*d)
+	for v := range g.adj {
+		g.adj[v] = slab[v*d : v*d : (v+1)*d]
+	}
 	// U holds unmatched points; point p belongs to vertex p/d.
 	U := make([]int32, n*d)
 	for i := range U {
