@@ -297,15 +297,10 @@ func bitsetShape(b Bitset, words int) (cnt, nr int) {
 	return cnt, nr
 }
 
-// compressBitset converts the first (n+63)/64 words of bs into the
-// cheapest container. bs is not retained (the bits container copies).
-// Bits at positions >= n must be clear.
-func (b *leafSetBuilder) compressBitset(bs Bitset) LeafSet {
-	cnt, nr := bitsetShape(bs, b.words)
-	return b.fromBits(bs, cnt, nr)
-}
-
-// fromBits is compressBitset for a bitset whose shape is already counted.
+// fromBits converts the first (n+63)/64 words of bs, holding cnt members
+// in nr maximal runs (bitsetShape), into the cheapest container. bs is not
+// retained (the bits container copies). Bits at positions >= n must be
+// clear.
 func (b *leafSetBuilder) fromBits(bs Bitset, cnt, nr int) LeafSet {
 	n := b.n
 	bs = bs[:b.words]
@@ -452,12 +447,12 @@ func (b *leafSetBuilder) add(s LeafSet) {
 	if s == nil || b.sawFull {
 		return
 	}
-	if b.largest == nil || s.Count() > b.largest.Count() {
-		b.largest = s
-	}
 	if s.Full() {
 		b.sawFull = true
 		return
+	}
+	if b.largest == nil || s.Count() > b.largest.Count() {
+		b.largest = s
 	}
 	if b.onBits {
 		s.OrInto(b.scratch)
@@ -526,21 +521,14 @@ func (b *leafSetBuilder) finish() LeafSet {
 	return b.fromRuns(out, cnt)
 }
 
-// reuse returns an existing container for a union of cnt members in nr
-// runs, or nil when a new one must be built. The shared empty and full
-// sets need no check. The largest input contains the union's members only
-// if the union added none, that is when their counts are equal; it is
-// reused only when it is the container the union would compress to, so
-// the slot's Repr and SizeBytes are what a fresh container would report.
+// reuse returns the largest input when the union of cnt members in nr
+// runs equals it, or nil. The union contains the input, so they are equal
+// when their counts are. The input is reused only when it is the container
+// the union would compress to, so the slot's Repr and SizeBytes are what a
+// fresh container would report.
 func (b *leafSetBuilder) reuse(cnt, nr int) LeafSet {
-	switch {
-	case cnt == 0:
-		return b.empty
-	case cnt == b.n:
-		return b.full
-	case b.largest != nil && b.largest.Count() == cnt &&
-		b.largest.Repr() == containerChoice(b.n, cnt, nr):
-		return b.largest
+	if l := b.largest; l != nil && l.Count() == cnt && l.Repr() == containerChoice(b.n, cnt, nr) {
+		return l
 	}
 	return nil
 }

@@ -19,6 +19,14 @@ func bitsetOf(n int, members ...int) Bitset {
 // clearBit clears bit i of b.
 func clearBit(b Bitset, i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
 
+// compressBitset converts the first (n+63)/64 words of b into the cheapest
+// container, as a union builder's finish does.
+func compressBitset(b Bitset, n int) LeafSet {
+	bld := newLeafSetBuilder(n)
+	cnt, nr := bitsetShape(b, bld.words)
+	return bld.fromBits(b, cnt, nr)
+}
+
 // checkLeafSetMatchesBitset verifies every LeafSet operation against the
 // reference bitset the set was built from.
 func checkLeafSetMatchesBitset(t *testing.T, s LeafSet, ref Bitset, n int) {
@@ -109,7 +117,7 @@ func TestContainerChoiceEdges(t *testing.T) {
 	for _, tc := range cases {
 		ref := NewBitset(n)
 		tc.fill(ref)
-		s := newLeafSetBuilder(n).compressBitset(ref)
+		s := compressBitset(ref, n)
 		if s.Repr() != tc.want {
 			t.Fatalf("%s: compressed to %q, want %q", tc.name, s.Repr(), tc.want)
 		}
@@ -155,7 +163,7 @@ func TestCompressEquivalenceRandom(t *testing.T) {
 					ref.Set(i)
 				}
 			}
-			s := newLeafSetBuilder(n).compressBitset(ref)
+			s := compressBitset(ref, n)
 			checkLeafSetMatchesBitset(t, s, ref, n)
 		}
 	}
@@ -194,7 +202,7 @@ func TestLeafSetBuilderUnion(t *testing.T) {
 					}
 				}
 			}
-			parts[i] = newLeafSetBuilder(n).compressBitset(ref)
+			parts[i] = compressBitset(ref, n)
 			want.Or(ref)
 		}
 		bld.reset()
@@ -288,7 +296,7 @@ func FuzzLeafSet(f *testing.F) {
 			}
 			hi = i + 1
 		}
-		checkLeafSetMatchesBitset(t, newLeafSetBuilder(n).compressBitset(slices.Clone(ref)), ref, n)
+		checkLeafSetMatchesBitset(t, compressBitset(slices.Clone(ref), n), ref, n)
 		checkLeafSetMatchesBitset(t, newLeafSetBuilder(n).fromRuns(runs, cnt), ref, n)
 
 		hull := NewBitset(n)
