@@ -121,8 +121,7 @@ func TestGenerateRoutableStreams(t *testing.T) {
 // TestRebuildAllocsPerDistinctSet pins container sharing on the 4096-leaf
 // XGFT: its 12,808 cover sets take few distinct values (the full set, the
 // 4,096 leaf singletons and 64 level-2 subtree intervals), and a rebuild
-// allocates per distinct value, not per set. Without sharing it allocated
-// about five objects per leaf.
+// allocates per distinct value, not per set.
 func TestRebuildAllocsPerDistinctSet(t *testing.T) {
 	c, err := topology.NewXGFT([]int{4, 64, 64}, []int{1, 4, 2}, 72)
 	if err != nil {
