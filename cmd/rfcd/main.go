@@ -7,7 +7,8 @@
 // Endpoints:
 //
 //	GET  /healthz                       liveness
-//	GET  /metrics                       atomic counters (requests, cache, latency)
+//	GET  /metrics                       request, cache, build and error counters,
+//	                                    build/index time totals, cache byte gauges
 //	POST /v1/topology                   build (or fetch cached) + summary stats
 //	GET  /v1/topology/{key}/export      adjacency JSON / Graphviz DOT / edge list
 //	GET  /v1/path?key=&src=&dst=&seed=  one shortest up/down path
@@ -18,14 +19,13 @@
 //
 // Usage:
 //
-//	rfcd -addr :8080 -cache 64 -cache-bytes 0 -dense-index-bytes 0
-//	rfcd -selfcheck        # in-process endpoint smoke test, used by CI
+//	rfcd -addr :8080 -cache-bytes 0
 //
 // Route indexes are tiered: topologies whose dense N1² turn table fits
-// -dense-index-bytes (default 64 MiB) get the O(1) dense table; larger ones
-// get the succinct exception-coded index, so there is no hard leaf-count cap.
-// -cache-bytes bounds the cache by estimated topology memory on top of the
-// -cache entry count; exports stream with chunked transfer encoding.
+// 64 MiB get the O(1) dense table; larger ones get the succinct
+// exception-coded index, so there is no hard leaf-count cap. -cache-bytes
+// bounds the cache by estimated topology memory, on top of a fixed
+// 64-entry cap; exports stream with chunked transfer encoding.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // requests.
@@ -43,37 +43,16 @@ import (
 	"time"
 
 	"rfclos/internal/service"
-	"rfclos/internal/service/client"
 )
 
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		cacheSize  = flag.Int("cache", 64, "topology cache capacity (LRU entries)")
 		cacheBytes = flag.Int64("cache-bytes", 0, "cache byte budget over estimated topology memory (0 = 8 GiB default, negative = unlimited)")
-		denseIndex = flag.Int("dense-index-bytes", 0, "largest dense route-index table in bytes before switching to the succinct tier (0 = 64 MiB default, negative = always dense)")
-		selfcheck  = flag.Bool("selfcheck", false, "run the endpoint smoke test against an in-process server and exit")
 	)
 	flag.Parse()
 
-	if *selfcheck {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		err := client.Selfcheck(ctx, os.Stdout)
-		cancel()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rfcd: selfcheck failed:", err)
-			os.Exit(1)
-		}
-		fmt.Println("rfcd: selfcheck passed")
-		return
-	}
-
-	opts := service.Options{
-		CacheSize:       *cacheSize,
-		CacheBytes:      *cacheBytes,
-		DenseIndexBytes: *denseIndex,
-	}
-	if err := run(*addr, opts); err != nil {
+	if err := run(*addr, service.Options{CacheBytes: *cacheBytes}); err != nil {
 		fmt.Fprintln(os.Stderr, "rfcd:", err)
 		os.Exit(1)
 	}
@@ -92,7 +71,7 @@ func run(addr string, opts service.Options) error {
 
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Printf("rfcd: serving on %s (cache %d)\n", addr, opts.CacheSize)
+		fmt.Printf("rfcd: serving on %s\n", addr)
 		errc <- hs.ListenAndServe()
 	}()
 

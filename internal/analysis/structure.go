@@ -76,7 +76,7 @@ func Structure(p Params, target, pairSamples int) (*Report, error) {
 	}
 	g := rrn.G
 	diam := g.DiameterSampled(8, r)
-	mean := g.AverageDistance(minInt(g.N(), 50), r)
+	mean := g.AverageDistance(min(g.N(), 50), r)
 	div := pathDiversity(g, g.N(), pairSamples/4, r)
 	ub := g.BisectionUpperBound(3, r)
 	rep.AddKeyed("RRN", Str("RRN"), Int(spec.Radix()), Int(rrn.Terminals()), Int(diam),
@@ -98,7 +98,7 @@ func leafDistanceStats(c *topology.Clos, g *graph.Graph, samples int, r *rng.Ran
 	scratch := make([]int32, g.N())
 	maxD, sum, count := 0, 0.0, 0
 	// BFS from a handful of random leaves, read distances to all leaves.
-	sources := minInt(n1, maxInt(4, samples/8))
+	sources := min(n1, max(4, samples/8))
 	for i := 0; i < sources; i++ {
 		src := c.SwitchID(1, r.Intn(n1))
 		dist := g.BFS(int(src), scratch)
@@ -142,20 +142,6 @@ func pathDiversity(g *graph.Graph, n1, samples int, r *rng.Rand) float64 {
 		return 0
 	}
 	return sum / float64(count)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Adversarial measures the §4.2/§3 claim that RFCs route adversarial

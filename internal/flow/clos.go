@@ -270,7 +270,7 @@ func (w *closWalker) resolve(src, dst int32, r *rng.Rand, buf []int32) ([]int32,
 		p := -1
 		switch {
 		case n.allUp[s]>>rem&1 != 0:
-			p = reservoir(len(up), r)
+			p = routing.Reservoir(len(up), r)
 		case rem == 1:
 			count := 0
 			for i, l := range up {
@@ -295,26 +295,9 @@ func (w *closWalker) resolve(src, dst int32, r *rng.Rand, buf []int32) ([]int32,
 		if len(ports) == 0 {
 			return nil, false
 		}
-		p := ports[reservoir(len(ports), r)]
+		p := ports[routing.Reservoir(len(ports), r)]
 		buf = append(buf, n.downBase+n.downStart[s]+p)
 		s = n.c.Down(s)[p]
 	}
 	return append(buf, t+dst), true
-}
-
-// reservoir replays routing's uniform reservoir sample over k candidates
-// in order: it draws Intn(c) for c = 2..k, keeping candidate c-1 whenever
-// the draw is 0, and returns the kept candidate's position (-1 when k is
-// 0).
-func reservoir(k int, r *rng.Rand) int {
-	if k == 0 {
-		return -1
-	}
-	w := 0
-	for c := 2; c <= k; c++ {
-		if r.Intn(c) == 0 {
-			w = c - 1
-		}
-	}
-	return w
 }

@@ -61,7 +61,6 @@ func DefaultConfig(module string) *Config {
 		"internal/rng",
 		"internal/routing",
 		"internal/service",
-		"internal/service/client",
 		"internal/simcore",
 		"internal/simcore/goldencases",
 		"internal/simdirect",

@@ -75,7 +75,7 @@ func plainMinTurn(c *topology.Clos, cover [][]Bitset, src, dst int) int {
 	return -1
 }
 
-// plainPathAt is the old PathAt: reservoir-sampled NextUp/NextDown over
+// plainPathAt is the old PathAt: reservoir-sampled up/down hops over
 // plain bitsets, consuming the rng in exactly the old order.
 func plainPathAt(c *topology.Clos, cover [][]Bitset, src, dst, turn int, r *rng.Rand) []int32 {
 	if turn < 0 {

@@ -58,7 +58,7 @@ func TestBuildTablesCFT(t *testing.T) {
 }
 
 func TestTablesMatchHopDecisions(t *testing.T) {
-	// The explicit tables and the live NextUp/NextDown decisions must
+	// The explicit tables and the live NextUpPort/NextDownPort decisions must
 	// agree: every port the router can pick appears in the table entry.
 	r := rng.New(41)
 	c, err := buildRandomRFC(8, 3, 16, r)

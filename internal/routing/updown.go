@@ -177,27 +177,6 @@ func (u *UpDown) MinTurn(src, dst int) int {
 	return -1
 }
 
-// NextUp picks uniformly at random a parent of s that still reaches leaf dst
-// within rem-1 further up hops (rem >= 1 is the remaining up-hop budget).
-// It returns -1 when no such parent exists, which cannot happen when rem was
-// derived from MinTurn on an unchanged topology.
-func (u *UpDown) NextUp(s int32, rem int, dst int, r *rng.Rand) int32 {
-	prev := u.cover[rem-1]
-	// Reservoir-sample uniformly among qualifying parents without
-	// allocating.
-	chosen := int32(-1)
-	count := 0
-	for _, p := range u.c.Up(s) {
-		if cov := prev[p]; cov != nil && cov.Get(dst) {
-			count++
-			if count == 1 || r.Intn(count) == 0 {
-				chosen = p
-			}
-		}
-	}
-	return chosen
-}
-
 // NextDown picks uniformly at random a child of s whose descendants include
 // leaf dst, or -1 when none exists. It draws exactly what a reservoir
 // sample over Down(s) in port order would draw — Intn(c) for c = 2..k over
@@ -210,19 +189,22 @@ func (u *UpDown) NextDown(s int32, dst int, r *rng.Rand) int32 {
 	down := u.c.Down(s)
 	kids, ok := u.downFrontier(s, len(down), dst, &sc)
 	if ok && len(kids) > 0 && kids[0] == kids[len(kids)-1] {
-		reservoir(len(kids), r)
+		Reservoir(len(kids), r)
 		return kids[0]
 	}
 	ports := u.locatePorts(down, dst, kids, ok, sc.ports[:0])
 	if len(ports) == 0 {
 		return -1
 	}
-	return down[ports[reservoir(len(ports), r)]]
+	return down[ports[Reservoir(len(ports), r)]]
 }
 
-// NextUpPort is NextUp but returns the index into Clos.Up(s) of the chosen
-// parent instead of its switch id, for callers (the simulator) that key
-// channels by port index. Returns -1 when no parent qualifies.
+// NextUpPort picks uniformly at random a parent of s that still reaches
+// leaf dst within rem-1 further up hops (rem >= 1 is the remaining up-hop
+// budget) and returns its index into Clos.Up(s), or -1 when no parent
+// qualifies, which cannot happen when rem was derived from MinTurn on an
+// unchanged topology. It reservoir-samples the qualifying parents in port
+// order without allocating.
 func (u *UpDown) NextUpPort(s int32, rem int, dst int, r *rng.Rand) int {
 	prev := u.cover[rem-1]
 	chosen := -1
@@ -287,13 +269,15 @@ func (u *UpDown) NextDownPort(s int32, dst int, r *rng.Rand) int {
 	if len(ports) == 0 {
 		return -1
 	}
-	return ports[reservoir(len(ports), r)]
+	return ports[Reservoir(len(ports), r)]
 }
 
-// reservoir replays a uniform reservoir sample over k candidates seen in
+// Reservoir replays a uniform reservoir sample over k candidates seen in
 // order: it draws Intn(c) for c = 2..k, keeping candidate c-1 whenever the
 // draw is 0, and returns the kept candidate's position (-1 when k == 0).
-func reservoir(k int, r *rng.Rand) int {
+// Every up/down picker here draws through it, and so does the flow
+// backend's grouped walk, which must draw exactly what these pickers draw.
+func Reservoir(k int, r *rng.Rand) int {
 	if k == 0 {
 		return -1
 	}
@@ -498,10 +482,11 @@ func (u *UpDown) PathAt(src, dst, turn int, r *rng.Rand) []int32 {
 	cur := u.c.SwitchID(1, src)
 	path := []int32{cur}
 	for rem := turn; rem > 0; rem-- {
-		cur = u.NextUp(cur, rem, dst, r)
-		if cur < 0 {
+		p := u.NextUpPort(cur, rem, dst, r)
+		if p < 0 {
 			return nil
 		}
+		cur = u.c.Up(cur)[p]
 		path = append(path, cur)
 	}
 	for u.c.LevelOf(cur) > 1 {

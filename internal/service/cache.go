@@ -25,12 +25,10 @@ type Cache struct {
 	reg   *obs.Registry
 
 	mu       sync.Mutex
-	cap      int
-	maxBytes int64                    // byte budget over MemBytes costs; <= 0 = unlimited
+	maxBytes int64                    // byte budget over MemBytes costs; < 0 = unlimited
 	bytes    int64                    // sum of ready entries' costs; guarded by mu
 	ll       *list.List               // MRU first, *cacheEntry values; guarded by mu
 	items    map[string]*list.Element // guarded by mu
-	builds   map[string]int64         // per-key build starts; guarded by mu
 }
 
 type cacheEntry struct {
@@ -58,32 +56,30 @@ func storeBytes(t *Topology) int64 {
 // bounding rfcd's resident set.
 const DefaultCacheBytes = 8 << 30
 
-// NewCache returns a cache holding up to capacity ready builds totalling at
+// maxEntries caps the number of cached builds whatever their byte cost.
+const maxEntries = 64
+
+// NewCache returns a cache holding up to maxEntries builds totalling at
 // most maxBytes of estimated topology memory (0 means DefaultCacheBytes,
 // negative means unlimited), building misses with build (nil means the
-// package-level Build). reg, when non-nil, receives hit/miss/eviction/build
-// counters and the resident-byte gauge.
-func NewCache(capacity int, maxBytes int64, build func(Spec) (*Topology, error), reg *obs.Registry) *Cache {
-	if capacity <= 0 {
-		capacity = 64
-	}
+// package-level Build, timed into reg). reg, when non-nil, receives
+// hit/miss/eviction/build counters and the resident-byte gauge.
+func NewCache(maxBytes int64, build func(Spec) (*Topology, error), reg *obs.Registry) *Cache {
 	if maxBytes == 0 {
 		maxBytes = DefaultCacheBytes
-	}
-	if build == nil {
-		build = Build
 	}
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	if build == nil {
+		build = func(sp Spec) (*Topology, error) { return Build(sp, reg) }
+	}
 	return &Cache{
 		build:    build,
 		reg:      reg,
-		cap:      capacity,
 		maxBytes: maxBytes,
 		ll:       list.New(),
 		items:    map[string]*list.Element{},
-		builds:   map[string]int64{},
 	}
 }
 
@@ -108,7 +104,6 @@ func (c *Cache) Get(sp Spec) (*Topology, bool, error) {
 	}
 	e := &cacheEntry{key: key, ready: make(chan struct{})}
 	c.items[key] = c.ll.PushFront(e)
-	c.builds[key]++
 	c.evictLocked()
 	c.mu.Unlock()
 
@@ -176,8 +171,8 @@ func (c *Cache) Lookup(key string) (*Topology, bool) {
 	return e.topo, true
 }
 
-// evictLocked trims the LRU tail until both the entry-count capacity and
-// the byte budget are respected. It skips entries whose builds are still in
+// evictLocked trims the LRU tail until both the maxEntries cap and the
+// byte budget are respected. It skips entries whose builds are still in
 // flight (their requesters hold the entry pointer; the map must keep
 // pointing at it so concurrent requests dedupe onto it) and never evicts
 // the front (most recently used) entry — a build larger than the whole
@@ -185,7 +180,7 @@ func (c *Cache) Lookup(key string) (*Topology, bool) {
 // next build lands. Callers must hold c.mu.
 func (c *Cache) evictLocked() {
 	for el := c.ll.Back(); el != nil && el != c.ll.Front(); {
-		if len(c.items) <= c.cap && (c.maxBytes < 0 || c.bytes <= c.maxBytes) {
+		if len(c.items) <= maxEntries && (c.maxBytes < 0 || c.bytes <= c.maxBytes) {
 			return
 		}
 		prev := el.Prev()
@@ -200,13 +195,4 @@ func (c *Cache) evictLocked() {
 		}
 		el = prev
 	}
-}
-
-// BuildsFor returns how many builds have started for key since the cache
-// was created — the singleflight assertion hook: under any concurrency it
-// must be exactly 1 per key unless the entry was evicted or failed.
-func (c *Cache) BuildsFor(key string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.builds[key]
 }

@@ -50,6 +50,21 @@ func stubSpec(i int) Spec {
 	return Spec{Kind: "rfc", Radix: 8, Levels: 3, Leaves: 16, Seed: uint64(i + 1)}
 }
 
+// fakeBuild returns a build function whose topologies all share one
+// immutable Clos, so every entry costs the same and nothing but the cache
+// itself is exercised, together with that per-entry cost.
+func fakeBuild(t *testing.T) (func(Spec) (*Topology, error), int64) {
+	t.Helper()
+	base, err := Build(mustNormalize(t, stubSpec(0)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(sp Spec) (*Topology, error) {
+		return &Topology{Key: sp.Key(), Spec: sp, Clos: base.Clos}, nil
+	}
+	return build, (&Topology{Clos: base.Clos}).MemBytes()
+}
+
 // TestCacheSingleflight forces many goroutines through Get for the same
 // key while the build is deliberately slow (gated on a channel), and
 // asserts exactly one build ran.
@@ -59,9 +74,9 @@ func TestCacheSingleflight(t *testing.T) {
 	build := func(sp Spec) (*Topology, error) {
 		builds.Add(1)
 		<-gate
-		return Build(sp)
+		return Build(sp, nil)
 	}
-	c := NewCache(8, 0, build, nil)
+	c := NewCache(0, build, nil)
 	const waiters = 32
 	var wg sync.WaitGroup
 	results := make([]*Topology, waiters)
@@ -84,10 +99,6 @@ func TestCacheSingleflight(t *testing.T) {
 	if n := builds.Load(); n != 1 {
 		t.Fatalf("%d builds ran, want 1", n)
 	}
-	key := mustNormalize(t, stubSpec(0)).Key()
-	if n := c.BuildsFor(key); n != 1 {
-		t.Fatalf("BuildsFor(%s) = %d, want 1", key, n)
-	}
 	for i := 1; i < waiters; i++ {
 		if results[i] != results[0] {
 			t.Fatal("waiters received different topology instances")
@@ -104,11 +115,13 @@ func mustNormalize(t *testing.T, sp Spec) Spec {
 	return norm
 }
 
-// TestCacheLRUEviction fills the cache past capacity and checks the oldest
-// ready entries are evicted while recently used ones survive.
+// TestCacheLRUEviction fills the cache past a two-entry byte budget and
+// checks the least recently used ready entry is evicted while recently
+// used ones survive.
 func TestCacheLRUEviction(t *testing.T) {
+	build, cost := fakeBuild(t)
 	reg := obs.NewRegistry()
-	c := NewCache(2, 0, nil, reg)
+	c := NewCache(2*cost+cost/2, build, reg)
 	keys := make([]string, 3)
 	for i := 0; i < 2; i++ {
 		topo, cached, err := c.Get(stubSpec(i))
@@ -145,6 +158,37 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheEntryCap checks the maxEntries cap on its own: with no byte
+// budget, one build past the cap evicts exactly the least recently used
+// entry.
+func TestCacheEntryCap(t *testing.T) {
+	build, _ := fakeBuild(t)
+	reg := obs.NewRegistry()
+	c := NewCache(-1, build, reg)
+	keys := make([]string, maxEntries+1)
+	for i := range keys {
+		topo, _, err := c.Get(stubSpec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = topo.Key
+	}
+	if n := cacheLen(c); n != maxEntries {
+		t.Fatalf("cache holds %d entries after %d builds, want %d", n, len(keys), maxEntries)
+	}
+	if _, ok := c.Lookup(keys[0]); ok {
+		t.Error("least recently used entry survived eviction")
+	}
+	for _, k := range keys[1:] {
+		if _, ok := c.Lookup(k); !ok {
+			t.Errorf("key %s was evicted, want resident", k)
+		}
+	}
+	if n := counterValue(reg, metricCacheEvictions); n != 1 {
+		t.Errorf("evictions counter = %d, want 1", n)
+	}
+}
+
 // TestCacheBuildErrorsNotCached checks a failing build is reported to every
 // request that joined it but not retained, so the next request retries.
 func TestCacheBuildErrorsNotCached(t *testing.T) {
@@ -154,7 +198,7 @@ func TestCacheBuildErrorsNotCached(t *testing.T) {
 		builds.Add(1)
 		return nil, fail
 	}
-	c := NewCache(4, 0, build, nil)
+	c := NewCache(0, build, nil)
 	for i := 0; i < 2; i++ {
 		if _, _, err := c.Get(stubSpec(0)); !errors.Is(err, fail) {
 			t.Fatalf("Get %d error = %v, want %v", i, err, fail)
@@ -180,9 +224,9 @@ func TestCacheBuildPanicSettles(t *testing.T) {
 			<-release
 			panic("boom")
 		}
-		return Build(sp)
+		return Build(sp, nil)
 	}
-	c := NewCache(4, 0, build, nil)
+	c := NewCache(0, build, nil)
 	leader := make(chan any)
 	go func() {
 		defer func() { leader <- recover() }()
@@ -211,7 +255,7 @@ func TestCacheBuildPanicSettles(t *testing.T) {
 	if _, cached, err := c.Get(stubSpec(0)); err != nil || cached {
 		t.Fatalf("rebuild after panic: cached=%v err=%v", cached, err)
 	}
-	if n := c.BuildsFor(mustNormalize(t, stubSpec(0)).Key()); n != 2 {
+	if n := builds.Load(); n != 2 {
 		t.Fatalf("%d builds started, want 2", n)
 	}
 }
@@ -219,7 +263,7 @@ func TestCacheBuildPanicSettles(t *testing.T) {
 // TestCacheRejectsInvalidSpec checks Normalize errors surface without
 // touching the cache.
 func TestCacheRejectsInvalidSpec(t *testing.T) {
-	c := NewCache(4, 0, nil, nil)
+	c := NewCache(0, nil, nil)
 	bad := []Spec{
 		{},
 		{Kind: "nope"},
@@ -269,7 +313,7 @@ func TestSpecCanonicalization(t *testing.T) {
 // most recently used entry always survives, even when it alone exceeds the
 // budget.
 func TestCacheByteBudget(t *testing.T) {
-	one, err := Build(mustNormalize(t, stubSpec(0)))
+	one, err := Build(mustNormalize(t, stubSpec(0)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +323,7 @@ func TestCacheByteBudget(t *testing.T) {
 	}
 
 	budget := 2*cost + cost/2 // room for two builds, not three
-	c := NewCache(100, budget, nil, nil)
+	c := NewCache(budget, nil, nil)
 	for i := 0; i < 5; i++ {
 		if _, _, err := c.Get(stubSpec(i)); err != nil {
 			t.Fatal(err)
@@ -297,7 +341,7 @@ func TestCacheByteBudget(t *testing.T) {
 
 	// A build over the whole budget still lands (front entry is never
 	// evicted) and is replaced by the next build.
-	tiny := NewCache(100, 1, nil, nil)
+	tiny := NewCache(1, nil, nil)
 	if _, _, err := tiny.Get(stubSpec(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -316,24 +360,16 @@ func TestCacheByteBudget(t *testing.T) {
 }
 
 // TestCacheConcurrentChurn is the race detector's view of the Cache and
-// Registry locking: concurrent Gets over more keys than the capacity keep
-// entries being inserted and evicted while other goroutines read through
-// every public accessor. A dropped lock on any of these paths is a data
+// Registry locking: concurrent Gets over more keys than the byte budget
+// holds keep entries being inserted and evicted while other goroutines
+// read through every public accessor. A dropped lock on any of these paths is a data
 // race under go test -race; the final checks catch lost byte accounting.
 // It stays quick under -short, which is how the race job runs it.
 func TestCacheConcurrentChurn(t *testing.T) {
-	base, err := Build(mustNormalize(t, stubSpec(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The fake build shares one immutable Clos, so every entry costs the
-	// same and nothing but the cache itself is exercised.
-	build := func(sp Spec) (*Topology, error) {
-		return &Topology{Key: sp.Key(), Spec: sp, Clos: base.Clos}, nil
-	}
+	build, cost := fakeBuild(t)
 	reg := obs.NewRegistry()
 	const capacity, nkeys, workers, rounds = 3, 12, 4, 200
-	c := NewCache(capacity, -1, build, reg)
+	c := NewCache(capacity*cost+cost/2, build, reg)
 	keys := make([]string, nkeys)
 	for i := range keys {
 		keys[i] = mustNormalize(t, stubSpec(i)).Key()
@@ -357,7 +393,6 @@ func TestCacheConcurrentChurn(t *testing.T) {
 				c.Lookup(keys[(i+w)%nkeys])
 				cacheLen(c)
 				cacheBytes(c)
-				c.BuildsFor(keys[i%nkeys])
 				counterValue(reg, metricCacheBytes)
 				reg.Add(fmt.Sprintf("test_reader_%d_%d", w, i), 1)
 				reg.WriteTo(io.Discard)
@@ -369,7 +404,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 	if n := cacheLen(c); n != capacity {
 		t.Errorf("Len() = %d, want %d", n, capacity)
 	}
-	if got, want := cacheBytes(c), int64(capacity)*(&Topology{Clos: base.Clos}).MemBytes(); got != want {
+	if got, want := cacheBytes(c), capacity*cost; got != want {
 		t.Errorf("Bytes() = %d, want %d for %d resident entries", got, want, capacity)
 	}
 	if got := counterValue(reg, metricCacheBytes); got != cacheBytes(c) {

@@ -2,23 +2,77 @@ package service_test
 
 import (
 	"bytes"
-	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"rfclos/internal/service"
-	"rfclos/internal/service/client"
 )
+
+// get fetches base+path and returns the body, failing on a non-200 answer.
+// It returns errors rather than failing the test, so goroutines may call it.
+func get(base, path string) ([]byte, error) {
+	resp, err := http.Get(base + path)
+	if err != nil {
+		return nil, err
+	}
+	return readOK(resp)
+}
+
+// post sends v as JSON to base+path and returns the body, failing on a
+// non-200 answer.
+func post(base, path string, v any) ([]byte, error) {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.Post(base+path, "application/json", bytes.NewReader(payload))
+	if err != nil {
+		return nil, err
+	}
+	return readOK(resp)
+}
+
+func readOK(resp *http.Response) ([]byte, error) {
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s %s: HTTP %d %s", resp.Request.Method, resp.Request.URL.Path, resp.StatusCode, body)
+	}
+	return body, nil
+}
+
+// build requests POST /v1/topology for sp and decodes the summary.
+func build(base string, sp service.Spec) (service.TopologySummary, error) {
+	var sum service.TopologySummary
+	body, err := post(base, "/v1/topology", sp)
+	if err == nil {
+		err = json.Unmarshal(body, &sum)
+	}
+	return sum, err
+}
+
+func pathQuery(key string, src, dst int, seed uint64) string {
+	return fmt.Sprintf("/v1/path?key=%s&src=%d&dst=%d&seed=%d", key, src, dst, seed)
+}
 
 // TestConcurrentRequestsSingleflightAndDeterminism is the serving-layer
 // acceptance test: it fires >= 64 concurrent requests for a mix of
 // identical and distinct topology keys against one shared server and
 // asserts (a) singleflight — every key is built exactly once no matter how
-// many requests raced on it — and (b) determinism under concurrency — each
-// /v1/path response is byte-identical to the same query answered by a
-// fresh server that saw no concurrency at all. Run under -race in CI.
+// many requests raced on it, so rfcd_builds_total equals the number of
+// distinct specs — and (b) determinism under concurrency — each /v1/path
+// response is byte-identical to the same query answered by a fresh server
+// that saw no concurrency at all. Run under -race in CI.
 func TestConcurrentRequestsSingleflightAndDeterminism(t *testing.T) {
 	specs := []service.Spec{
 		{Kind: "rfc", Radix: 8, Levels: 3, Leaves: 16, Seed: 1},
@@ -29,15 +83,12 @@ func TestConcurrentRequestsSingleflightAndDeterminism(t *testing.T) {
 	const perSpec = 16 // 4 specs x 16 = 64 concurrent requests
 	total := perSpec * len(specs)
 
-	shared := service.New(service.Options{CacheSize: 16})
-	ts := httptest.NewServer(shared.Handler())
-	defer ts.Close()
-	c := client.New(ts.URL)
-	ctx := context.Background()
+	shared := httptest.NewServer(service.New(service.Options{}).Handler())
+	defer shared.Close()
 
 	type result struct {
 		spec int
-		sum  *service.TopologySummary
+		sum  service.TopologySummary
 		path []byte
 		err  error
 	}
@@ -50,14 +101,13 @@ func TestConcurrentRequestsSingleflightAndDeterminism(t *testing.T) {
 			defer done.Done()
 			start.Wait() // line every goroutine up before the first request
 			res := result{spec: i % len(specs)}
-			sp := specs[res.spec]
-			res.sum, res.err = c.Build(ctx, sp)
+			res.sum, res.err = build(shared.URL, specs[res.spec])
 			if res.err == nil {
 				// Vary (src, dst) within the spec so cached path lookups hit
 				// different index rows concurrently.
 				src := i % 4
 				dst := res.sum.IndexLeaves - 1 - i%4
-				res.path, res.err = c.PathBytes(ctx, res.sum.Key, src, dst, 7)
+				res.path, res.err = get(shared.URL, pathQuery(res.sum.Key, src, dst, 7))
 			}
 			results[i] = res
 		}(i)
@@ -78,28 +128,27 @@ func TestConcurrentRequestsSingleflightAndDeterminism(t *testing.T) {
 	if len(keys) != len(specs) {
 		t.Fatalf("%d distinct keys for %d distinct specs", len(keys), len(specs))
 	}
-	for spec, key := range keys {
-		if n := shared.Cache().BuildsFor(key); n != 1 {
-			t.Errorf("spec %d key %s: %d builds under %d concurrent requests, want exactly 1",
-				spec, key, n, perSpec)
-		}
+	metrics, err := get(shared.URL, "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("rfcd_builds_total %d", len(specs)); !slices.Contains(strings.Split(string(metrics), "\n"), want) {
+		t.Errorf("%d specs under %d concurrent requests each, want each built exactly once (%q):\n%s",
+			len(specs), perSpec, want, metrics)
 	}
 
 	// A fresh, unshared server answering the same queries sequentially must
 	// produce byte-identical path responses — concurrency and cache state
 	// leave no trace in response bodies.
-	fresh := service.New(service.Options{CacheSize: 16})
-	ts2 := httptest.NewServer(fresh.Handler())
-	defer ts2.Close()
-	c2 := client.New(ts2.URL)
+	fresh := httptest.NewServer(service.New(service.Options{}).Handler())
+	defer fresh.Close()
 	for i, res := range results {
-		sp := specs[res.spec]
-		if _, err := c2.Build(ctx, sp); err != nil {
+		if _, err := build(fresh.URL, specs[res.spec]); err != nil {
 			t.Fatal(err)
 		}
 		src := i % 4
 		dst := res.sum.IndexLeaves - 1 - i%4
-		want, err := c2.PathBytes(ctx, res.sum.Key, src, dst, 7)
+		want, err := get(fresh.URL, pathQuery(res.sum.Key, src, dst, 7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,14 +162,11 @@ func TestConcurrentRequestsSingleflightAndDeterminism(t *testing.T) {
 // TestConcurrentMixedEndpoints hammers every read endpoint at once over one
 // cached build, for the race detector's benefit.
 func TestConcurrentMixedEndpoints(t *testing.T) {
-	srv := service.New(service.Options{CacheSize: 4})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(service.New(service.Options{}).Handler())
 	defer ts.Close()
-	c := client.New(ts.URL)
-	ctx := context.Background()
 
 	sp := service.Spec{Kind: "rfc", Radix: 8, Levels: 3, Leaves: 16, Seed: 3}
-	sum, err := c.Build(ctx, sp)
+	sum, err := build(ts.URL, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,13 +179,13 @@ func TestConcurrentMixedEndpoints(t *testing.T) {
 			var err error
 			switch i % 4 {
 			case 0:
-				_, err = c.PathBytes(ctx, sum.Key, 0, 15, uint64(i+1))
+				_, err = get(ts.URL, pathQuery(sum.Key, 0, 15, uint64(i+1)))
 			case 1:
-				_, err = c.Export(ctx, sum.Key, "dot")
+				_, err = get(ts.URL, "/v1/topology/"+sum.Key+"/export?format=dot")
 			case 2:
-				_, err = c.Faults(ctx, sum.Key, 4, uint64(i+1))
+				_, err = get(ts.URL, fmt.Sprintf("/v1/faults?key=%s&links=4&seed=%d", sum.Key, i+1))
 			case 3:
-				_, err = c.Expand(ctx, service.ExpandRequest{Key: sum.Key, Increments: 1})
+				_, err = post(ts.URL, "/v1/expand", service.ExpandRequest{Key: sum.Key, Increments: 1})
 			}
 			if err != nil {
 				errs <- fmt.Errorf("worker %d: %w", i, err)

@@ -39,11 +39,11 @@ func TestMemBytesBoundsHeap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Build(sp); err != nil {
+		if _, err := Build(sp, nil); err != nil {
 			t.Fatal(err)
 		}
 		before := liveHeap()
-		topo, err := Build(sp)
+		topo, err := Build(sp, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

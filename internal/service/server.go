@@ -18,18 +18,10 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// CacheSize is the maximum number of ready topology builds retained
-	// (LRU). 0 means the default (64).
-	CacheSize int
 	// CacheBytes is the byte budget over the cached builds' estimated
 	// memory (adjacency + routing state + turn index). 0 means the default
 	// (DefaultCacheBytes, 8 GiB); negative means unlimited.
 	CacheBytes int64
-	// DenseIndexBytes is the dense turn-table budget per build: topologies
-	// whose N1² table fits get the O(1) dense tier, larger ones the
-	// succinct tier. 0 means the default (DefaultDenseIndexBytes, 64 MiB);
-	// negative means always dense.
-	DenseIndexBytes int
 }
 
 // Server is the rfcd request handler: the topology cache plus the HTTP/JSON
@@ -43,13 +35,8 @@ type Server struct {
 // New returns a ready-to-serve Server.
 func New(opts Options) *Server {
 	reg := obs.NewRegistry()
-	denseBudget := opts.DenseIndexBytes
-	if denseBudget == 0 {
-		denseBudget = DefaultDenseIndexBytes
-	}
-	build := func(sp Spec) (*Topology, error) { return BuildIndexed(sp, denseBudget, reg) }
 	s := &Server{
-		cache: NewCache(opts.CacheSize, opts.CacheBytes, build, reg),
+		cache: NewCache(opts.CacheBytes, nil, reg),
 		reg:   reg,
 		mux:   http.NewServeMux(),
 	}
@@ -68,8 +55,8 @@ func New(opts Options) *Server {
 // Handler returns the HTTP handler serving the full API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Cache exposes the topology cache (selfcheck and tests assert on its
-// build counters).
+// Cache exposes the topology cache, so callers can read a cached build by
+// its key.
 func (s *Server) Cache() *Cache { return s.cache }
 
 // route registers a handler with a per-endpoint request counter. The

@@ -9,12 +9,13 @@ import (
 	"strings"
 	"testing"
 
+	"rfclos/internal/routing"
 	"rfclos/internal/topology"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := New(Options{CacheSize: 8})
+	srv := New(Options{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -96,8 +97,8 @@ func TestTopologyEndpoint(t *testing.T) {
 	if sum.Switches != 2*16+8 {
 		t.Errorf("switches = %d, want %d", sum.Switches, 2*16+8)
 	}
-	if sum.IndexLeaves != 16 {
-		t.Errorf("index_leaves = %d, want 16 (index should be precomputed)", sum.IndexLeaves)
+	if sum.IndexLeaves != 16 || sum.IndexTier != "dense" {
+		t.Errorf("index_leaves = %d, index_tier = %q, want a precomputed 16-leaf dense index", sum.IndexLeaves, sum.IndexTier)
 	}
 	if sum.XParam == nil || sum.ThresholdRadix == nil {
 		t.Error("rfc summary missing Theorem 4.2 fields")
@@ -106,8 +107,8 @@ func TestTopologyEndpoint(t *testing.T) {
 	if !again.Cached {
 		t.Error("second build was not a cache hit")
 	}
-	if n := srv.Cache().BuildsFor(sum.Key); n != 1 {
-		t.Errorf("BuildsFor(%s) = %d, want 1", sum.Key, n)
+	if n := counterValue(srv.reg, metricBuilds); n != 1 {
+		t.Errorf("%s = %d after two requests for one spec, want 1", metricBuilds, n)
 	}
 	// Apart from Cached, the two summaries must agree byte-for-byte.
 	again.Cached = sum.Cached
@@ -133,9 +134,17 @@ func TestTopologyEndpoint(t *testing.T) {
 // TestIndexBytesIgnoreTraffic pins index_bytes as a pure function of the
 // spec: a succinct-tier build reports the same footprint before and after
 // path traffic, and the cache's charge for it stays equal to the entry's
-// live MemBytes.
+// live MemBytes. The server's build swaps in a succinct index (a 100-byte
+// dense budget), so a 16-leaf fabric exercises that tier.
 func TestIndexBytesIgnoreTraffic(t *testing.T) {
-	srv := New(Options{CacheSize: 8, DenseIndexBytes: 100})
+	srv := New(Options{})
+	srv.cache.build = func(sp Spec) (*Topology, error) {
+		topo, err := Build(sp, nil)
+		if err == nil {
+			topo.Index = routing.NewTurnIndex(topo.Router, 100)
+		}
+		return topo, err
+	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	sp := Spec{Kind: "rfc", Radix: 8, Levels: 3, Leaves: 16, Seed: 1}
@@ -171,7 +180,7 @@ func TestExportEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offline, err := Build(norm)
+	offline, err := Build(norm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,9 +54,9 @@ type Spec struct {
 // memory; the paper's largest scenario (200K terminals) is well within it.
 const maxSwitches = 1 << 21
 
-// DefaultDenseIndexBytes is the default byte budget for the dense turn
-// table: topologies whose N1² table fits in it get the O(1)-lookup dense
-// tier (64 MiB = 8192 leaves); larger ones get the succinct tier. The old
+// DefaultDenseIndexBytes is the byte budget for the dense turn table:
+// topologies whose N1² table fits in it get the O(1)-lookup dense tier
+// (64 MiB = 8192 leaves); larger ones get the succinct tier. The old
 // hard 4096-leaf indexing cap is gone — tier selection replaced it.
 const DefaultDenseIndexBytes = 64 << 20
 
@@ -181,7 +181,7 @@ type Topology struct {
 	Clos   *topology.Clos
 	Router *routing.UpDown
 	// Index is the precomputed turn index: the dense tier when the N1²
-	// table fits the build's dense-index budget, the succinct tier up to
+	// table fits DefaultDenseIndexBytes, the succinct tier up to
 	// maxSuccinctLeaves, nil beyond that (queries use Router.MinTurn).
 	Index routing.TurnIndex
 
@@ -192,20 +192,14 @@ type Topology struct {
 	Attempts int // rfc: generation attempts used
 }
 
-// Build constructs the topology a normalized spec describes with the
-// default dense-index budget. The network is a pure function of the spec:
-// the same spec always yields an identical network.
-func Build(sp Spec) (*Topology, error) {
-	return BuildIndexed(sp, DefaultDenseIndexBytes, nil)
-}
-
-// BuildIndexed is Build with an explicit dense-index byte budget: folded
-// Clos topologies whose N1² turn table fits in denseIndexBytes carry the
-// dense tier, larger ones (up to maxSuccinctLeaves) the succinct tier.
-// denseIndexBytes <= 0 means the dense table is always used. A successful
-// build adds its wall-clock cost, and that of the index step, to reg's
+// Build constructs the topology a normalized spec describes. The network is
+// a pure function of the spec: the same spec always yields an identical
+// network. Folded Clos topologies whose N1² turn table fits in
+// DefaultDenseIndexBytes carry the dense index tier, larger ones (up to
+// maxSuccinctLeaves) the succinct tier. A successful build adds its
+// wall-clock cost, and that of the index step, to reg's
 // rfcd_build_ns_total and rfcd_index_ns_total; reg may be nil.
-func BuildIndexed(sp Spec, denseIndexBytes int, reg *obs.Registry) (*Topology, error) {
+func Build(sp Spec, reg *obs.Registry) (*Topology, error) {
 	stopBuild := reg.Time(metricBuildNS)
 	t := &Topology{Key: sp.Key(), Canon: sp.Canonical(), Spec: sp}
 	// Every deterministic folded Clos kind builds through the streaming
@@ -254,7 +248,7 @@ func BuildIndexed(sp Spec, denseIndexBytes int, reg *obs.Registry) (*Topology, e
 	}
 	stopIndex := reg.Time(metricIndexNS)
 	if t.Clos != nil && t.Clos.LevelSize(1) <= maxSuccinctLeaves {
-		t.Index = routing.NewTurnIndex(t.Router, denseIndexBytes)
+		t.Index = routing.NewTurnIndex(t.Router, DefaultDenseIndexBytes)
 	}
 	stopIndex()
 	stopBuild()

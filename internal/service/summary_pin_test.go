@@ -57,7 +57,7 @@ func buildNormalized(t *testing.T, sp Spec) *Topology {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo, err := Build(sp)
+	topo, err := Build(sp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,9 @@ import (
 )
 
 // TestExportFormatsDispatch checks Export and ExportRRN accept exactly the
-// formats ExportFormats lists (the contract rfcgen, rfcd's export handler
-// and selfcheck rely on), that each format yields distinct non-empty bytes,
-// and that both reject an unknown format without writing anything.
+// formats ExportFormats lists (the contract rfcgen and rfcd's export
+// handler rely on), that each format yields distinct non-empty bytes, and
+// that both reject an unknown format without writing anything.
 func TestExportFormatsDispatch(t *testing.T) {
 	c, err := NewCFT(8, 2)
 	if err != nil {
