@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"rfclos/internal/analysis"
 	"rfclos/internal/exhibit"
@@ -105,36 +104,9 @@ func run(paths []string, asCSV, asJSON bool, outDir string, allowPartial, quiet 
 			}
 			fmt.Fprintf(os.Stderr, "warning: %s: %d observations missing\n", id, missing)
 		}
-		if err := emit(merged, asCSV, asJSON, outDir, quiet); err != nil {
+		if err := exhibit.WriteReport(merged, asCSV, asJSON, outDir, quiet); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-func emit(rep *analysis.Report, asCSV, asJSON bool, outDir string, quiet bool) error {
-	if outDir != "" || asJSON {
-		data, err := rep.JSON()
-		if err != nil {
-			return err
-		}
-		if outDir == "" {
-			fmt.Println(string(data))
-			return nil
-		}
-		path := filepath.Join(outDir, rep.Exhibit+".json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		if !quiet {
-			fmt.Fprintln(os.Stderr, "wrote", path)
-		}
-		return nil
-	}
-	if asCSV {
-		fmt.Print(rep.CSV())
-	} else {
-		fmt.Println(rep.Format())
 	}
 	return nil
 }

@@ -30,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -130,42 +129,9 @@ func (r runner) progress() func(string) {
 	return obs.Progress(func(s string) { fmt.Fprintln(os.Stderr, "  ...", s) })
 }
 
-// outPath names an exhibit's JSON file; sharded partials carry the shard in
-// the name so any partition can land in one directory.
+// outPath names an exhibit's JSON file the way WriteReport does.
 func (r runner) outPath(id string) string {
-	name := id + ".json"
-	if r.params.Shard.Enabled() {
-		name = fmt.Sprintf("%s.shard%d-of-%d.json", id, r.params.Shard.K, r.params.Shard.N)
-	}
-	return filepath.Join(r.outDir, name)
-}
-
-// emit renders one finished report per the output flags.
-func (r runner) emit(rep *analysis.Report) error {
-	if r.outDir != "" || r.asJSON {
-		data, err := rep.JSON()
-		if err != nil {
-			return err
-		}
-		if r.outDir == "" {
-			fmt.Println(string(data))
-			return nil
-		}
-		path := r.outPath(rep.Exhibit)
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		if !r.quiet {
-			fmt.Fprintln(os.Stderr, "wrote", path)
-		}
-		return nil
-	}
-	if r.asCSV {
-		fmt.Print(rep.CSV())
-	} else {
-		fmt.Println(rep.Format())
-	}
-	return nil
+	return exhibit.ReportPath(r.outDir, id, r.params.Shard)
 }
 
 func (r runner) run(arg string) error {
@@ -186,7 +152,7 @@ func (r runner) run(arg string) error {
 		if err != nil {
 			return err
 		}
-		if err := r.emit(rep); err != nil {
+		if err := exhibit.WriteReport(rep, r.asCSV, r.asJSON, r.outDir, r.quiet); err != nil {
 			return err
 		}
 	}

@@ -26,11 +26,11 @@ const (
 	CellFloat
 	// CellMean renders the mean of job-indexed observations: the mergeable
 	// aggregate behind sharded sweeps. The rendered value is
-	// mean(Obs)/Div*Mul (Div and Mul applied only when non-zero), wrapped in
-	// Prefix/Suffix.
+	// mean(Obs)/Div*Mul (Div and Mul applied only when non-zero), followed
+	// by Suffix.
 	CellMean
 	// CellStd renders the sample standard deviation of the observations,
-	// with the same Div/Mul/Prefix/Suffix treatment as CellMean.
+	// with the same Div/Mul/Suffix treatment as CellMean.
 	CellStd
 )
 
@@ -48,9 +48,9 @@ type Cell struct {
 	F float64
 	// Fmt is the fmt verb for Int/Float/Mean/Std values.
 	Fmt string
-	// Prefix and Suffix wrap the formatted aggregate value ("52.6" ->
+	// Suffix follows the formatted aggregate value ("52.6" ->
 	// "52.6% (R=12)").
-	Prefix, Suffix string
+	Suffix string
 	// Div and Mul transform the aggregate statistic before formatting:
 	// v = stat(obs); if Div != 0 { v /= Div }; if Mul != 0 { v *= Mul }.
 	// The order (divide, then multiply) is part of the byte-compatibility
@@ -127,7 +127,7 @@ func (c *Cell) Text() string {
 	case CellFloat:
 		return fmt.Sprintf(c.format(), c.F)
 	case CellMean, CellStd:
-		return c.Prefix + fmt.Sprintf(c.format(), c.Value()) + c.Suffix
+		return fmt.Sprintf(c.format(), c.Value()) + c.Suffix
 	}
 	return ""
 }

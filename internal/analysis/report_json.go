@@ -42,7 +42,6 @@ type cellJSON struct {
 	I      int64     `json:"i,omitempty"`
 	F      float64   `json:"f,omitempty"`
 	Fmt    string    `json:"fmt,omitempty"`
-	Prefix string    `json:"prefix,omitempty"`
 	Suffix string    `json:"suffix,omitempty"`
 	Div    float64   `json:"div,omitempty"`
 	Mul    float64   `json:"mul,omitempty"`
@@ -97,7 +96,6 @@ func (r *Report) JSON() ([]byte, error) {
 				I:      c.I,
 				F:      c.F,
 				Fmt:    c.Fmt,
-				Prefix: c.Prefix,
 				Suffix: c.Suffix,
 				Div:    c.Div,
 				Mul:    c.Mul,
@@ -150,7 +148,6 @@ func ParseReport(data []byte) (*Report, error) {
 				I:      cj.I,
 				F:      cj.F,
 				Fmt:    cj.Fmt,
-				Prefix: cj.Prefix,
 				Suffix: cj.Suffix,
 				Div:    cj.Div,
 				Mul:    cj.Mul,
@@ -242,7 +239,7 @@ func mergeInto(dst, src *Report) error {
 		}
 		for j := range sr.Cells {
 			sc, dc := &sr.Cells[j], &dr.Cells[j]
-			if sc.Kind != dc.Kind || sc.Fmt != dc.Fmt || sc.Prefix != dc.Prefix || sc.Suffix != dc.Suffix ||
+			if sc.Kind != dc.Kind || sc.Fmt != dc.Fmt || sc.Suffix != dc.Suffix ||
 				sc.Div != dc.Div || sc.Mul != dc.Mul {
 				return fmt.Errorf("analysis: %s: row %q cell %d shape mismatch", dst.Exhibit, sr.Key, j)
 			}

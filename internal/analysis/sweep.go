@@ -6,7 +6,6 @@ import (
 
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
-	"rfclos/internal/simdirect"
 	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
@@ -43,7 +42,7 @@ func (n netUnderTest) simulate(pat traffic.Pattern, sim simnet.Config, seed uint
 		return simnet.New(n.c, n.ud, pat, sim).Run(load), nil
 	}
 	sim.VCs = rrnVCs
-	d, err := simdirect.New(n.rrn, pat, sim)
+	d, err := simnet.NewRRN(n.rrn, pat, sim)
 	if err != nil {
 		return simnet.Result{}, err
 	}

@@ -8,10 +8,13 @@ package exhibit
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
 	"rfclos/internal/analysis"
+	"rfclos/internal/engine"
 )
 
 // Kind classifies an exhibit by how it computes: closed-form or sampled
@@ -134,4 +137,45 @@ func Resolve(arg string) ([]*Exhibit, error) {
 	known := IDs()
 	sort.Strings(known)
 	return nil, fmt.Errorf("unknown exhibit %q (known: %s, all)", arg, strings.Join(known, ", "))
+}
+
+// ReportPath names an exhibit's JSON file in dir; sharded partials carry
+// the shard in the name so any partition can land in one directory.
+func ReportPath(dir, id string, sh engine.Shard) string {
+	name := id + ".json"
+	if sh.Enabled() {
+		name = fmt.Sprintf("%s.shard%d-of-%d.json", id, sh.K, sh.N)
+	}
+	return filepath.Join(dir, name)
+}
+
+// WriteReport renders one finished report the way rfcpaper and rfcmerge
+// print it: into dir as JSON (at ReportPath, from the report's own id and
+// shard, noted on stderr unless quiet) when dir is set, else on stdout as
+// JSON, CSV or aligned text.
+func WriteReport(rep *Result, asCSV, asJSON bool, dir string, quiet bool) error {
+	if dir != "" || asJSON {
+		data, err := rep.JSON()
+		if err != nil {
+			return err
+		}
+		if dir == "" {
+			fmt.Println(string(data))
+			return nil
+		}
+		path := ReportPath(dir, rep.Exhibit, rep.Shard)
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			return err
+		}
+		if !quiet {
+			fmt.Fprintln(os.Stderr, "wrote", path)
+		}
+		return nil
+	}
+	if asCSV {
+		fmt.Print(rep.CSV())
+	} else {
+		fmt.Println(rep.Format())
+	}
+	return nil
 }

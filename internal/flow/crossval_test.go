@@ -10,14 +10,13 @@ import (
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
 	"rfclos/internal/simcore/goldencases"
-	"rfclos/internal/simdirect"
 	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
 )
 
-// solveFlowCase runs the flow backend on one goldencases.FlowCase.
-func solveFlowCase(i int, fc goldencases.FlowCase, workers int) (*flow.Result, error) {
+// solveFlowCase runs the flow backend on one goldencases.Case.
+func solveFlowCase(i int, fc goldencases.Case, workers int) (*flow.Result, error) {
 	net, m, opts, err := flow.CrossvalInstance(i, fc, workers)
 	if err != nil {
 		return nil, err
@@ -26,7 +25,7 @@ func solveFlowCase(i int, fc goldencases.FlowCase, workers int) (*flow.Result, e
 }
 
 // formatCrossval renders one golden line per case.
-func formatCrossval(fc goldencases.FlowCase, res *flow.Result) string {
+func formatCrossval(fc goldencases.Case, res *flow.Result) string {
 	return fmt.Sprintf("%s flows=%d unroutable=%d accepted=%.6f min=%.6f mean=%.6f jain=%.4f rounds=%d\n",
 		fc.Name, res.Flows, res.Unroutable, res.Accepted, res.MinRate, res.MeanRate, res.Jain, res.Rounds)
 }
@@ -36,7 +35,7 @@ func formatCrossval(fc goldencases.FlowCase, res *flow.Result) string {
 // worker counts (worker invariance rides along). Refresh with UPDATE_FLOW_GOLDEN=1.
 func TestCrossvalGolden(t *testing.T) {
 	var got string
-	for i, fc := range goldencases.FlowCases() {
+	for i, fc := range goldencases.Cases() {
 		res1, err := solveFlowCase(i, fc, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", fc.Name, err)
@@ -114,7 +113,7 @@ func TestSimcoreOrderingAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := simnet.Config{WarmupCycles: 200, MeasureCycles: 800, Seed: 5, VCs: 8}
-	sim, err := simdirect.New(rrn, traffic.NewUniform(rrn.Terminals()), cfg)
+	sim, err := simnet.NewRRN(rrn, traffic.NewUniform(rrn.Terminals()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +143,7 @@ func TestSimcoreOrderingAgreement(t *testing.T) {
 }
 
 func goldenRFC() (*topology.Clos, *routing.UpDown, int, error) {
-	for _, fc := range goldencases.FlowCases() {
+	for _, fc := range goldencases.Cases() {
 		if fc.Name == "clos/rfc8x3x16/uniform/0.5" {
 			c, err := fc.BuildClos()
 			if err != nil {

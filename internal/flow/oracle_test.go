@@ -136,10 +136,10 @@ func matchOracle(t *testing.T, name string, p flatPaths, m []traffic.Demand, nLi
 }
 
 // crossvalInstance builds the flow backend's input for the i-th
-// goldencases.FlowCase: the same topology and pattern as the cycle-engine
+// goldencases.Case: the same topology and pattern as the cycle-engine
 // golden point, the pattern turned into a matrix (one flow per source)
 // scaled by the case's offered load.
-func crossvalInstance(i int, fc goldencases.FlowCase, workers int) (Network, []traffic.Demand, Options, error) {
+func crossvalInstance(i int, fc goldencases.Case, workers int) (Network, []traffic.Demand, Options, error) {
 	var net Network
 	if fc.BuildClos != nil {
 		c, err := fc.BuildClos()
@@ -169,7 +169,7 @@ func TestWaterfillMatchesOracle(t *testing.T) {
 		}
 		matchOracle(t, name, p, m, n.NumLinks())
 	}
-	for i, fc := range goldencases.FlowCases() {
+	for i, fc := range goldencases.Cases() {
 		n, m, opts, err := crossvalInstance(i, fc, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", fc.Name, err)

@@ -63,7 +63,6 @@ func DefaultConfig(module string) *Config {
 		"internal/service",
 		"internal/simcore",
 		"internal/simcore/goldencases",
-		"internal/simdirect",
 		"internal/simnet",
 		"internal/topology",
 		"internal/traffic",

@@ -5,11 +5,9 @@ import "rfclos/internal/topology"
 // RebuildStream builds up/down routing state incrementally while a builder
 // is still wiring the topology. It implements topology.LevelSink: as each
 // level pair seals into the CSR store, the descendant (cover_0) sets of the
-// newly-finalised level are computed and compressed immediately, so the
-// wiring scratch of level l+1 and the desc construction of level l overlap
-// instead of the whole graph and the whole plain-bitset state being
-// resident together. The cover_r families (r >= 1) need the complete
-// up-wiring and are computed in Finish.
+// newly-finalised level are computed and compressed immediately, while
+// level l+1 is still being wired. The cover_r families (r >= 1) need the
+// complete up-wiring and are computed in Finish.
 //
 // Usage:
 //
@@ -18,8 +16,7 @@ import "rfclos/internal/topology"
 //	ud := rs.Finish(c)
 //
 // The result is identical to routing.New(c) on the finished topology — the
-// equivalence test in stream_test.go pins it — construction just peaks
-// lower and earlier.
+// equivalence test in stream_test.go pins it — and so is the peak RSS.
 type RebuildStream struct {
 	c    *topology.Clos
 	n1   int

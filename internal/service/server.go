@@ -323,7 +323,8 @@ func queryInt(r *http.Request, name string) (int, error) {
 	return n, nil
 }
 
-// querySeed parses an optional uint64 seed query parameter (default 1).
+// querySeed parses an optional uint64 seed query parameter. An absent or
+// zero seed is the default 1, as in the POST bodies.
 func querySeed(r *http.Request) (uint64, error) {
 	v := r.URL.Query().Get("seed")
 	if v == "" {
@@ -333,7 +334,7 @@ func querySeed(r *http.Request) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("query parameter \"seed\": %v", err)
 	}
-	return n, nil
+	return max(n, 1), nil
 }
 
 func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {

@@ -671,3 +671,45 @@ func TestPathsBatchMatchesPath(t *testing.T) {
 		})
 	}
 }
+
+// TestSeedZeroMeansDefault checks that an explicit seed=0 on the GET
+// endpoints reads as the default seed 1, as the POST bodies read it: every
+// GET /v1/path?seed=0 answer matches its POST /v1/paths {"seed":0} element,
+// and /v1/faults?seed=0 answers exactly like seed=1.
+func TestSeedZeroMeansDefault(t *testing.T) {
+	_, ts := newTestServer(t)
+	sum := buildTopology(t, ts.URL, Spec{Kind: "rfc", Radix: 16, Levels: 3, Leaves: 48, Seed: 1})
+	var pairs [][2]int
+	for src := 0; src < 48; src++ {
+		pairs = append(pairs, [2]int{src, 47})
+	}
+	code, body := postRaw(t, ts.URL, "/v1/paths", PathsRequest{Key: sum.Key, Pairs: pairs, Seed: 0})
+	if code != http.StatusOK {
+		t.Fatalf("POST /v1/paths: HTTP %d %s", code, body)
+	}
+	var batch struct {
+		Paths []json.RawMessage `json:"paths"`
+	}
+	if err := json.Unmarshal(body, &batch); err != nil {
+		t.Fatal(err)
+	}
+	for i, pair := range pairs {
+		_, single := getBody(t, ts.URL, fmt.Sprintf("/v1/path?key=%s&src=%d&dst=%d&seed=0", sum.Key, pair[0], pair[1]))
+		var p PathResponse
+		if err := json.Unmarshal(single, &p); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(PathResult{Src: p.Src, Dst: p.Dst, MinTurn: p.MinTurn, Routable: p.Routable, Hops: p.Hops, Path: p.Path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Seed != 1 || !bytes.Equal(batch.Paths[i], want) {
+			t.Errorf("pair %v: GET seed=0 answered seed %d %s, batch element %s", pair, p.Seed, want, batch.Paths[i])
+		}
+	}
+	_, zero := getBody(t, ts.URL, fmt.Sprintf("/v1/faults?key=%s&links=5&seed=0", sum.Key))
+	_, one := getBody(t, ts.URL, fmt.Sprintf("/v1/faults?key=%s&links=5&seed=1", sum.Key))
+	if !bytes.Equal(zero, one) {
+		t.Errorf("/v1/faults seed=0 %s, seed=1 %s", zero, one)
+	}
+}

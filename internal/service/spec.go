@@ -204,9 +204,9 @@ func Build(sp Spec, reg *obs.Registry) (*Topology, error) {
 	t := &Topology{Key: sp.Key(), Canon: sp.Canonical(), Spec: sp}
 	// Every deterministic folded Clos kind builds through the streaming
 	// path: the builder seals CSR level pairs bottom-up and the attached
-	// RebuildStream compresses descendant sets as each pair lands, so a
-	// >1M-switch build never holds wiring scratch and uncompressed routing
-	// state at once. The rfc kind streams inside GenerateRoutable.
+	// RebuildStream compresses descendant sets as each pair lands. The
+	// peak RSS is the same as a batch build's. The rfc kind streams
+	// inside GenerateRoutable.
 	rs := routing.NewRebuildStream()
 	var err error
 	switch sp.Kind {

@@ -1,8 +1,17 @@
 package simcore
 
-// Config carries the Table 2 simulation parameters shared by every network
-// class. It is the single defaulting path for the engine: simnet exposes it
-// directly and simdirect maps its narrower Config onto it, so both classes
+// Table 2 fixes these for every run: 16-phit packets, 1-cycle links, and a
+// 16-packet injection queue per terminal (packets generated while it is
+// full are counted as dropped at the source: offered but not accepted).
+const (
+	packetLength   = 16
+	linkLatency    = 1
+	sourceQueueCap = 16
+)
+
+// Config carries the settable Table 2 simulation parameters shared by every
+// network class. It is the single defaulting path for the engine: both
+// simnet front ends (folded Clos and RRN) pass it through, so both classes
 // run under byte-identical switch and link models.
 type Config struct {
 	// VCs is the number of virtual channels per link (Table 2: 4).
@@ -10,18 +19,10 @@ type Config struct {
 	// BufferPackets is the per-VC input buffer capacity in packets
 	// (Table 2: 4).
 	BufferPackets int
-	// PacketLength is the packet size in phits (Table 2: 16).
-	PacketLength int
-	// LinkLatency is the header hop latency in cycles (Table 2: 1).
-	LinkLatency int
 	// WarmupCycles precede the measurement window.
 	WarmupCycles int
 	// MeasureCycles is the statistics window (Table 2: 10,000).
 	MeasureCycles int
-	// SourceQueueCap bounds each terminal's injection queue in packets;
-	// packets generated while the queue is full are counted as dropped at
-	// the source (offered but not accepted).
-	SourceQueueCap int
 	// RequestRefresh is how many cycles a blocked head packet keeps its
 	// randomly chosen output request before re-randomizing it. 1
 	// re-randomizes every cycle as INSEE does; larger values trade a
@@ -51,11 +52,8 @@ func DefaultConfig() Config {
 	return Config{
 		VCs:            4,
 		BufferPackets:  4,
-		PacketLength:   16,
-		LinkLatency:    1,
 		WarmupCycles:   2000,
 		MeasureCycles:  10000,
-		SourceQueueCap: 16,
 		RequestRefresh: 4,
 		Seed:           1,
 	}
@@ -72,20 +70,11 @@ func (c Config) WithDefaults() Config {
 	if c.BufferPackets <= 0 {
 		c.BufferPackets = d.BufferPackets
 	}
-	if c.PacketLength <= 0 {
-		c.PacketLength = d.PacketLength
-	}
-	if c.LinkLatency <= 0 {
-		c.LinkLatency = d.LinkLatency
-	}
 	if c.WarmupCycles <= 0 {
 		c.WarmupCycles = d.WarmupCycles
 	}
 	if c.MeasureCycles <= 0 {
 		c.MeasureCycles = d.MeasureCycles
-	}
-	if c.SourceQueueCap <= 0 {
-		c.SourceQueueCap = d.SourceQueueCap
 	}
 	if c.RequestRefresh <= 0 {
 		c.RequestRefresh = d.RequestRefresh

@@ -1,10 +1,11 @@
 // Package simcore is the unified cycle-driven, packet-granularity virtual
-// cut-through engine behind both network-class simulators: the folded-Clos
-// up/down simulator (internal/simnet) and the direct-network simulator
-// (internal/simdirect). One engine owning the entire switch and link model
-// — VC ring buffers, credit flow control, per-port random arbitration with
-// one iteration per cycle, the event ring, injection/ejection terminals and
-// warm-up/measurement accounting — keeps cross-topology comparisons fair:
+// cut-through engine behind both network-class front ends in
+// internal/simnet: the folded-Clos up/down simulator (simnet.New) and the
+// direct-network simulator (simnet.NewRRN). One engine owning the entire
+// switch and link model — VC ring buffers, credit flow control, per-port
+// random arbitration with one iteration per cycle, the event ring,
+// injection/ejection terminals and warm-up/measurement accounting — keeps
+// cross-topology comparisons fair:
 // the two network classes differ only in their Router (hop selection and VC
 // discipline), never in the machinery that turns routing decisions into
 // cycles and queues.
@@ -12,8 +13,8 @@
 // Modelling notes (see DESIGN.md §2 "Substitutions"):
 //
 //   - Packets, not phits, are the simulated unit. A packet transfer holds
-//     its link for PacketLength cycles and its header becomes routable at
-//     the next switch after LinkLatency cycles (cut-through), so latency
+//     its link for packetLength cycles and its header becomes routable at
+//     the next switch after linkLatency cycles (cut-through), so latency
 //     and throughput match a phit-level VCT simulation while running an
 //     order of magnitude faster.
 //   - Virtual-channel buffer space is tracked as an occupancy count per
@@ -162,7 +163,7 @@ func (e *Engine) buildState() {
 	e.ejFreeAt = make([]int32, e.terms)
 	e.nextGen = make([]int32, e.terms)
 
-	e.ringSize = int32(cfg.PacketLength + cfg.LinkLatency + 2)
+	e.ringSize = int32(packetLength + linkLatency + 2)
 	e.relBucket = make([][]int32, e.ringSize)
 	e.delBucket = make([][]int32, e.ringSize)
 
@@ -184,7 +185,7 @@ func (e *Engine) Run(load float64) Result {
 	if load < 0 {
 		load = 0
 	}
-	p := load / float64(e.cfg.PacketLength) // packet generation probability per cycle
+	p := load / float64(packetLength) // packet generation probability per cycle
 	for t := 0; t < e.terms; t++ {
 		e.nextGen[t] = e.drawGap(p)
 	}
@@ -201,7 +202,7 @@ func (e *Engine) Run(load float64) Result {
 	}
 	res := Result{
 		OfferedLoad:     load,
-		AcceptedLoad:    float64(e.delivered*e.cfg.PacketLength) / (float64(e.terms) * float64(e.cfg.MeasureCycles)),
+		AcceptedLoad:    float64(e.delivered*packetLength) / (float64(e.terms) * float64(e.cfg.MeasureCycles)),
 		AvgLatency:      e.lat.Mean(),
 		P50Latency:      e.lat.Quantile(0.50),
 		P95Latency:      e.lat.Quantile(0.95),
@@ -306,7 +307,7 @@ func (e *Engine) generate(p float64) {
 			e.generated++
 		}
 		e.totGenerated++
-		if len(e.srcQ[t]) >= e.cfg.SourceQueueCap {
+		if len(e.srcQ[t]) >= sourceQueueCap {
 			e.totDropped++
 			if e.measuring {
 				e.droppedSrc++
@@ -446,20 +447,20 @@ func (e *Engine) dispatch(sw int32, port int, src int64) {
 		term := int32(-src - 1)
 		pk = e.srcQ[term][0]
 		e.srcQ[term] = e.srcQ[term][1:]
-		e.injFreeAt[term] = e.cycle + int32(e.cfg.PacketLength)
+		e.injFreeAt[term] = e.cycle + int32(packetLength)
 	} else {
 		q := int32(src)
 		pk = e.qBuf[int(q)*e.cfg.BufferPackets+int(e.qHead[q])]
 		e.qHead[q] = uint8((int(e.qHead[q]) + 1) % e.cfg.BufferPackets)
 		e.qLen[q]--
 		// The buffer slot frees when the tail streams out.
-		e.scheduleRelease(q, e.cycle+int32(e.cfg.PacketLength))
+		e.scheduleRelease(q, e.cycle+int32(packetLength))
 	}
 	p := &e.pool[pk]
 
 	if p.reqPort == Eject {
-		e.ejFreeAt[p.Dst] = e.cycle + int32(e.cfg.PacketLength)
-		e.scheduleDelivery(pk, e.cycle+int32(e.cfg.PacketLength))
+		e.ejFreeAt[p.Dst] = e.cycle + int32(packetLength)
+		e.scheduleDelivery(pk, e.cycle+int32(packetLength))
 		return
 	}
 
@@ -468,9 +469,9 @@ func (e *Engine) dispatch(sw int32, port int, src int64) {
 	if q < 0 {
 		panic("simcore: dispatch without VC space (arbitration bug)")
 	}
-	e.chFreeAt[ch] = e.cycle + int32(e.cfg.PacketLength)
+	e.chFreeAt[ch] = e.cycle + int32(packetLength)
 	e.vcOccupied[q]++
-	// Enqueue at the receiving switch; header routable after LinkLatency.
+	// Enqueue at the receiving switch; header routable after linkLatency.
 	tail := (int(e.qHead[q]) + int(e.qLen[q])) % e.cfg.BufferPackets
 	e.qBuf[int(q)*e.cfg.BufferPackets+tail] = pk
 	e.qLen[q]++
@@ -479,7 +480,7 @@ func (e *Engine) dispatch(sw int32, port int, src int64) {
 		e.inActiveQ[q] = true
 		e.activeSrc[to] = append(e.activeSrc[to], int64(q))
 	}
-	p.readyAt = e.cycle + int32(e.cfg.LinkLatency)
+	p.readyAt = e.cycle + int32(linkLatency)
 	e.router.Forwarded(e, sw, int32(port), p)
 	p.reqPort = NoRoute
 }

@@ -38,8 +38,8 @@ type Packet struct {
 // ring buffers, credits, arbitration, events, terminals, statistics).
 //
 // Two disciplines ship with the repository: the folded-Clos up/down router
-// (simnet), deadlock-free with no VC constraint, and the direct-network
-// minimal router (simdirect), which needs the hop-indexed VC scheme —
+// (simnet.New), deadlock-free with no VC constraint, and the direct-network
+// minimal router (simnet.NewRRN), which needs the hop-indexed VC scheme —
 // SelectVC returns VC State, which strictly increases along a route, making
 // the channel dependency graph acyclic.
 //

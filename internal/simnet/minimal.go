@@ -1,4 +1,4 @@
-package simdirect
+package simnet
 
 import (
 	"fmt"
@@ -16,15 +16,15 @@ type minimalRouter struct {
 	tps  int32
 }
 
-// MinimalRouter builds the shortest-path ECMP policy for the unified engine,
-// computing the all-pairs hop table on one goroutine (callers already run
-// one simulation per engine job). It returns the network diameter so
-// callers can size the VC count; it fails when the graph is disconnected
-// or a distance exceeds graph.MaxHops.
-func MinimalRouter(rrn *topology.RRN) (simcore.Router, int, error) {
+// newMinimalRouter builds the shortest-path ECMP policy for the unified
+// engine, computing the all-pairs hop table on one goroutine (callers
+// already run one simulation per engine job). It returns the network
+// diameter so callers can size the VC count; it fails when the graph is
+// disconnected or a distance exceeds graph.MaxHops.
+func newMinimalRouter(rrn *topology.RRN) (*minimalRouter, int, error) {
 	dist, diameter, err := rrn.G.HopTable(1)
 	if err != nil {
-		return nil, 0, fmt.Errorf("simdirect: %w", err)
+		return nil, 0, fmt.Errorf("simnet: %w", err)
 	}
 	return &minimalRouter{g: rrn, dist: dist, tps: int32(rrn.TermsPerSwitch)}, diameter, nil
 }

@@ -19,10 +19,10 @@ type upDownRouter struct {
 	hash  bool
 }
 
-// UpDownRouter builds the up/down routing policy for the unified engine;
+// newUpDownRouter builds the up/down routing policy for the unified engine;
 // hash selects the deterministic D-mod-K flow-hash variant instead of
 // per-request randomisation.
-func UpDownRouter(c *topology.Clos, ud *routing.UpDown, hash bool) simcore.Router {
+func newUpDownRouter(c *topology.Clos, ud *routing.UpDown, hash bool) *upDownRouter {
 	r := &upDownRouter{c: c, ud: ud, n1: int32(c.LevelSize(1)), hash: hash}
 	r.upLen = make([]int16, c.NumSwitches())
 	for sw := int32(0); sw < int32(c.NumSwitches()); sw++ {

@@ -1,4 +1,4 @@
-package simdirect
+package simnet
 
 import (
 	"errors"
@@ -6,7 +6,6 @@ import (
 
 	"rfclos/internal/graph"
 	"rfclos/internal/rng"
-	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
 )
@@ -20,20 +19,14 @@ func buildRRN(t *testing.T, n, d, tps int) *topology.RRN {
 	return rrn
 }
 
-func testConfig() simnet.Config {
-	return simnet.Config{WarmupCycles: 500, MeasureCycles: 2000, Seed: 5, VCs: 8}
-}
-
-func checkConservation(t *testing.T, r Result) {
-	t.Helper()
-	if r.TotalGenerated != r.TotalDelivered+r.TotalDropped+r.InFlightAtEnd {
-		t.Errorf("conservation violated: %+v", r)
-	}
+// rrnTestConfig covers the diameter of every test RRN with hop-indexed VCs.
+func rrnTestConfig() Config {
+	return Config{WarmupCycles: 500, MeasureCycles: 2000, Seed: 5, VCs: 8}
 }
 
 func TestDirectBasicDelivery(t *testing.T) {
 	rrn := buildRRN(t, 64, 6, 3)
-	s, err := New(rrn, traffic.NewUniform(rrn.Terminals()), testConfig())
+	s, err := NewRRN(rrn, traffic.NewUniform(rrn.Terminals()), rrnTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +49,7 @@ func TestDirectBasicDelivery(t *testing.T) {
 
 func TestDirectSaturation(t *testing.T) {
 	rrn := buildRRN(t, 64, 6, 3)
-	s, err := New(rrn, traffic.NewUniform(rrn.Terminals()), testConfig())
+	s, err := NewRRN(rrn, traffic.NewUniform(rrn.Terminals()), rrnTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,18 +70,18 @@ func TestMinimalRouterRejectsDisconnected(t *testing.T) {
 	for _, u := range append([]int32(nil), rrn.G.Neighbors(3)...) {
 		rrn.G.RemoveEdge(3, int(u))
 	}
-	_, _, err := MinimalRouter(rrn)
+	_, _, err := newMinimalRouter(rrn)
 	var he *graph.HopError
 	if !errors.As(err, &he) || he.To != 3 || he.Dist != -1 {
-		t.Fatalf("MinimalRouter on a network with switch 3 cut off: error %v", err)
+		t.Fatalf("newMinimalRouter on a network with switch 3 cut off: error %v", err)
 	}
 }
 
 func TestDirectVCRequirement(t *testing.T) {
 	rrn := buildRRN(t, 64, 4, 2)
-	cfg := testConfig()
+	cfg := rrnTestConfig()
 	cfg.VCs = 1 // diameter of a 64-switch degree-4 RRN is > 1
-	if _, err := New(rrn, traffic.NewUniform(rrn.Terminals()), cfg); err == nil {
+	if _, err := NewRRN(rrn, traffic.NewUniform(rrn.Terminals()), cfg); err == nil {
 		t.Fatal("expected VC-count rejection for deadlock avoidance")
 	}
 }
@@ -96,7 +89,7 @@ func TestDirectVCRequirement(t *testing.T) {
 func TestDirectDeterminism(t *testing.T) {
 	rrn := buildRRN(t, 32, 4, 2)
 	run := func() Result {
-		s, err := New(rrn, traffic.NewUniform(rrn.Terminals()), testConfig())
+		s, err := NewRRN(rrn, traffic.NewUniform(rrn.Terminals()), rrnTestConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +104,7 @@ func TestDirectDeterminism(t *testing.T) {
 func TestDirectPairing(t *testing.T) {
 	rrn := buildRRN(t, 64, 6, 3)
 	pat := traffic.NewPairing(rrn.Terminals(), rng.New(3))
-	s, err := New(rrn, pat, testConfig())
+	s, err := NewRRN(rrn, pat, rrnTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,5 +112,22 @@ func TestDirectPairing(t *testing.T) {
 	checkConservation(t, r)
 	if r.Delivered == 0 || r.Stalled {
 		t.Errorf("pairing failed: %+v", r)
+	}
+}
+
+// TestDefaultsAgreeAcrossFrontEnds pins both front ends to the one simcore
+// defaulting path: a zero config gives NewRRN exactly the Table 2
+// parameters New gets, except RequestRefresh, which NewRRN pins to 1 (its
+// random hop choice must be re-drawn every cycle).
+func TestDefaultsAgreeAcrossFrontEnds(t *testing.T) {
+	rrn := buildRRN(t, 32, 4, 2)
+	s, err := NewRRN(rrn, traffic.NewUniform(rrn.Terminals()), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Config{}.WithDefaults()
+	want.RequestRefresh = 1
+	if got := s.Config(); got != want {
+		t.Errorf("NewRRN defaults diverged from New's:\n got %+v\nwant %+v", got, want)
 	}
 }

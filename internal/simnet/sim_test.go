@@ -225,8 +225,7 @@ func TestPairingFullThroughputOnCFT(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.WithDefaults()
-	if cfg.VCs != 4 || cfg.BufferPackets != 4 || cfg.PacketLength != 16 ||
-		cfg.LinkLatency != 1 || cfg.MeasureCycles != 10000 {
+	if cfg.VCs != 4 || cfg.BufferPackets != 4 || cfg.MeasureCycles != 10000 {
 		t.Errorf("defaults wrong: %+v", cfg)
 	}
 }
