@@ -60,6 +60,9 @@ func main() {
 
 func run(topo string, radix, levels, leaves, q int, pattern string, load float64,
 	warmup, cycles, faults, reps, workers int, seed uint64, backend string) error {
+	if !(load >= 0) {
+		return fmt.Errorf("load %g is not a number >= 0", load)
+	}
 	if seed == 0 {
 		seed = 1
 	}
@@ -181,7 +184,7 @@ func runFlow(c *rfclos.Clos, router *rfclos.Router, pattern string, load float64
 			fmt.Printf("accepted   %.4f per terminal (demand %.4f)\n", res.Accepted, res.Demand/float64(c.Terminals()))
 			fmt.Printf("rates      min %.4f  mean %.4f  max %.4f  jain %.4f\n",
 				res.MinRate, res.MeanRate, res.MaxRate, res.Jain)
-			fmt.Printf("flows      %d routed  %d unroutable  %d rounds  %d saturated links\n",
+			fmt.Printf("flows      %d in the matrix  %d unroutable  %d rounds  %d saturated links\n",
 				res.Flows, res.Unroutable, res.Rounds, res.SatLinks)
 			return nil
 		}

@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"sync"
 
 	"rfclos/internal/core"
 	"rfclos/internal/flow"
@@ -12,11 +14,18 @@ import (
 	"rfclos/internal/traffic"
 )
 
-// flowNet couples a named network with its flow-level routing adapter.
+// flowNet couples a named network with its flow-level routing adapter,
+// which net builds on its first call (once, whichever job calls first) and
+// returns on every call.
 type flowNet struct {
 	name  string
-	net   flow.Network
+	net   func() (flow.Network, error)
 	terms int
+}
+
+// builtNet is a flowNet whose adapter is already built.
+func builtNet(name string, n flow.Network) flowNet {
+	return flowNet{name, func() (flow.Network, error) { return n, nil }, n.Terminals()}
 }
 
 // runFlowGrid executes the (network × pattern × load × rep) grid on the
@@ -37,7 +46,9 @@ func runFlowGrid(title string, notes []string, nets []flowNet, p Params, pattern
 
 // flowGrid is runFlowGrid's job grid: group g is network g/np under
 // patterns[g%np], for np patterns, over p's loads (default 0.1..1.0) with
-// p's reps (default 3).
+// p's reps (default 3). Workers claim the heaviest loads first, since a
+// solve's cost grows with load, and the networks in turn within a load, so
+// that the first claims build different networks at once.
 func flowGrid(nets []flowNet, p Params, patterns []string) grid {
 	var groups []gridGroup
 	for _, n := range nets {
@@ -53,6 +64,9 @@ func flowGrid(nets []flowNet, p Params, patterns []string) grid {
 			return []uint64{rng.StringCoord("flow/" + nets[j.g/np].name), rng.StringCoord(patterns[j.g%np]),
 				math.Float64bits(j.x), uint64(j.rep)}
 		},
+		claim: func(a, b gridJob) int {
+			return cmp.Or(cmp.Compare(b.x, a.x), cmp.Compare(a.g%np, b.g%np), cmp.Compare(a.g, b.g), cmp.Compare(a.rep, b.rep))
+		},
 		run: func(j gridJob, stream *rng.Rand) ([]float64, error) {
 			res, err := solveFlowJob(nets[j.g/np], patterns[j.g%np], j.x, stream)
 			if err != nil {
@@ -66,11 +80,15 @@ func flowGrid(nets []flowNet, p Params, patterns []string) grid {
 // solveFlowJob draws one job's matrix from its stream, scales it to load
 // and solves it on n.
 func solveFlowJob(n flowNet, pattern string, load float64, stream *rng.Rand) (*flow.Result, error) {
+	net, err := n.net()
+	if err != nil {
+		return nil, err
+	}
 	m, err := traffic.NewMatrix(pattern, n.terms, stream)
 	if err != nil {
 		return nil, err
 	}
-	return flow.Solve(n.net, traffic.ScaleMatrix(m, load), flow.Options{Seed: stream.Uint64(), Workers: 1})
+	return flow.Solve(net, traffic.ScaleMatrix(m, load), flow.Options{Seed: stream.Uint64(), Workers: 1})
 }
 
 // FlowScenarioSweep is ScenarioSweep on the flow-level backend: the same
@@ -87,7 +105,7 @@ func FlowScenarioSweep(sc Scenario, p Params) (*Report, error) {
 	}
 	fnets := make([]flowNet, len(nets))
 	for i, n := range nets {
-		fnets[i] = flowNet{name: n.name, net: flow.NewClos(n.c, n.ud, nil), terms: n.c.Terminals()}
+		fnets[i] = builtNet(n.name, flow.NewClos(n.c, n.ud, nil))
 	}
 	notes := []string{
 		fmt.Sprintf("scenario %s: CFT T=%d, RFC T=%d", sc.Name, sc.CFT.Terminals(), sc.RFC.Terminals()),
@@ -131,46 +149,46 @@ func flowScaleFor(scale Scale) flowScaleSpec {
 // 10× scale the default patterns are the cheap pair that separates the
 // topologies (uniform, storm).
 func FlowScale(p Params) (*Report, error) {
-	nets, notes, err := flowScaleNets(p)
-	if err != nil {
-		return nil, err
-	}
+	nets, notes := flowScaleNets(p)
 	title := fmt.Sprintf("Flow backend: RFC vs RRN vs XGFT at 10× scale (%s)", p.scale())
 	return runFlowGrid(title, notes, nets, p, p.patterns([]string{"uniform", "storm"}))
 }
 
-// flowScaleNets builds FlowScale's three networks and its note line.
-func flowScaleNets(p Params) ([]flowNet, []string, error) {
+// flowScaleNets names FlowScale's three networks and writes its note
+// line. Each network is built by the first job that solves on it, so the
+// builds run on the worker pool, beside other networks' solves.
+func flowScaleNets(p Params) ([]flowNet, []string) {
 	spec := flowScaleFor(p.scale())
-	xgft, err := spec.xgft.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	rfc, rud, err := buildRoutableRFC(spec.rfc, rng.At(p.seed(), rng.StringCoord("flowscale/topology/RFC")))
-	if err != nil {
-		return nil, nil, err
-	}
-	rrn, err := topology.NewRRN(spec.rrnN, spec.rrnDeg, spec.rrnTps,
-		rng.At(p.seed(), rng.StringCoord("flowscale/topology/RRN")))
-	if err != nil {
-		return nil, nil, err
-	}
-	rrnNet, err := flow.NewRRN(rrn, p.Workers)
-	if err != nil {
-		return nil, nil, err
-	}
+	t := spec.xgft.Terminals()
 	nets := []flowNet{
-		{fmt.Sprintf("XGFT-%dL-R%d", spec.xgft.Levels, spec.xgft.Radix),
-			flow.NewClos(xgft, routing.New(xgft), nil), xgft.Terminals()},
-		{fmt.Sprintf("RFC-%dL-R%d", spec.rfc.Levels, spec.rfc.Radix),
-			flow.NewClos(rfc, rud, nil), rfc.Terminals()},
-		{fmt.Sprintf("RRN-R%d", spec.rrnDeg+spec.rrnTps), rrnNet, rrn.Terminals()},
+		{fmt.Sprintf("XGFT-%dL-R%d", spec.xgft.Levels, spec.xgft.Radix), sync.OnceValues(func() (flow.Network, error) {
+			xgft, err := spec.xgft.Build()
+			if err != nil {
+				return nil, err
+			}
+			return flow.NewClos(xgft, routing.New(xgft), nil), nil
+		}), t},
+		{fmt.Sprintf("RFC-%dL-R%d", spec.rfc.Levels, spec.rfc.Radix), sync.OnceValues(func() (flow.Network, error) {
+			rfc, rud, err := buildRoutableRFC(spec.rfc, rng.At(p.seed(), rng.StringCoord("flowscale/topology/RFC")))
+			if err != nil {
+				return nil, err
+			}
+			return flow.NewClos(rfc, rud, nil), nil
+		}), spec.rfc.Terminals()},
+		{fmt.Sprintf("RRN-R%d", spec.rrnDeg+spec.rrnTps), sync.OnceValues(func() (flow.Network, error) {
+			rrn, err := topology.NewRRN(spec.rrnN, spec.rrnDeg, spec.rrnTps,
+				rng.At(p.seed(), rng.StringCoord("flowscale/topology/RRN")))
+			if err != nil {
+				return nil, err
+			}
+			return flow.NewRRN(rrn, p.Workers)
+		}), spec.rrnN * spec.rrnTps},
 	}
 	notes := []string{
 		fmt.Sprintf("XGFT %s, RFC %v, RRN %d switches × Δ%d+%d terminals — T=%d each (~10× the equal-resources scenario)",
-			netShape(spec.xgft), spec.rfc, spec.rrnN, spec.rrnDeg, spec.rrnTps, xgft.Terminals()),
+			netShape(spec.xgft), spec.rfc, spec.rrnN, spec.rrnDeg, spec.rrnTps, t),
 	}
-	return nets, notes, nil
+	return nets, notes
 }
 
 // netShape renders a CFTSpec compactly for report notes.

@@ -27,37 +27,39 @@ func TestFlowScaleSolveBits(t *testing.T) {
 	}
 	for _, seed := range []uint64{7, 8} {
 		p := Params{Scale: ScaleSmall, Loads: []float64{0.5, 1.0}, Reps: 1, Patterns: []string{"uniform", "storm"}, Seed: seed, Workers: 1}
-		nets, _, err := flowScaleNets(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		nets, _ := flowScaleNets(p)
 		g := flowGrid(nets, p, p.Patterns)
 		np := len(p.Patterns)
-		h := sha256.New()
-		var word [8]byte
-		put := func(v uint64) {
-			binary.LittleEndian.PutUint64(word[:], v)
-			h.Write(word[:])
-		}
-		solves := 0
+		// Each job's words, keyed by its coordinates: the grid claims jobs
+		// out of job order.
+		words := map[gridJob][]uint64{}
 		g.run = func(j gridJob, stream *rng.Rand) ([]float64, error) {
 			res, err := solveFlowJob(nets[j.g/np], p.Patterns[j.g%np], j.x, stream)
 			if err != nil {
 				return nil, err
 			}
+			var w []uint64
 			for _, r := range res.Rates {
-				put(math.Float64bits(r))
+				w = append(w, math.Float64bits(r))
 			}
-			put(uint64(res.Rounds))
-			put(uint64(res.SatLinks))
-			solves++
+			words[j] = append(w, uint64(res.Rounds), uint64(res.SatLinks))
 			return []float64{0, 0, 0}, nil
 		}
 		if _, err := g.collect(); err != nil {
 			t.Fatal(err)
 		}
-		if solves != 12 {
-			t.Fatalf("seed %d: %d solves, want 12", seed, solves)
+		if len(words) != 12 {
+			t.Fatalf("seed %d: %d solves, want 12", seed, len(words))
+		}
+		h := sha256.New()
+		var word [8]byte
+		for g, grp := range g.groups {
+			for _, x := range grp.xs {
+				for _, v := range words[gridJob{g: g, x: x}] {
+					binary.LittleEndian.PutUint64(word[:], v)
+					h.Write(word[:])
+				}
+			}
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != want[seed] {
 			t.Errorf("seed %d: solve hash = %s, want %s", seed, got, want[seed])

@@ -30,6 +30,10 @@ type grid struct {
 	// each keeps the coordinates its streams have always had.
 	coords func(gridJob) []uint64
 	run    func(gridJob, *rng.Rand) ([]float64, error)
+	// claim, when set, orders the jobs for the worker pool to claim (a
+	// stable sort of the job order). Values stay indexed by job, so it
+	// moves only when each job runs.
+	claim func(a, b gridJob) int
 }
 
 // gridGroup is one group of a grid: a series name and its x values.
@@ -73,16 +77,33 @@ func (gr grid) collect() (*seriesSet, error) {
 			}
 		}
 	}
-	vals, err := engine.RunShard(len(jobs), gr.p.Workers, gr.p.Shard, func(i int) ([]float64, error) {
-		j := jobs[i]
-		v, err := gr.run(j, rng.At(gr.p.seed(), gr.coords(j)...))
-		if err == nil && gr.p.Progress != nil {
-			gr.p.Progress(gr.line(j, v))
+	// The owned jobs in claim order. Each job's value and error land at its
+	// own index, and the error returned is the lowest-indexed job's.
+	var owned []int
+	for i := range jobs {
+		if gr.p.Shard.Owns(i) {
+			owned = append(owned, i)
 		}
-		return v, err
-	})
-	if err != nil {
+	}
+	if gr.claim != nil {
+		slices.SortStableFunc(owned, func(a, b int) int { return gr.claim(jobs[a], jobs[b]) })
+	}
+	vals, errs := make([][]float64, len(jobs)), make([]error, len(jobs))
+	if _, err := engine.Run(len(owned), gr.p.Workers, func(k int) (struct{}, error) {
+		i := owned[k]
+		j := jobs[i]
+		vals[i], errs[i] = gr.run(j, rng.At(gr.p.seed(), gr.coords(j)...))
+		if errs[i] == nil && gr.p.Progress != nil {
+			gr.p.Progress(gr.line(j, vals[i]))
+		}
+		return struct{}{}, nil
+	}); err != nil {
 		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	set := &seriesSet{}
 	cols := make([][]*metrics.JobCollector, len(gr.groups))

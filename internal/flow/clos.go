@@ -163,46 +163,45 @@ func (n *ClosNetwork) destGroup(dst int32) int32 { return n.c.LeafOfTerminal(int
 
 // newWalker implements Network.
 func (n *ClosNetwork) newWalker() groupWalker {
-	sw := n.c.NumSwitches()
-	return &closWalker{n: n, stamp: make([]uint32, sw),
-		head: make([]int32, sw), lo: make([]int32, sw), hi: make([]int32, sw)}
+	return &closWalker{n: n, stamp: make([]uint32, n.c.NumSwitches())}
 }
 
-// closWalker resolves the flows into one destination leaf d. It marks d's
-// ancestors level by level, as far up as the group's flows turn: A_1 =
-// {d} and A_{k+1} = the parents of A_k. A switch at level k has d below it
-// exactly when it is in A_k, and its down ports toward d are its links
-// into A_{k-1}, which marking A_k lists. So a hop reads marks instead of
-// cover sets:
-//   - a down hop from s takes s's listed ports;
-//   - the last up hop takes the marked parents;
+// closWalker resolves the flows into one destination leaf d. It stamps d's
+// ancestors level by level, as far up as the group's flows need: A_1 = {d}
+// and A_{k+1} = the parents of A_k. A switch at level k has d below it
+// exactly when it is in A_k, so a hop reads stamps instead of cover sets:
+//   - a down hop from s into level k takes the ports of s's stamped
+//     children, ascending, as the pickers want them. It scans s's down
+//     list, or, when the up lists of A_k are shorter (a wide switch above
+//     a narrow ancestor set, like an XGFT root), collects the ports of
+//     their links into s and sorts them;
+//   - the last up hop takes the parents in the next ancestor level (see
+//     lastUp);
 //   - an up hop from a switch all of whose parents qualify (allUp) draws
 //     among all of them without reading anything;
 //   - any other up hop probes the parents' covers through NextUpPort.
+//
+// The down hops of a flow turning at level k+1 read stamps up to level k,
+// so levels are stamped on first use, and level k+1 only when a last up
+// hop finds that cheaper than asking its parents.
 //
 // Every hop draws what NextUpPort or NextDownPort would: a reservoir over
 // the qualifying ports in port order.
 type closWalker struct {
 	n *ClosNetwork
 	d int32 // the destination leaf
-	// stamp[s] == gen marks switch s as an ancestor of d; the per-switch
-	// fields below are meaningful only for marked switches.
+	// stamp[s] == gen marks switch s as an ancestor of d.
 	stamp []uint32
 	gen   uint32
 	// anc lists the marked ancestors level by level: level k is
-	// anc[levEnd[k-2]:levEnd[k-1]] (level 1 is anc[:1]).
+	// anc[levEnd[k-2]:levEnd[k-1]] (level 1 is anc[:1]), and ups[k-1]
+	// counts their up-list entries.
 	anc    []int32
 	levEnd []int
-	// link[head[s]], link[link[head[s]].next], ... list s's down ports
-	// toward d. The first down hop from s sorts them into
-	// ports[lo[s]:hi[s]]; lo[s] < 0 until then.
-	head, lo, hi []int32
-	link         []portLink
-	ports        []int32
+	ups    []int
+	// near is scratch for the qualifying ports of one hop.
+	near []int32
 }
-
-// portLink is one entry of an ancestor's list of down ports toward d.
-type portLink struct{ port, next int32 }
 
 // start implements groupWalker: it marks A_1 = {d}.
 func (w *closWalker) start(g int32) {
@@ -211,7 +210,7 @@ func (w *closWalker) start(g int32) {
 	w.stamp[g] = w.gen
 	w.anc = append(w.anc[:0], g)
 	w.levEnd = append(w.levEnd[:0], 1)
-	w.link, w.ports = w.link[:0], w.ports[:0]
+	w.ups = append(w.ups[:0], int(w.n.upStart[g+1]-w.n.upStart[g]))
 }
 
 // mark extends the marks up to level lev.
@@ -222,32 +221,100 @@ func (w *closWalker) mark(lev int) {
 		if k > 1 {
 			lo = w.levEnd[k-2]
 		}
+		ups := 0
 		for _, a := range w.anc[lo:w.levEnd[k-1]] {
 			for _, l := range n.up[n.upStart[a]:n.upStart[a+1]] {
-				p := l.to
-				if w.stamp[p] != w.gen {
-					w.stamp[p], w.head[p], w.lo[p] = w.gen, -1, -1
+				if p := l.to; w.stamp[p] != w.gen {
+					w.stamp[p] = w.gen
 					w.anc = append(w.anc, p)
+					ups += int(n.upStart[p+1] - n.upStart[p])
 				}
-				w.link = append(w.link, portLink{l.downPort, w.head[p]})
-				w.head[p] = int32(len(w.link) - 1)
 			}
 		}
 		w.levEnd = append(w.levEnd, len(w.anc))
+		w.ups = append(w.ups, ups)
 	}
 }
 
-// downPorts returns marked ancestor s's down ports toward d, ascending.
-func (w *closWalker) downPorts(s int32) []int32 {
-	if w.lo[s] < 0 {
-		w.lo[s] = int32(len(w.ports))
-		for l := w.head[s]; l >= 0; l = w.link[l].next {
-			w.ports = append(w.ports, w.link[l].port)
+// downPorts returns the ports of down, the down list of s, into A_k,
+// ascending, for a switch s at level k+1 with levels up to k marked.
+func (w *closWalker) downPorts(s int32, down []int32, k int) []int32 {
+	n := w.n
+	if w.ups[k-1] >= len(down) {
+		near, c := w.scratch(len(down)), 0
+		for i, ch := range down {
+			near[c] = int32(i)
+			if w.stamp[ch] == w.gen {
+				c++
+			}
 		}
-		w.hi[s] = int32(len(w.ports))
-		slices.Sort(w.ports[w.lo[s]:])
+		return near[:c]
 	}
-	return w.ports[w.lo[s]:w.hi[s]]
+	lo := 0
+	if k > 1 {
+		lo = w.levEnd[k-2]
+	}
+	near := w.near[:0]
+	for _, a := range w.anc[lo:w.levEnd[k-1]] {
+		for _, l := range n.up[n.upStart[a]:n.upStart[a+1]] {
+			if l.to == s {
+				near = append(near, l.downPort)
+			}
+		}
+	}
+	slices.Sort(near)
+	w.near = near
+	return near
+}
+
+// lastUp picks the last up hop from the up list up of a switch at level
+// turn: uniformly among the parents in A_{turn+1}, or -1. Marking
+// A_{turn+1} walks every up link of A_turn once per group, while asking a
+// parent directly scans its down list for a stamped child; a flow asks
+// directly while the level is unmarked and that is the cheaper of the two
+// for it alone, so a level that only a few of the group's flows turn at
+// (the top of a random folded Clos) is never marked.
+func (w *closWalker) lastUp(up []upLink, turn int, r *rng.Rand) int {
+	n := w.n
+	direct := len(w.levEnd) <= turn
+	if direct {
+		cost := 0
+		for _, l := range up {
+			cost += int(n.downStart[l.to+1] - n.downStart[l.to])
+		}
+		if direct = cost < w.ups[turn-1]; !direct {
+			w.mark(turn + 1)
+		}
+	}
+	near, c := w.scratch(len(up)), 0
+	for i, l := range up {
+		near[c] = int32(i)
+		if direct && w.anyStamped(n.c.Down(l.to)) || !direct && w.stamp[l.to] == w.gen {
+			c++
+		}
+	}
+	if c == 0 {
+		return -1
+	}
+	return int(near[r.Reservoir(c)])
+}
+
+// anyStamped reports whether any of the switches in list is stamped.
+func (w *closWalker) anyStamped(list []int32) bool {
+	for _, s := range list {
+		if w.stamp[s] == w.gen {
+			return true
+		}
+	}
+	return false
+}
+
+// scratch returns w.near resized to k entries.
+func (w *closWalker) scratch(k int) []int32 {
+	if cap(w.near) < k {
+		w.near = make([]int32, k)
+	}
+	return w.near[:k]
 }
 
 // resolve implements groupWalker.
@@ -263,24 +330,16 @@ func (w *closWalker) resolve(src, dst int32, r *rng.Rand, buf []int32) ([]int32,
 	if turn < 0 {
 		return nil, false
 	}
-	w.mark(turn + 1)
+	w.mark(turn)
 	s := sl
 	for rem := turn; rem > 0; rem-- {
 		up := n.up[n.upStart[s]:n.upStart[s+1]]
 		p := -1
 		switch {
 		case n.allUp[s]>>rem&1 != 0:
-			p = routing.Reservoir(len(up), r)
+			p = r.Reservoir(len(up))
 		case rem == 1:
-			count := 0
-			for i, l := range up {
-				if w.stamp[l.to] == w.gen {
-					count++
-					if count == 1 || r.Intn(count) == 0 {
-						p = i
-					}
-				}
-			}
+			p = w.lastUp(up, turn, r)
 		default:
 			p = n.ud.NextUpPort(s, rem, int(w.d), r)
 		}
@@ -290,14 +349,15 @@ func (w *closWalker) resolve(src, dst int32, r *rng.Rand, buf []int32) ([]int32,
 		buf = append(buf, n.upBase+n.upStart[s]+int32(p))
 		s = up[p].to
 	}
-	for range turn {
-		ports := w.downPorts(s)
+	for k := turn; k > 0; k-- {
+		down := n.c.Down(s)
+		ports := w.downPorts(s, down, k)
 		if len(ports) == 0 {
 			return nil, false
 		}
-		p := ports[routing.Reservoir(len(ports), r)]
+		p := ports[r.Reservoir(len(ports))]
 		buf = append(buf, n.downBase+n.downStart[s]+p)
-		s = n.c.Down(s)[p]
+		s = down[p]
 	}
 	return append(buf, t+dst), true
 }

@@ -19,16 +19,21 @@
 // A solve has two phases. Path resolution sorts the flows by destination
 // (leaf for a folded Clos, switch for an RRN) and resolves each group on
 // one worker, building what depends only on the destination once per
-// group: a Clos marks the destination leaf's ancestors level by level, so
-// a hop reads marks instead of probing cover sets. Network.Resolve routes
-// one flow alone; it is the reference the grouped walk matches link for
-// link on the same stream. Water-filling then runs over the links that can
-// saturate only: a link whose flows' demands sum to less than 1 by a
-// margin (eps per flow plus rounding) can neither saturate nor set the
-// water level, so it is left out of the heap (see waterfill for the
-// argument). Resolution costs O(Σ path length) plus the marking, O(links
-// between the destination's ancestor levels) per group; water-filling
-// O(Σ path length + (kept links + Σ kept path length) · log kept links).
+// group: a Clos stamps the destination leaf's ancestors level by level, so
+// a hop reads stamps instead of probing cover sets. Each path stays where
+// its worker wrote it. Network.Resolve routes one flow alone; it is the
+// reference the grouped walk matches link for link on the same stream.
+// Water-filling then runs over the links that can saturate only: a link
+// whose flows' demands sum to less than 1 by a margin (eps per flow plus
+// rounding) can neither saturate nor set the water level, so it is left
+// out of the heap, and a kept link leaves the heap for good once its level
+// passes its largest demand (see waterfill for both arguments).
+// Resolution costs O(Σ path length) plus, per group, the up links of the
+// destination's ancestor levels, and per down hop the smaller of the
+// switch's down-degree and the up-list entries of the ancestor level
+// below; water-filling costs O(Σ path length + (kept links + Σ kept path
+// length) · log kept links), where only re-keys of links still at or
+// below their largest demand pay the log.
 //
 // Determinism contract (the same one the cycle backend obeys): path
 // resolution fans out over internal/engine workers with each flow drawing
@@ -123,6 +128,8 @@ func Solve(n Network, m []traffic.Demand, opts Options) (*Result, error) {
 		}
 		if r := m[i].Rate; math.IsNaN(r) || math.IsInf(r, 0) {
 			return nil, fmt.Errorf("flow: demand %d rate %v is not finite", i, r)
+		} else if r < 0 {
+			return nil, fmt.Errorf("flow: demand %d rate %v is negative", i, r)
 		}
 	}
 	// Phase 1 (parallel): resolve each flow to its directed link list.
@@ -136,15 +143,16 @@ func Solve(n Network, m []traffic.Demand, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// flatPaths holds every flow's path in two flat arrays: flow i's directed
-// link ids are links[start[i]:start[i+1]]. A flow with zero demand, or with
-// no path, has an empty path and is not routed.
+// flatPaths holds the stored paths in one flat array, in the order path
+// resolution wrote them (by destination group, not by flow): path k
+// belongs to flow flow[k] and is links[off[k]:off[k+1]]. A flow with no
+// stored path, or with an empty one, is not routed.
 type flatPaths struct {
-	start, links []int32
+	flow, off, links []int32
 }
 
-// of returns flow i's path.
-func (p flatPaths) of(i int) []int32 { return p.links[p.start[i]:p.start[i+1]] }
+// path returns stored path k.
+func (p flatPaths) path(k int) []int32 { return p.links[p.off[k]:p.off[k+1]] }
 
 // groupWalker resolves the flows of one destination group at a time, each
 // to exactly the links Network.Resolve gives it on the same stream.
@@ -173,13 +181,16 @@ func resolvePaths(n Network, m []traffic.Demand, opts Options) (flatPaths, error
 		gStart[g+1] += gStart[g]
 	}
 	// Each entry carries its flow's endpoints, so the walk reads them in
-	// order instead of gathering them from m.
-	byGroup := make([]groupFlow, gStart[ng])
+	// order instead of gathering them from m. Path k is byGroup[k]'s.
+	nf := gStart[ng]
+	byGroup := make([]groupFlow, nf)
+	p := flatPaths{flow: make([]int32, nf), off: make([]int32, nf+1)}
 	next := append([]int32(nil), gStart[:ng]...)
 	for i, d := range m {
 		if d.Rate > 0 {
 			g := n.destGroup(d.Dst)
-			byGroup[next[g]] = groupFlow{int32(i), d.Src, d.Dst}
+			byGroup[next[g]] = groupFlow{d.Src, d.Dst}
+			p.flow[next[g]] = int32(i)
 			next[g]++
 		}
 	}
@@ -193,53 +204,55 @@ func resolvePaths(n Network, m []traffic.Demand, opts Options) (flatPaths, error
 		cut[j] = g
 	}
 	cut[w] = ng
-	type chunk struct{ ends, links []int32 }
-	chunks, err := engine.Run(w, w, func(j int) (chunk, error) {
+	// Each worker appends its paths to its own chunk and records their
+	// ends within it; distinct workers write distinct paths' ends.
+	chunks, err := engine.Run(w, w, func(j int) ([]int32, error) {
 		lo, hi := gStart[cut[j]], gStart[cut[j+1]]
-		ch := chunk{ends: make([]int32, 0, hi-lo), links: make([]int32, 0, 8*(hi-lo))}
+		links := make([]int32, 0, 8*(hi-lo))
 		wk := n.newWalker()
 		r := rng.New(0)
 		for g := cut[j]; g < cut[j+1]; g++ {
 			wk.start(int32(g))
-			for _, f := range byGroup[gStart[g]:gStart[g+1]] {
-				r.Reseed(rng.DeriveSeed(opts.Seed, pathCoord, uint64(f.i)))
-				// A failed resolve leaves ch.links, and so the path, as it was.
-				if ext, ok := wk.resolve(f.src, f.dst, r, ch.links); ok {
-					ch.links = ext
+			for k := gStart[g]; k < gStart[g+1]; k++ {
+				f := byGroup[k]
+				r.Reseed(rng.DeriveSeed(opts.Seed, pathCoord, uint64(p.flow[k])))
+				// A failed resolve leaves links, and so the path, as it was.
+				if ext, ok := wk.resolve(f.src, f.dst, r, links); ok {
+					links = ext
 				}
-				ch.ends = append(ch.ends, int32(len(ch.links)))
+				p.off[k+1] = int32(len(links))
 			}
 		}
-		return ch, nil
+		return links, nil
 	})
 	if err != nil {
 		return flatPaths{}, err
 	}
-	// Write the paths back in flow-index order.
-	p := flatPaths{start: make([]int32, len(m)+1)}
-	for j, ch := range chunks {
-		from := int32(0)
-		for k, f := range byGroup[gStart[cut[j]]:gStart[cut[j+1]]] {
-			p.start[f.i+1] = ch.ends[k] - from
-			from = ch.ends[k]
-		}
-	}
-	for i := range m {
-		p.start[i+1] += p.start[i]
-	}
-	p.links = make([]int32, p.start[len(m)])
-	for j, ch := range chunks {
-		from := int32(0)
-		for k, f := range byGroup[gStart[cut[j]]:gStart[cut[j+1]]] {
-			copy(p.links[p.start[f.i]:], ch.links[from:ch.ends[k]])
-			from = ch.ends[k]
+	// Lay the chunks end to end, shifting each one's ends by its base.
+	p.links = chunks[0]
+	if w > 1 {
+		p.links = slices.Concat(chunks...)
+		base := int32(0)
+		for j, ch := range chunks {
+			for k := gStart[cut[j]]; k < gStart[cut[j+1]]; k++ {
+				p.off[k+1] += base
+			}
+			base += int32(len(ch))
 		}
 	}
 	return p, nil
 }
 
-// groupFlow is one routed flow in resolvePaths' destination order.
-type groupFlow struct{ i, src, dst int32 }
+// groupFlow is the endpoints of one routed flow in resolvePaths'
+// destination order.
+type groupFlow struct{ src, dst int32 }
+
+// linkSum is one link's flow count and demand sum, and its kept-link
+// number.
+type linkSum struct {
+	load   float64
+	n, kid int32
+}
 
 // waterfill computes the exact max-min-fair allocation by bottleneck-freeze
 // iteration. All unfrozen flows share one rising water level. A link keeps
@@ -265,113 +278,166 @@ type groupFlow struct{ i, src, dst int32 }
 // least unfrozen demand on it by at least (1 − Σd)/n. The water rises at
 // most to the least unfrozen demand, so the link never sets the next water
 // level, and once (1 − Σd)/n > eps it is never popped either: leaving it
-// out changes no bit of the solve. So a solve costs O(Σ path length +
-// (kept links + Σ kept path length) · log kept links).
+// out changes no bit of the solve.
+//
+// The same argument takes a kept link out of the heap for good once its
+// level passes the largest demand dmax among its flows. The water never
+// passes an unfrozen flow's demand (by more than rounding), and a link's
+// level only rises. So while the link still carries an unfrozen flow the
+// water stays at or below dmax, the link's Δ = level − water exceeds the
+// next demand event's by more than eps, and it is never popped; once it
+// carries none it no longer matters. Re-keys test this against exitAt, dmax plus
+// a margin of 2·eps and a relative 2⁻⁴⁸ for rounding, and so does heap
+// set-up. At load 1 most re-keys hit such links. So a solve costs O(Σ path
+// length + (kept links + Σ kept path length) · log kept links).
+//
+// The set-up passes read the paths in storage order, so the links are read
+// front to back. That order reaches three places, none of which it can
+// change: the flow counts; the demand sums, which only feed the kept-link
+// test, whose rounding margin holds for any summation order; and the order
+// in which one round freezes its flows. Those flows all freeze within the
+// round (at their demand, or at the water on a saturated link), and each
+// re-keys the links on its path by the link's own count and level alone,
+// so the order moves no bit. Ties in demand order therefore break by
+// storage order; the heap's by link id and the summaries run in flow-index
+// order.
 //
 // Every round freezes at least one flow or link, so the loop terminates;
 // all arithmetic is serial in fixed order, so the allocation is
-// byte-stable. It expects the empty path for every flow with Rate ≤ 0.
+// byte-stable. It expects no stored path, or the empty one, for every
+// flow with Rate ≤ 0. It reads p without writing it.
 func waterfill(p flatPaths, m []traffic.Demand, nLinks int) *Result {
 	res := &Result{Flows: len(m), Rates: make([]float64, len(m))}
-	// Per-link flow counts and demand sums (load), and the routed flows in
-	// index order (sorted by demand below).
-	cnt := make([]int32, nLinks)
-	load := make([]float64, nLinks)
-	order := make([]int32, 0, len(m))
-	for i := range m {
-		res.Demand += m[i].Rate
-		fp := p.of(i)
-		if len(fp) == 0 {
-			if m[i].Rate > 0 {
-				res.Unroutable++
-			}
-			continue
-		}
-		order = append(order, int32(i))
-		for _, l := range fp {
-			cnt[l]++
-			load[l] += m[i].Rate
+	// The solve runs over the stored paths, numbered as p stores them:
+	// slot[i] is flow i's path, or -1 when the flow is not routed, and
+	// order lists the routed paths in storage order (sorted by demand
+	// below).
+	slot := make([]int32, len(m))
+	for i := range slot {
+		slot[i] = -1
+	}
+	order := make([]int32, 0, len(p.flow))
+	for k, f := range p.flow {
+		if p.off[k] < p.off[k+1] {
+			slot[f] = int32(k)
+			order = append(order, int32(k))
 		}
 	}
-	// Number the links that can saturate in link-id order: kid[l] is link
-	// l's index among them, or -1. A link is left out when 1 − Σd exceeds
-	// a margin of eps·n, which keeps it out of every pop, plus n²·2⁻⁴⁴ for
+	// Each path's demand.
+	rate := make([]float64, len(p.flow))
+	for i := range m {
+		res.Demand += m[i].Rate
+		if k := slot[i]; k >= 0 {
+			rate[k] = m[i].Rate
+		} else if m[i].Rate > 0 {
+			res.Unroutable++
+		}
+	}
+	// Per-link flow counts and demand sums, summed in storage order. The
+	// sums feed only the test below, whose rounding margin holds for any
+	// summation order.
+	sums := make([]linkSum, nLinks)
+	for k, d := range rate {
+		for _, l := range p.path(k) {
+			sums[l].n++
+			sums[l].load += d
+		}
+	}
+	// Number the links that can saturate in link-id order: kid is a link's
+	// index among them, or -1. A link is left out when 1 − Σd exceeds a
+	// margin of eps·n, which keeps it out of every pop, plus n²·2⁻⁴⁴ for
 	// rounding: the demand sum rounds by under n·2⁻⁵³, and each of the n
 	// re-keys of its level by under n·2⁻⁵⁰ in residual, so 2⁻⁴⁴ leaves 64×
 	// room.
 	const eps = 1e-12
-	kid := make([]int32, nLinks)
 	nKept := int32(0)
-	for l, n := range cnt {
-		kid[l] = -1
-		if fn := float64(n); n > 0 && load[l] >= 1-(eps*fn+fn*fn*0x1p-44) {
-			kid[l] = nKept
+	for l := range sums {
+		sm := &sums[l]
+		sm.kid = -1
+		if fn := float64(sm.n); sm.n > 0 && sm.load >= 1-(eps*fn+fn*fn*0x1p-44) {
+			sm.kid = nKept
 			nKept++
 		}
 	}
-	// Each routed flow's kept links (CSR), and the reverse kept-link →
-	// flows index (by counting sort: deterministic order).
-	kStart := make([]int32, len(m)+1)
-	kLinks := make([]int32, 0, len(p.links))
-	nact := make([]int32, nKept)
-	for i := range m {
-		for _, l := range p.of(i) {
-			if k := kid[l]; k >= 0 {
-				kLinks = append(kLinks, k)
-				nact[k]++
+	// Each kept link's flow count starts its nact and sizes its run of
+	// lfStart, the reverse kept-link → paths index.
+	links := make([]keptLink, nKept)
+	lfStart := make([]int32, nKept+1)
+	for _, sm := range sums {
+		if c := sm.kid; c >= 0 {
+			links[c].nact = sm.n
+			lfStart[c+1] = lfStart[c] + sm.n
+		}
+	}
+	// Each path's kept links (CSR), and the reverse index's entries (by
+	// counting sort: deterministic order).
+	kOff := make([]int32, len(rate)+1)
+	kLinks := make([]int32, 0, lfStart[nKept])
+	for k := range rate {
+		for _, l := range p.path(k) {
+			if c := sums[l].kid; c >= 0 {
+				kLinks = append(kLinks, c)
 			}
 		}
-		kStart[i+1] = int32(len(kLinks))
+		kOff[k+1] = int32(len(kLinks))
 	}
-	kept := func(f int32) []int32 { return kLinks[kStart[f]:kStart[f+1]] }
-	lfStart := make([]int32, nKept+1)
-	for k := int32(0); k < nKept; k++ {
-		lfStart[k+1] = lfStart[k] + nact[k]
-	}
+	kept := func(k int32) []int32 { return kLinks[kOff[k]:kOff[k+1]] }
+	// A kept link's exitAt is its largest demand plus the margin the doc
+	// comment derives.
 	lfFlow := make([]int32, len(kLinks))
 	next := append([]int32(nil), lfStart[:nKept]...)
-	for _, f := range order {
-		for _, k := range kept(f) {
-			lfFlow[next[k]] = f
-			next[k]++
+	for k, d := range rate {
+		for _, c := range kept(int32(k)) {
+			lfFlow[next[c]] = int32(k)
+			next[c]++
+			links[c].exitAt = max(links[c].exitAt, d)
 		}
 	}
 	// Every kept link starts with residual 1 at water 0. Kept links are
 	// numbered in link-id order, so keying by number breaks ties as link
 	// ids would.
-	level := make([]float64, nKept)
-	h := newLinkHeap(level)
-	for k, n := range nact {
-		level[k] = 1 / float64(n)
-		h.add(int32(k))
+	h := newLinkHeap(links)
+	for c := range links {
+		kl := &links[c]
+		kl.exitAt += kl.exitAt*0x1p-48 + 2*eps
+		if level := 1 / float64(kl.nact); level <= kl.exitAt {
+			h.add(heapEntry{level, int32(c)})
+		}
 	}
 	h.init()
-	if !slices.IsSortedFunc(order, func(a, b int32) int { return cmp.Compare(m[a].Rate, m[b].Rate) }) {
-		sortByDemand(order, m)
+	if !slices.IsSortedFunc(order, func(a, b int32) int { return cmp.Compare(rate[a], rate[b]) }) {
+		sortByDemand(order, rate)
 	}
-	frozen := make([]bool, len(m))
+	// From here on rate[k] is path k's demand until it freezes, then its
+	// allocated rate.
+	frozen := make([]bool, len(rate))
 	unfrozen := len(order)
 	water := 0.0
 	op := 0 // next demand-freeze candidate in order
-	freeze := func(f int32, rate float64) {
-		frozen[f] = true
-		res.Rates[f] = rate
+	freeze := func(k int32, r float64) {
+		frozen[k] = true
+		rate[k] = r
 		unfrozen--
-		for _, l := range kept(f) {
-			n := nact[l]
-			nact[l] = n - 1
+		for _, l := range kept(k) {
+			kl := &links[l]
+			n := kl.nact
+			kl.nact = n - 1
 			switch {
-			case !h.has(l): // saturating this round
+			case kl.pos < 0: // saturating this round, or out of the heap
 			case n == 1:
 				h.remove(l)
 			default:
-				resid := max(0, (level[l]-water)*float64(n))
-				level[l] = water + resid/float64(n-1)
-				h.fix(l)
+				resid := max(0, (h.e[kl.pos].level-water)*float64(n))
+				if level := water + resid/float64(n-1); level > kl.exitAt {
+					h.remove(l)
+				} else {
+					h.set(l, level)
+				}
 			}
 		}
 	}
-	var sat, back []int32
+	var sat []int32
+	var back []heapEntry
 	for unfrozen > 0 {
 		// Nearest demand event.
 		for op < len(order) && frozen[order[op]] {
@@ -379,12 +445,12 @@ func waterfill(p flatPaths, m []traffic.Demand, nLinks int) *Result {
 		}
 		deltaD := math.Inf(1)
 		if op < len(order) {
-			deltaD = m[order[op]].Rate - water
+			deltaD = rate[order[op]] - water
 		}
 		// Nearest link-saturation event.
 		deltaL := math.Inf(1)
 		if h.len() > 0 {
-			deltaL = level[h.top()] - water
+			deltaL = h.top().level - water
 		}
 		delta := math.Min(deltaL, deltaD)
 		if math.IsInf(delta, 1) {
@@ -395,51 +461,56 @@ func waterfill(p flatPaths, m []traffic.Demand, nLinks int) *Result {
 		}
 		// Freeze demand-satisfied flows.
 		for op < len(order) {
-			f := order[op]
-			if frozen[f] {
+			k := order[op]
+			if frozen[k] {
 				op++
 				continue
 			}
-			if m[f].Rate-water > eps {
+			if rate[k]-water > eps {
 				break
 			}
-			freeze(f, m[f].Rate)
+			freeze(k, rate[k])
 			op++
 		}
 		// Pop the links that may have saturated; keep the saturated ones.
 		sat, back = sat[:0], back[:0]
-		for h.len() > 0 && level[h.top()]-water <= eps {
-			l := h.pop()
-			if (level[l]-water)*float64(nact[l]) <= eps {
-				sat = append(sat, l)
+		for h.len() > 0 && h.top().level-water <= eps {
+			e := h.pop()
+			if (e.level-water)*float64(links[e.id].nact) <= eps {
+				sat = append(sat, e.id)
 			} else {
-				back = append(back, l)
+				back = append(back, e)
 			}
 		}
-		for _, l := range back {
-			h.push(l)
+		for _, e := range back {
+			h.push(e)
 		}
 		// Freeze flows on saturated links, in link-id order.
 		slices.Sort(sat)
 		for _, l := range sat {
-			if nact[l] == 0 {
+			if links[l].nact == 0 {
 				continue
 			}
 			for j := lfStart[l]; j < lfStart[l+1]; j++ {
-				if f := lfFlow[j]; !frozen[f] {
-					freeze(f, water)
+				if k := lfFlow[j]; !frozen[k] {
+					freeze(k, water)
 				}
 			}
 			res.SatLinks++
 		}
 		res.Rounds++
 	}
+	for k, f := range p.flow {
+		if frozen[k] {
+			res.Rates[f] = rate[k]
+		}
+	}
 	// Summaries over routed flows, in index order.
 	routed := 0
 	var sum, sumSq float64
 	res.MinRate = math.Inf(1)
 	for i := range m {
-		if len(p.of(i)) == 0 {
+		if slot[i] < 0 {
 			continue
 		}
 		r := res.Rates[i]
@@ -465,37 +536,8 @@ func waterfill(p flatPaths, m []traffic.Demand, nLinks int) *Result {
 	return res
 }
 
-// sortByDemand orders flow indices by ascending demand, index-stable for
-// equal demands, with an explicit merge sort (no reflection, no
-// allocation surprises; determinism is the point).
-func sortByDemand(order []int32, m []traffic.Demand) {
-	if len(order) < 2 {
-		return
-	}
-	buf := make([]int32, len(order))
-	var rec func(lo, hi int)
-	rec = func(lo, hi int) {
-		if hi-lo < 2 {
-			return
-		}
-		mid := (lo + hi) / 2
-		rec(lo, mid)
-		rec(mid, hi)
-		i, j, k := lo, mid, lo
-		for i < mid && j < hi {
-			a, b := order[i], order[j]
-			if m[a].Rate < m[b].Rate || (m[a].Rate == m[b].Rate && a <= b) {
-				buf[k] = a
-				i++
-			} else {
-				buf[k] = b
-				j++
-			}
-			k++
-		}
-		copy(buf[k:], order[i:mid])
-		copy(buf[k+mid-i:hi], order[j:hi])
-		copy(order[lo:hi], buf[lo:hi])
-	}
-	rec(0, len(order))
+// sortByDemand orders order by ascending rate[order[j]], stably: equal
+// demands keep their order.
+func sortByDemand(order []int32, rate []float64) {
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(rate[a], rate[b]) })
 }

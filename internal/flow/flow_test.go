@@ -187,14 +187,15 @@ func TestWorkerInvariance(t *testing.T) {
 // re-derived from the same coordinate streams Solve used.
 func verifyMaxMin(t *testing.T, n Network, m []traffic.Demand, opts Options, res *Result) {
 	t.Helper()
-	p := flatPaths{start: []int32{0}}
+	p := flatPaths{off: []int32{0}}
 	for i, d := range m {
 		if d.Rate > 0 {
 			if q, ok := n.Resolve(d.Src, d.Dst, rng.At(opts.Seed, pathCoord, uint64(i)), nil); ok {
 				p.links = append(p.links, q...)
 			}
 		}
-		p.start = append(p.start, int32(len(p.links)))
+		p.flow = append(p.flow, int32(i))
+		p.off = append(p.off, int32(len(p.links)))
 	}
 	checkMaxMin(t, p, m, n.NumLinks(), res.Rates)
 }
@@ -206,13 +207,14 @@ func verifyMaxMin(t *testing.T, n Network, m []traffic.Demand, opts Options, res
 func checkMaxMin(t *testing.T, p flatPaths, m []traffic.Demand, nLinks int, rates []float64) {
 	t.Helper()
 	const tol = 1e-6
+	paths := p.byFlow(len(m))
 	used := make([]float64, nLinks)
 	maxOn := make([]float64, nLinks)
 	for i := range m {
-		if len(p.of(i)) == 0 && rates[i] != 0 {
+		if len(paths[i]) == 0 && rates[i] != 0 {
 			t.Fatalf("unrouted flow %d has rate %v", i, rates[i])
 		}
-		for _, l := range p.of(i) {
+		for _, l := range paths[i] {
 			used[l] += rates[i]
 			if rates[i] > maxOn[l] {
 				maxOn[l] = rates[i]
@@ -225,7 +227,7 @@ func checkMaxMin(t *testing.T, p flatPaths, m []traffic.Demand, nLinks int, rate
 		}
 	}
 	for i := range m {
-		q := p.of(i)
+		q := paths[i]
 		if len(q) == 0 || rates[i] >= m[i].Rate-tol {
 			continue // unrouted or demand-satisfied
 		}
@@ -307,6 +309,29 @@ func TestSolveRejectsNonFiniteRates(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "demand 1 ") {
 			t.Fatalf("rate %v: got (%+v, %v), want an error naming demand 1", bad, res, err)
 		}
+	}
+}
+
+// TestSolveRejectsNegativeRates checks that a negative demand is refused
+// by name, while a demand of -0 is no demand: it solves, routes nothing for
+// that flow and leaves the other flow alone on its links.
+func TestSolveRejectsNegativeRates(t *testing.T) {
+	net := &stubNet{t: 4, links: 10, paths: map[[2]int32][]int32{
+		{0, 1}: {0, 5, 7},
+		{2, 3}: {1, 5, 8},
+	}}
+	m := []traffic.Demand{{Src: 0, Dst: 1, Rate: 1}, {Src: 2, Dst: 3, Rate: -1}}
+	res, err := Solve(net, m, Options{Seed: 1, Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), "demand 1 rate -1 is negative") {
+		t.Fatalf("rate -1: got (%+v, %v), want an error naming demand 1", res, err)
+	}
+	m[1].Rate = math.Copysign(0, -1)
+	res, err = Solve(net, m, Options{Seed: 1, Workers: 1})
+	if err != nil {
+		t.Fatalf("rate -0: %v", err)
+	}
+	if res.Unroutable != 0 || res.Rates[0] != 1 || res.Rates[1] != 0 || res.Rounds != 1 {
+		t.Fatalf("rate -0: got %d unroutable, rates %v, %d rounds; want 0, [1 0], 1", res.Unroutable, res.Rates, res.Rounds)
 	}
 }
 

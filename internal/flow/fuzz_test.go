@@ -20,7 +20,7 @@ func decodeInstance(data []byte) (flatPaths, []traffic.Demand, int) {
 		nLinks += int(data[0] % 16)
 		data = data[1:]
 	}
-	p := flatPaths{start: []int32{0}}
+	p := flatPaths{off: []int32{0}}
 	var m []traffic.Demand
 	for len(data) >= 2 && len(m) < 32 {
 		rate, k := float64(data[0])/64, int(data[1]%5)
@@ -35,7 +35,8 @@ func decodeInstance(data []byte) (flatPaths, []traffic.Demand, int) {
 		data = data[k:]
 		n := int32(len(m))
 		m = append(m, traffic.Demand{Src: n, Dst: n, Rate: rate})
-		p.start = append(p.start, int32(len(p.links)))
+		p.flow = append(p.flow, n)
+		p.off = append(p.off, int32(len(p.links)))
 	}
 	return p, m, nLinks
 }

@@ -111,6 +111,7 @@ func TestGroupedResolveMatchesResolve(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			paths := p.byFlow(len(m))
 			for i, d := range m {
 				var want []int32
 				if d.Rate > 0 {
@@ -121,7 +122,7 @@ func TestGroupedResolveMatchesResolve(t *testing.T) {
 						unroutable++
 					}
 				}
-				if got := p.of(i); !slices.Equal(got, want) {
+				if got := paths[i]; !slices.Equal(got, want) {
 					t.Fatalf("%s workers=%d flow %d (%d→%d rate %g): links %v, Resolve gives %v",
 						nt.name, workers, i, d.Src, d.Dst, d.Rate, got, want)
 				}

@@ -1,70 +1,91 @@
 package flow
 
-// linkHeap is an indexed binary min-heap of link ids keyed by
-// (level[id], id): the water-filler's queue of links by saturation level.
-// Ties break by link id, so the order is total and the solve
-// deterministic. The level slice belongs to the solver; after changing a
-// queued link's level, call fix.
+// linkHeap is an indexed 4-ary min-heap of kept links keyed by (level,
+// link id): the water-filler's queue of links by saturation level. Ties
+// break by link id, so the order is total and the solve deterministic. A
+// re-key mostly sifts down, and four children per node halve the depth a
+// binary heap would have.
+// Each entry carries its link's level, so a comparison reads the heap
+// array alone; a link's level is kept only while it is queued. The heap
+// index lives in the solver's per-link state, beside the fields a re-key
+// reads, so a re-key touches one record per link.
 type linkHeap struct {
-	ids   []int32   // heap-ordered link ids
-	pos   []int32   // pos[l] is l's index in ids, or -1 when l is absent
-	level []float64 // the keys
+	e    []heapEntry // heap-ordered entries
+	link []keptLink  // link[l].pos is l's index in e, or -1 when l is absent
 }
 
-// newLinkHeap returns an empty heap over the links of level.
-func newLinkHeap(level []float64) *linkHeap {
-	h := &linkHeap{ids: make([]int32, 0, len(level)), pos: make([]int32, len(level)), level: level}
-	for l := range h.pos {
-		h.pos[l] = -1
+// heapEntry is one queued link and its key.
+type heapEntry struct {
+	level float64
+	id    int32
+}
+
+// keptLink is the water-filler's state of one kept link.
+type keptLink struct {
+	exitAt float64 // the level above which the link leaves the heap for good
+	nact   int32   // the link's unfrozen flows
+	pos    int32   // the link's heap index, or -1
+}
+
+// newLinkHeap returns an empty heap over the links of link, marking each
+// absent.
+func newLinkHeap(link []keptLink) *linkHeap {
+	for l := range link {
+		link[l].pos = -1
 	}
-	return h
+	return &linkHeap{e: make([]heapEntry, 0, len(link)), link: link}
 }
 
-func (h *linkHeap) len() int         { return len(h.ids) }
-func (h *linkHeap) top() int32       { return h.ids[0] }
-func (h *linkHeap) has(l int32) bool { return h.pos[l] >= 0 }
+func (h *linkHeap) len() int { return len(h.e) }
 
-// add appends l without restoring heap order; call init after the last add.
-func (h *linkHeap) add(l int32) {
-	h.pos[l] = int32(len(h.ids))
-	h.ids = append(h.ids, l)
+// top returns the least entry.
+func (h *linkHeap) top() heapEntry { return h.e[0] }
+
+// add appends e without restoring heap order; call init after the last add.
+func (h *linkHeap) add(e heapEntry) {
+	h.link[e.id].pos = int32(len(h.e))
+	h.e = append(h.e, e)
 }
 
 // init establishes heap order in O(len).
 func (h *linkHeap) init() {
-	for i := len(h.ids)/2 - 1; i >= 0; i-- {
+	for i := (len(h.e) - 2) / 4; i >= 0; i-- {
 		h.down(i)
 	}
 }
 
-// push inserts l.
-func (h *linkHeap) push(l int32) {
-	h.add(l)
-	h.up(len(h.ids) - 1)
+// push inserts e.
+func (h *linkHeap) push(e heapEntry) {
+	h.add(e)
+	h.up(len(h.e) - 1)
 }
 
-// pop removes and returns the least link.
-func (h *linkHeap) pop() int32 {
-	l := h.ids[0]
-	h.remove(l)
-	return l
+// pop removes and returns the least entry.
+func (h *linkHeap) pop() heapEntry {
+	e := h.e[0]
+	h.remove(e.id)
+	return e
 }
 
 // remove deletes l, which must be present.
 func (h *linkHeap) remove(l int32) {
-	i, last := int(h.pos[l]), len(h.ids)-1
+	i, last := int(h.link[l].pos), len(h.e)-1
 	if i != last {
 		h.swap(i, last)
 	}
-	h.ids = h.ids[:last]
-	h.pos[l] = -1
+	h.e = h.e[:last]
+	h.link[l].pos = -1
 	if i != last {
 		h.fixAt(i)
 	}
 }
 
-// fix restores heap order after l's level changed.
-func (h *linkHeap) fix(l int32) { h.fixAt(int(h.pos[l])) }
+// set changes queued link l's level and restores heap order.
+func (h *linkHeap) set(l int32, level float64) {
+	i := int(h.link[l].pos)
+	h.e[i].level = level
+	h.fixAt(i)
+}
 
 func (h *linkHeap) fixAt(i int) {
 	if !h.down(i) {
@@ -73,19 +94,19 @@ func (h *linkHeap) fixAt(i int) {
 }
 
 func (h *linkHeap) less(i, j int) bool {
-	a, b := h.ids[i], h.ids[j]
-	return h.level[a] < h.level[b] || (h.level[a] == h.level[b] && a < b)
+	a, b := h.e[i], h.e[j]
+	return a.level < b.level || (a.level == b.level && a.id < b.id)
 }
 
 func (h *linkHeap) swap(i, j int) {
-	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-	h.pos[h.ids[i]] = int32(i)
-	h.pos[h.ids[j]] = int32(j)
+	h.e[i], h.e[j] = h.e[j], h.e[i]
+	h.link[h.e[i].id].pos = int32(i)
+	h.link[h.e[j].id].pos = int32(j)
 }
 
 func (h *linkHeap) up(i int) {
 	for i > 0 {
-		p := (i - 1) / 2
+		p := (i - 1) / 4
 		if !h.less(i, p) {
 			return
 		}
@@ -96,20 +117,23 @@ func (h *linkHeap) up(i int) {
 
 // down sifts i toward the leaves and reports whether it moved.
 func (h *linkHeap) down(i int) bool {
-	start, n := i, len(h.ids)
+	start, n := i, len(h.e)
 	for {
-		c := 2*i + 1
+		c := 4*i + 1
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && h.less(r, c) {
-			c = r
+		m := c
+		for j := c + 1; j < min(c+4, n); j++ {
+			if h.less(j, m) {
+				m = j
+			}
 		}
-		if !h.less(c, i) {
+		if !h.less(m, i) {
 			break
 		}
-		h.swap(i, c)
-		i = c
+		h.swap(i, m)
+		i = m
 	}
 	return i > start
 }

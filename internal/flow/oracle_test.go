@@ -18,15 +18,18 @@ import (
 // Rounds and SatLinks only.
 func oracleWaterfill(p flatPaths, m []traffic.Demand, nLinks int) *Result {
 	res := &Result{Flows: len(m), Rates: make([]float64, len(m))}
+	paths := p.byFlow(len(m))
 	nact := make([]int32, nLinks)
 	var order []int32
+	rate := make([]float64, len(m))
 	for i := range m {
-		for _, l := range p.of(i) {
+		for _, l := range paths[i] {
 			nact[l]++
 		}
-		if len(p.of(i)) > 0 {
+		if len(paths[i]) > 0 {
 			order = append(order, int32(i))
 		}
+		rate[i] = m[i].Rate
 	}
 	lfStart := make([]int32, nLinks+1)
 	for l := 0; l < nLinks; l++ {
@@ -35,7 +38,7 @@ func oracleWaterfill(p flatPaths, m []traffic.Demand, nLinks int) *Result {
 	lfFlow := make([]int32, len(p.links))
 	next := append([]int32(nil), lfStart[:nLinks]...)
 	for _, f := range order {
-		for _, l := range p.of(int(f)) {
+		for _, l := range paths[f] {
 			lfFlow[next[l]] = f
 			next[l]++
 		}
@@ -48,7 +51,7 @@ func oracleWaterfill(p flatPaths, m []traffic.Demand, nLinks int) *Result {
 			active = append(active, int32(l))
 		}
 	}
-	sortByDemand(order, m)
+	sortByDemand(order, rate)
 	frozen := make([]bool, len(m))
 	unfrozen, water, op := len(order), 0.0, 0
 	const eps = 1e-12
@@ -56,7 +59,7 @@ func oracleWaterfill(p flatPaths, m []traffic.Demand, nLinks int) *Result {
 		frozen[f] = true
 		res.Rates[f] = rate
 		unfrozen--
-		for _, l := range p.of(int(f)) {
+		for _, l := range paths[f] {
 			nact[l]--
 		}
 	}
@@ -116,6 +119,16 @@ func oracleWaterfill(p flatPaths, m []traffic.Demand, nLinks int) *Result {
 		res.Rounds++
 	}
 	return res
+}
+
+// byFlow returns each of n flows' stored path, indexed like the matrix
+// (nil for a flow with none).
+func (p flatPaths) byFlow(n int) [][]int32 {
+	paths := make([][]int32, n)
+	for k, f := range p.flow {
+		paths[f] = p.path(k)
+	}
+	return paths
 }
 
 // matchOracle water-fills one instance with both solvers and requires
@@ -197,5 +210,60 @@ func TestWaterfillMatchesOracle(t *testing.T) {
 		p, m, nLinks := decodeInstance(data)
 		res := matchOracle(t, fmt.Sprintf("random instance %d (%x)", k, data), p, m, nLinks)
 		checkMaxMin(t, p, m, nLinks, res.Rates)
+	}
+}
+
+// TestWaterfillStorageOrderInvariant checks that where the paths sit in
+// flatPaths moves no bit of the solve: the grouped layout resolvePaths
+// writes, the same paths in flow-index order and in reverse flow order
+// give identical rates, Rounds and SatLinks.
+func TestWaterfillStorageOrderInvariant(t *testing.T) {
+	relay := func(p flatPaths, flows []int32) flatPaths {
+		paths := p.byFlow(len(flows))
+		q := flatPaths{off: []int32{0}}
+		for _, f := range flows {
+			q.links = append(q.links, paths[f]...)
+			q.flow = append(q.flow, f)
+			q.off = append(q.off, int32(len(q.links)))
+		}
+		return q
+	}
+	check := func(name string, n Network, m []traffic.Demand, opts Options) {
+		p, err := resolvePaths(n, m, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fwd, rev := make([]int32, len(m)), make([]int32, len(m))
+		for i := range m {
+			fwd[i], rev[len(m)-1-i] = int32(i), int32(i)
+		}
+		want := waterfill(p, m, n.NumLinks())
+		for _, q := range []flatPaths{relay(p, fwd), relay(p, rev)} {
+			got := waterfill(q, m, n.NumLinks())
+			if got.Rounds != want.Rounds || got.SatLinks != want.SatLinks {
+				t.Fatalf("%s: rounds/satlinks %d/%d, grouped layout %d/%d", name, got.Rounds, got.SatLinks, want.Rounds, want.SatLinks)
+			}
+			for i := range m {
+				if math.Float64bits(got.Rates[i]) != math.Float64bits(want.Rates[i]) {
+					t.Fatalf("%s: flow %d rate %v, grouped layout %v", name, i, got.Rates[i], want.Rates[i])
+				}
+			}
+		}
+	}
+	for i, fc := range goldencases.Cases() {
+		n, m, opts, err := crossvalInstance(i, fc, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", fc.Name, err)
+		}
+		check(fc.Name, n, m, opts)
+	}
+	for _, nt := range propertyNets(t) {
+		for _, name := range matrixNames {
+			m, err := traffic.NewMatrix(name, nt.n.Terminals(), rng.New(11))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(nt.name+"/"+name, nt.n, traffic.ScaleMatrix(m, 1), Options{Seed: 17, Workers: 1})
+		}
 	}
 }

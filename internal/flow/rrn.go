@@ -60,37 +60,44 @@ func (n *RRNNetwork) NumLinks() int { return n.links }
 
 // Resolve implements Network.
 func (n *RRNNetwork) Resolve(src, dst int32, r *rng.Rand, buf []int32) ([]int32, bool) {
-	return n.walk(n.dist[dst/int32(n.r.TermsPerSwitch)], src, dst, r, buf)
+	buf, _, ok := n.walk(n.dist[dst/int32(n.r.TermsPerSwitch)], src, dst, r, buf, nil)
+	return buf, ok
 }
 
-// walk is Resolve with the hop-distance row of dst's switch supplied.
-func (n *RRNNetwork) walk(row []uint8, src, dst int32, r *rng.Rand, buf []int32) ([]int32, bool) {
+// walk is Resolve with the hop-distance row of dst's switch supplied. near
+// is scratch for the closer neighbours' ports; it grows as needed and is
+// returned.
+func (n *RRNNetwork) walk(row []uint8, src, dst int32, r *rng.Rand, buf, near []int32) ([]int32, []int32, bool) {
 	buf = append(buf, src)
 	if src == dst {
-		return append(buf, n.termBase+dst), true
+		return append(buf, n.termBase+dst), near, true
 	}
 	tps := int32(n.r.TermsPerSwitch)
 	v, dsw := src/tps, dst/tps
 	for v != dsw {
 		want := row[v] - 1
-		// Reservoir-sample uniformly among neighbours one hop closer.
+		// Gather the neighbours one hop closer, then draw uniformly among
+		// them: the draws of a reservoir over them in port order.
 		adj := n.r.G.Neighbors(int(v))
-		port, count := -1, 0
+		if cap(near) < len(adj) {
+			near = make([]int32, len(adj))
+		}
+		near = near[:len(adj)]
+		c := 0
 		for i, w := range adj {
+			near[c] = int32(i)
 			if row[w] == want {
-				count++
-				if count == 1 || r.Intn(count) == 0 {
-					port = i
-				}
+				c++
 			}
 		}
-		if port < 0 {
-			return nil, false
+		if c == 0 {
+			return nil, near, false
 		}
-		buf = append(buf, 2*n.termBase+n.adjStart[v]+int32(port))
+		port := near[r.Reservoir(c)]
+		buf = append(buf, 2*n.termBase+n.adjStart[v]+port)
 		v = adj[port]
 	}
-	return append(buf, n.termBase+dst), true
+	return append(buf, n.termBase+dst), near, true
 }
 
 // destGroups implements Network: one group per switch.
@@ -105,14 +112,16 @@ func (n *RRNNetwork) newWalker() groupWalker { return &rrnWalker{n: n} }
 // rrnWalker resolves the flows into one destination switch, all along its
 // hop-distance row.
 type rrnWalker struct {
-	n   *RRNNetwork
-	row []uint8
+	n    *RRNNetwork
+	row  []uint8
+	near []int32 // walk's scratch
 }
 
 // start implements groupWalker.
 func (w *rrnWalker) start(g int32) { w.row = w.n.dist[g] }
 
 // resolve implements groupWalker.
-func (w *rrnWalker) resolve(src, dst int32, r *rng.Rand, buf []int32) ([]int32, bool) {
-	return w.n.walk(w.row, src, dst, r, buf)
+func (w *rrnWalker) resolve(src, dst int32, r *rng.Rand, buf []int32) (_ []int32, ok bool) {
+	buf, w.near, ok = w.n.walk(w.row, src, dst, r, buf, w.near)
+	return buf, ok
 }

@@ -29,9 +29,10 @@ func (e *HopError) Error() string {
 // so a block costs about diameter × (sum of degrees) word operations
 // instead of 64 queue BFS runs. Since d(s, v) = d(v, s), a bit reaching v
 // at level k is written to row v at the source's column, keeping each
-// vertex's writes for the block inside one 64-byte span. Blocks are
-// independent jobs on up to `workers` goroutines (0 = one per CPU); the
-// table holds exact distances, so it is the same at any worker count.
+// vertex's writes for the block inside one 64-byte span. Up to `workers`
+// goroutines (0 = one per CPU) each sweep every workers-th block with one
+// set of frontier words; the table holds exact distances, so it is the
+// same at any worker count.
 func (g *Graph) HopTable(workers int) (rows [][]uint8, diameter int, err error) {
 	n := g.N()
 	flat := make([]uint8, n*n)
@@ -39,27 +40,40 @@ func (g *Graph) HopTable(workers int) (rows [][]uint8, diameter int, err error) 
 	for v := range rows {
 		rows[v] = flat[v*n : (v+1)*n : (v+1)*n]
 	}
-	diams, err := engine.Run((n+63)/64, workers, func(b int) (int, error) {
-		return g.hopBlock(flat, 64*b)
+	nb := (n + 63) / 64
+	w := min(engine.Workers(workers), max(1, nb))
+	// Each block keeps its own error, so the one returned is the lowest
+	// failing block's, whichever worker swept it; the jobs return none.
+	diams, errs := make([]int, nb), make([]error, nb)
+	_, _ = engine.Run(w, w, func(j int) (struct{}, error) {
+		var sc [3][]uint64
+		for i := range sc {
+			sc[i] = make([]uint64, n)
+		}
+		for b := j; b < nb; b += w {
+			diams[b], errs[b] = g.hopBlock(flat, 64*b, sc)
+		}
+		return struct{}{}, nil
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, d := range diams {
-		diameter = max(diameter, d)
+	for b, err := range errs {
+		if err != nil {
+			return nil, 0, err
+		}
+		diameter = max(diameter, diams[b])
 	}
 	return rows, diameter, nil
 }
 
 // hopBlock fills the columns [lo, lo+64) of the flat table from the sources
-// lo.. and returns their largest eccentricity.
-func (g *Graph) hopBlock(flat []uint8, lo int) (int, error) {
+// lo.. and returns their largest eccentricity. sc is its scratch: three
+// words per vertex, overwritten.
+func (g *Graph) hopBlock(flat []uint8, lo int, sc [3][]uint64) (int, error) {
 	n := g.N()
 	hi := min(lo+64, n)
 	full := ^uint64(0) >> (64 - (hi - lo))
-	seen := make([]uint64, n)
-	front := make([]uint64, n)
-	next := make([]uint64, n)
+	seen, front, next := sc[0], sc[1], sc[2]
+	clear(seen)
+	clear(front)
 	for s := lo; s < hi; s++ {
 		seen[s] = 1 << (s - lo)
 		front[s] = seen[s]

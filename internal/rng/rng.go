@@ -124,6 +124,49 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	}
 }
 
+// Reservoir returns the position a uniform reservoir sample over k
+// candidates seen in order keeps, or -1 when k <= 0: for c = 2..k it draws
+// Intn(c) and keeps candidate c-1 whenever the draw is 0. It consumes
+// exactly those draws, with the generator state held in locals across
+// them. Every up/down hop picker in routing draws through it, and so does
+// the flow backend's grouped walk, which must draw exactly what those
+// pickers draw.
+func (r *Rand) Reservoir(k int) int {
+	if k <= 0 {
+		return -1
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	w := 0
+	for c := 2; c <= k; c++ {
+		n := uint64(c)
+		for {
+			// One Uint64 step, then Uint64n's test of it.
+			v := rotl(s1*5, 7) * 9
+			t := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = rotl(s3, 45)
+			if n&(n-1) == 0 {
+				if v&(n-1) == 0 {
+					w = c - 1
+				}
+				break
+			}
+			if hi, lo := bits.Mul64(v, n); lo >= n || lo >= (-n)%n {
+				if hi == 0 {
+					w = c - 1
+				}
+				break
+			}
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return w
+}
+
 // Intn returns a uniform int in [0, n). n must be > 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {

@@ -160,3 +160,31 @@ func BenchmarkIntn(b *testing.B) {
 		_ = r.Intn(1000003)
 	}
 }
+
+// TestReservoirMatchesIntn checks Reservoir against the Intn loop it
+// replays: the same kept position and the same generator state after, for
+// candidate counts up to 40 and a few large ones.
+func TestReservoirMatchesIntn(t *testing.T) {
+	ref := func(k int, r *Rand) int {
+		if k <= 0 {
+			return -1
+		}
+		w := 0
+		for c := 2; c <= k; c++ {
+			if r.Intn(c) == 0 {
+				w = c - 1
+			}
+		}
+		return w
+	}
+	a, b := New(5), New(5)
+	for i := 0; i < 20000; i++ {
+		k := i % 41
+		if i%1000 == 999 {
+			k = 1<<20 + i
+		}
+		if got, want := a.Reservoir(k), ref(k, b); got != want || a.s != b.s {
+			t.Fatalf("draw %d: Reservoir(%d) = %d, Intn loop %d (states equal: %v)", i, k, got, want, a.s == b.s)
+		}
+	}
+}

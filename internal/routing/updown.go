@@ -189,14 +189,14 @@ func (u *UpDown) NextDown(s int32, dst int, r *rng.Rand) int32 {
 	down := u.c.Down(s)
 	kids, ok := u.downFrontier(s, len(down), dst, &sc)
 	if ok && len(kids) > 0 && kids[0] == kids[len(kids)-1] {
-		Reservoir(len(kids), r)
+		r.Reservoir(len(kids))
 		return kids[0]
 	}
 	ports := u.locatePorts(down, dst, kids, ok, sc.ports[:0])
 	if len(ports) == 0 {
 		return -1
 	}
-	return down[ports[Reservoir(len(ports), r)]]
+	return down[ports[r.Reservoir(len(ports))]]
 }
 
 // NextUpPort picks uniformly at random a parent of s that still reaches
@@ -269,25 +269,7 @@ func (u *UpDown) NextDownPort(s int32, dst int, r *rng.Rand) int {
 	if len(ports) == 0 {
 		return -1
 	}
-	return ports[Reservoir(len(ports), r)]
-}
-
-// Reservoir replays a uniform reservoir sample over k candidates seen in
-// order: it draws Intn(c) for c = 2..k, keeping candidate c-1 whenever the
-// draw is 0, and returns the kept candidate's position (-1 when k == 0).
-// Every up/down picker here draws through it, and so does the flow
-// backend's grouped walk, which must draw exactly what these pickers draw.
-func Reservoir(k int, r *rng.Rand) int {
-	if k == 0 {
-		return -1
-	}
-	w := 0
-	for c := 2; c <= k; c++ {
-		if r.Intn(c) == 0 {
-			w = c - 1
-		}
-	}
-	return w
+	return ports[r.Reservoir(len(ports))]
 }
 
 // downScratch is the stack-resident working space of one down-hop
