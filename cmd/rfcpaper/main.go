@@ -7,7 +7,7 @@
 //
 //	rfcpaper -exhibit fig5            # analytic, instant
 //	rfcpaper -exhibit fig8 -scale small
-//	rfcpaper -exhibit table3 -trials 100
+//	rfcpaper -exhibit table3 -trials 20
 //	rfcpaper -exhibit all -scale small
 //	rfcpaper -list                    # one line per exhibit
 //
@@ -46,11 +46,11 @@ func main() {
 		ex       = flag.String("exhibit", "all", exhibit.Usage())
 		scale    = flag.String("scale", "small", "small | paper (simulation exhibits)")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		trials   = flag.Int("trials", 0, "trials/repetitions (0 = per-exhibit default)")
+		trials   = flag.Int("trials", 0, "Monte-Carlo trials of thm42, fig11 and table3 (0 = per-exhibit default, see -list)")
 		cycles   = flag.Int("cycles", 0, "measured cycles per simulation (0 = default)")
 		reps     = flag.Int("reps", 0, "simulation repetitions per point (0 = default)")
-		loads    = flag.String("loads", "", "comma-separated offered loads for fig8-10 (default sweep 0.1..1.0)")
-		patterns = flag.String("patterns", "", "comma-separated traffic patterns for fig8-10 (default all three)")
+		loads    = flag.String("loads", "", "comma-separated offered loads for fig8-10, jellyfish and the flow exhibits (default per exhibit, see -list)")
+		patterns = flag.String("patterns", "", "comma-separated traffic patterns for fig8-10 and flowscale (default per exhibit, see -list)")
 		workers  = flag.Int("workers", runtime.NumCPU(), "worker pool size for simulation/Monte-Carlo jobs (results are identical for any value)")
 		infSink  = flag.Bool("infsink", false, "model infinite reception bandwidth (see simnet.Config.InfiniteSink)")
 		backend  = flag.String("backend", "", "throughput engine for fig8-10: cycle (default) | flow (max-min-fair solver)")
@@ -127,11 +127,6 @@ func (r runner) progress() func(string) {
 		return nil
 	}
 	return obs.Progress(func(s string) { fmt.Fprintln(os.Stderr, "  ...", s) })
-}
-
-// outPath names an exhibit's JSON file the way WriteReport does.
-func (r runner) outPath(id string) string {
-	return exhibit.ReportPath(r.outDir, id, r.params.Shard)
 }
 
 func (r runner) run(arg string) error {

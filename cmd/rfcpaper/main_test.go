@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"rfclos/internal/analysis"
-	"rfclos/internal/engine"
 	"rfclos/internal/exhibit"
 )
 
@@ -54,16 +53,5 @@ func TestRunUnknownExhibit(t *testing.T) {
 	err := r.run("fig99")
 	if err == nil || !strings.Contains(err.Error(), "unknown exhibit") {
 		t.Errorf("run(fig99) = %v, want unknown-exhibit error", err)
-	}
-}
-
-func TestOutPathEncodesShard(t *testing.T) {
-	r := runner{outDir: "parts"}
-	if got := r.outPath("fig8"); got != filepath.Join("parts", "fig8.json") {
-		t.Errorf("unsharded outPath = %q", got)
-	}
-	r.params.Shard = engine.Shard{K: 1, N: 2}
-	if got := r.outPath("fig8"); got != filepath.Join("parts", "fig8.shard1-of-2.json") {
-		t.Errorf("sharded outPath = %q", got)
 	}
 }

@@ -24,12 +24,13 @@ type ablationKnob struct {
 //     larger trades adaptivity for simulation speed).
 //
 // Each row reports accepted load and latency at the given offered load
-// under uniform traffic. It reads Scale, Seed, Cycles and Reps (default 2).
+// under uniform traffic. It reads Scale, Seed, Cycles and Reps (defaults AblationDefaults).
 // The whole (knob, value, rep) grid runs as independent jobs on the worker
 // pool, each drawing its stream from its own coordinates, so the report is
 // byte-identical for any p.Workers.
 func Ablations(p Params, load float64) (*Report, error) {
-	sc := Scenarios(p.scale())[0]
+	p = p.withDefaults(AblationDefaults)
+	sc := Scenarios(p.Scale)[0]
 	rfc, ud, err := buildRoutableRFC(sc.RFC, rng.At(p.seed(), rng.StringCoord("ablation/topology/RFC")))
 	if err != nil {
 		return nil, err
@@ -52,10 +53,9 @@ func Ablations(p Params, load float64) (*Report, error) {
 	rfcNet := netUnderTest{c: rfc, ud: ud}
 	sim := p.sim()
 	set, err := grid{
-		p:           p,
-		groups:      groups,
-		defaultReps: 2,
-		cols:        []string{"accepted", "latency"},
+		p:      p,
+		groups: groups,
+		cols:   []string{"accepted", "latency"},
 		coords: func(j gridJob) []uint64 {
 			return []uint64{rng.StringCoord("ablation/" + knobs[j.g].name), uint64(j.x), uint64(j.rep)}
 		},
@@ -72,7 +72,7 @@ func Ablations(p Params, load float64) (*Report, error) {
 
 	rep := &Report{
 		Title: fmt.Sprintf("Ablations: simulator design knobs (%s equal-resources RFC, uniform @ %.2f)",
-			p.scale(), load),
+			p.Scale, load),
 		Header: []string{"knob", "value", "accepted", "latency"},
 	}
 	for _, k := range knobs {

@@ -71,12 +71,9 @@ func largestPrimePowerOrder(radix int) int {
 	return 0
 }
 
-// Fig6Scalability reproduces Figure 6: terminals versus switch radix for 2,
-// 3 and 4 levels per topology.
+// Fig6Scalability reproduces Figure 6: terminals versus switch radix, at
+// each of the given radices, for 2, 3 and 4 levels per topology.
 func Fig6Scalability(radices []int) *Report {
-	if len(radices) == 0 {
-		radices = []int{8, 12, 16, 24, 36, 48, 64}
-	}
 	rep := &Report{
 		Title:  "Figure 6: scalability (terminals vs radix, levels 2-4)",
 		Header: []string{"topology", "levels", "radix", "terminals"},
@@ -104,9 +101,6 @@ func Fig6Scalability(radices []int) *Report {
 // CFT and OFT are step functions (each level jump deploys a full new
 // structure); RFC and RRN grow almost linearly.
 func Fig7Expandability(radix int, maxTerminals int, points int) *Report {
-	if points <= 1 {
-		points = 40
-	}
 	if maxTerminals <= 0 {
 		maxTerminals = core.MaxTerminals(radix, 3)
 	}
@@ -218,16 +212,16 @@ func Costs() *Report {
 // 2-level RFC of n1 leaves, it sweeps the radix across the threshold and
 // reports empirical routability frequency against the asymptotic e^{-e^{-x}}
 // and the exact finite-size Poisson prediction. It reads Seed and Trials
-// (generations per radix row, default 100). The Monte-Carlo trials of every
-// radix row fan out on a worker pool; each trial's generator is derived
-// from (seed, radix, trial), so the report is byte-identical for any worker
-// count, and each row's empirical frequency is a mergeable aggregate over
-// per-trial 0/1 outcomes (exact under sharding: sums of 0/1 floats carry no
-// rounding).
+// (generations per radix row, default Thm42Defaults). The Monte-Carlo
+// trials of every radix row fan out on a worker pool; each trial's
+// generator is derived from (seed, radix, trial), so the report is
+// byte-identical for any worker count, and each row's empirical frequency
+// is a mergeable aggregate over per-trial 0/1 outcomes (exact under
+// sharding: sums of 0/1 floats carry no rounding).
 func Thm42(p Params, n1 int) (*Report, error) {
-	trials := p.trials(100)
+	p = p.withDefaults(Thm42Defaults)
 	rep := &Report{
-		Title: fmt.Sprintf("Theorem 4.2 Monte-Carlo (2-level RFC, N1=%d, %d trials/row)", n1, trials),
+		Title: fmt.Sprintf("Theorem 4.2 Monte-Carlo (2-level RFC, N1=%d, %d trials/row)", n1, p.Trials),
 		Notes: []string{
 			"empirical = fraction of generated RFCs with the common-ancestor property",
 			"asymptotic = e^{-e^{-x}}; exact = e^{-λ} with hypergeometric λ",
@@ -243,7 +237,7 @@ func Thm42(p Params, n1 int) (*Report, error) {
 			continue
 		}
 		rowSeed := rng.DeriveSeed(p.seed(), rng.StringCoord("thm42"), uint64(radix))
-		obs, err := trialObs(p, trials, rowSeed, func(r *rng.Rand) (float64, error) {
+		obs, err := trialObs(p, p.Trials, rowSeed, func(r *rng.Rand) (float64, error) {
 			c, err := core.Generate(rp, r)
 			if err != nil {
 				return 0, err
@@ -258,7 +252,7 @@ func Thm42(p Params, n1 int) (*Report, error) {
 		}
 		x := core.XParam(radix, n1, 2)
 		rep.AddKeyed(fmt.Sprintf("R=%d", radix),
-			Int(radix), Float(x, "%.4g"), Mean(obs, trials, "%.4g"),
+			Int(radix), Float(x, "%.4g"), Mean(obs, p.Trials, "%.4g"),
 			Float(core.SuccessProbability(x), "%.4g"), Float(exactRoutableProb(n1, radix), "%.4g"))
 	}
 	return rep, nil

@@ -33,8 +33,8 @@ func builtNet(name string, n flow.Network) flowNet {
 // with three series per (network, pattern) group: accepted throughput per
 // terminal, the minimum flow rate (the starved-flow floor the mean hides)
 // and Jain's fairness index — the flow backend's new report columns.
-func runFlowGrid(title string, notes []string, nets []flowNet, p Params, patterns []string) (*Report, error) {
-	set, err := flowGrid(nets, p, patterns).collect()
+func runFlowGrid(title string, notes []string, nets []flowNet, p Params) (*Report, error) {
+	set, err := flowGrid(nets, p).collect()
 	if err != nil {
 		return nil, err
 	}
@@ -45,30 +45,29 @@ func runFlowGrid(title string, notes []string, nets []flowNet, p Params, pattern
 }
 
 // flowGrid is runFlowGrid's job grid: group g is network g/np under
-// patterns[g%np], for np patterns, over p's loads (default 0.1..1.0) with
-// p's reps (default 3). Workers claim the heaviest loads first, since a
+// patterns[g%np], for np patterns, over p's loads with p's reps, both
+// filled in by the runner. Workers claim the heaviest loads first, since a
 // solve's cost grows with load, and the networks in turn within a load, so
 // that the first claims build different networks at once.
-func flowGrid(nets []flowNet, p Params, patterns []string) grid {
+func flowGrid(nets []flowNet, p Params) grid {
 	var groups []gridGroup
 	for _, n := range nets {
-		groups = append(groups, patternGroups(n.name, patterns, p.loads(sweepLoads))...)
+		groups = append(groups, patternGroups(n.name, p.Patterns, p.Loads)...)
 	}
-	np := len(patterns)
+	np := len(p.Patterns)
 	return grid{
-		p:           p,
-		groups:      groups,
-		defaultReps: 3,
-		cols:        []string{"accepted", "minrate", "jain"},
+		p:      p,
+		groups: groups,
+		cols:   []string{"accepted", "minrate", "jain"},
 		coords: func(j gridJob) []uint64 {
-			return []uint64{rng.StringCoord("flow/" + nets[j.g/np].name), rng.StringCoord(patterns[j.g%np]),
+			return []uint64{rng.StringCoord("flow/" + nets[j.g/np].name), rng.StringCoord(p.Patterns[j.g%np]),
 				math.Float64bits(j.x), uint64(j.rep)}
 		},
 		claim: func(a, b gridJob) int {
 			return cmp.Or(cmp.Compare(b.x, a.x), cmp.Compare(a.g%np, b.g%np), cmp.Compare(a.g, b.g), cmp.Compare(a.rep, b.rep))
 		},
 		run: func(j gridJob, stream *rng.Rand) ([]float64, error) {
-			res, err := solveFlowJob(nets[j.g/np], patterns[j.g%np], j.x, stream)
+			res, err := solveFlowJob(nets[j.g/np], p.Patterns[j.g%np], j.x, stream)
 			if err != nil {
 				return nil, err
 			}
@@ -95,8 +94,8 @@ func solveFlowJob(n flowNet, pattern string, load float64, stream *rng.Rand) (*f
 // scenario networks (identical generation streams, so the topologies match
 // the cycle backend's run for run), each matrix pattern swept across
 // offered loads with per-flow max-min rates instead of cycle simulation. It
-// reads Seed, Reps (default 3), Loads (default 0.1..1.0) and Patterns
-// (default the three §6 packet patterns); there is no cycle count, each
+// reads Seed, Reps, Loads and Patterns (defaults ScenarioDefaults, the
+// three §6 packet patterns); there is no cycle count, each
 // grid point is one exact water-filling solve.
 func FlowScenarioSweep(sc Scenario, p Params) (*Report, error) {
 	nets, err := buildScenarioNets(sc, p.seed())
@@ -110,7 +109,7 @@ func FlowScenarioSweep(sc Scenario, p Params) (*Report, error) {
 	notes := []string{
 		fmt.Sprintf("scenario %s: CFT T=%d, RFC T=%d", sc.Name, sc.CFT.Terminals(), sc.RFC.Terminals()),
 	}
-	return runFlowGrid("Flow backend: max-min throughput, scenario "+sc.Name, notes, fnets, p, p.patterns(traffic.Names()))
+	return runFlowGrid("Flow backend: max-min throughput, scenario "+sc.Name, notes, fnets, p.withDefaults(ScenarioDefaults))
 }
 
 // flowScaleSpec sizes the 10× comparison: the equal-resources scenario's
@@ -145,20 +144,21 @@ func flowScaleFor(scale Scale) flowScaleSpec {
 // FlowScale runs the flow-only headline comparison the cycle engine cannot
 // reach: RFC vs RRN vs XGFT at ~10× the equal-resources scenario's size
 // (116,640 terminals at paper scale). All three networks carry identical
-// terminal counts. It reads Scale and FlowScenarioSweep's settings, but at
-// 10× scale the default patterns are the cheap pair that separates the
-// topologies (uniform, storm).
+// terminal counts. It reads Scale and FlowScenarioSweep's settings, with
+// its own defaults (FlowScaleDefaults): at 10× scale the default patterns
+// are the cheap pair that separates the topologies.
 func FlowScale(p Params) (*Report, error) {
+	p = p.withDefaults(FlowScaleDefaults)
 	nets, notes := flowScaleNets(p)
-	title := fmt.Sprintf("Flow backend: RFC vs RRN vs XGFT at 10× scale (%s)", p.scale())
-	return runFlowGrid(title, notes, nets, p, p.patterns([]string{"uniform", "storm"}))
+	title := fmt.Sprintf("Flow backend: RFC vs RRN vs XGFT at 10× scale (%s)", p.Scale)
+	return runFlowGrid(title, notes, nets, p)
 }
 
 // flowScaleNets names FlowScale's three networks and writes its note
 // line. Each network is built by the first job that solves on it, so the
 // builds run on the worker pool, beside other networks' solves.
 func flowScaleNets(p Params) ([]flowNet, []string) {
-	spec := flowScaleFor(p.scale())
+	spec := flowScaleFor(p.Scale)
 	t := spec.xgft.Terminals()
 	nets := []flowNet{
 		{fmt.Sprintf("XGFT-%dL-R%d", spec.xgft.Levels, spec.xgft.Radix), sync.OnceValues(func() (flow.Network, error) {

@@ -28,7 +28,7 @@ func TestFlowScaleSolveBits(t *testing.T) {
 	for _, seed := range []uint64{7, 8} {
 		p := Params{Scale: ScaleSmall, Loads: []float64{0.5, 1.0}, Reps: 1, Patterns: []string{"uniform", "storm"}, Seed: seed, Workers: 1}
 		nets, _ := flowScaleNets(p)
-		g := flowGrid(nets, p, p.Patterns)
+		g := flowGrid(nets, p)
 		np := len(p.Patterns)
 		// Each job's words, keyed by its coordinates: the grid claims jobs
 		// out of job order.

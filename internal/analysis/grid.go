@@ -17,12 +17,10 @@ import (
 // exhibit indexes its jobs. Each job draws from
 // rng.At(p.Seed, coords(job)...) and returns one value per column.
 type grid struct {
-	// p supplies the seed, the repetitions, the worker pool, the shard and
-	// the progress sink.
+	// p supplies the seed, the repetitions (defaults already filled in),
+	// the worker pool, the shard and the progress sink.
 	p      Params
 	groups []gridGroup
-	// defaultReps is the repetition count when p.Reps is unset.
-	defaultReps int
 	// cols names the values run returns. Each (group, column) pair is one
 	// series, named "group/column", or just "group" for a one-column grid.
 	cols []string
@@ -69,10 +67,9 @@ func (gr grid) collect() (*seriesSet, error) {
 		}
 	}
 	var jobs []gridJob
-	reps := gr.p.reps(gr.defaultReps)
 	for g, grp := range gr.groups {
 		for _, x := range grp.xs {
-			for rep := 0; rep < reps; rep++ {
+			for rep := 0; rep < gr.p.Reps; rep++ {
 				jobs = append(jobs, gridJob{g: g, x: x, rep: rep})
 			}
 		}

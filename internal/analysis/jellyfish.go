@@ -23,12 +23,12 @@ import (
 // channels for deadlock freedom — the extra mechanism (VCs >= diameter)
 // that the paper's §1/§6 cost argument is about; the report records the VC
 // requirement next to the throughput. It reads Scale, Seed, Cycles, Reps
-// (default 2) and Loads (default 0.3, 0.6, 0.9, 1.0). The (network × load ×
+// and Loads (defaults JellyfishDefaults). The (network × load ×
 // rep) grid runs on the worker pool with coordinate-derived per-job streams,
 // so the report is byte-identical for any p.Workers.
 func Jellyfish(p Params) (*Report, error) {
-	sc := Scenarios(p.scale())[0]
-	loads := p.loads([]float64{0.3, 0.6, 0.9, 1.0})
+	p = p.withDefaults(JellyfishDefaults)
+	sc := Scenarios(p.Scale)[0]
 
 	rfc, rud, err := buildRoutableRFC(sc.RFC, rng.At(p.seed(), rng.StringCoord("jellyfish/topology/RFC")))
 	if err != nil {
@@ -65,14 +65,13 @@ func Jellyfish(p Params) (*Report, error) {
 	}
 	groups := make([]gridGroup, len(rows))
 	for i, row := range rows {
-		groups[i] = gridGroup{name: row.name, xs: loads}
+		groups[i] = gridGroup{name: row.name, xs: p.Loads}
 	}
 	sim := p.sim()
 	set, err := grid{
-		p:           p,
-		groups:      groups,
-		defaultReps: 2,
-		cols:        []string{"accepted", "latency"},
+		p:      p,
+		groups: groups,
+		cols:   []string{"accepted", "latency"},
 		coords: func(j gridJob) []uint64 {
 			return []uint64{rng.StringCoord("jellyfish/" + rows[j.g].name), math.Float64bits(j.x), uint64(j.rep)}
 		},
@@ -87,7 +86,7 @@ func Jellyfish(p Params) (*Report, error) {
 	}
 
 	rep := &Report{
-		Title: fmt.Sprintf("Extension: RFC vs Jellyfish (RRN), uniform traffic (%s scale)", p.scale()),
+		Title: fmt.Sprintf("Extension: RFC vs Jellyfish (RRN), uniform traffic (%s scale)", p.Scale),
 		Notes: []string{
 			fmt.Sprintf("RFC: %v — deadlock-free with 0 required VCs", sc.RFC),
 			fmt.Sprintf("RRN equal-T: %d switches × R%d, T=%d", eqT.N(), spec.Radix(), eqT.Terminals()),
@@ -99,7 +98,7 @@ func Jellyfish(p Params) (*Report, error) {
 		Header: []string{"network", "load", "accepted", "latency"},
 	}
 	for _, row := range rows {
-		for _, load := range loads {
+		for _, load := range p.Loads {
 			rep.AddKeyed(fmt.Sprintf("%s@%g", row.name, load), Str(row.name), Float(load, "%.4g"),
 				set.mean(row.name+"/accepted", load, "%.4f"), set.mean(row.name+"/latency", load, "%.1f"))
 		}

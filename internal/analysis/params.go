@@ -1,12 +1,14 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"rfclos/internal/engine"
 	"rfclos/internal/simnet"
+	"rfclos/internal/traffic"
 )
 
 // Params carries every run-time setting of the exhibit runners. Each runner
@@ -20,20 +22,20 @@ type Params struct {
 	// stream from its coordinates, so reports are byte-identical for any
 	// Workers value and any Shard partition.
 	Seed uint64
-	// Trials overrides the trials default of thm42 (100), fig11 (5) and
-	// table3 (100) when > 0.
+	// Trials overrides the trials default of thm42, fig11 and table3
+	// (Thm42Defaults, Fig11Defaults, Table3Defaults) when > 0.
 	Trials int
 	// Cycles overrides the measurement window of the simulations when > 0;
 	// the warm-up becomes Cycles/4.
 	Cycles int
 	// Reps is the per-point repetition count of the sweeps (0 = the
-	// runner's default).
+	// runner's default, in its *Defaults value).
 	Reps int
 	// Workers sizes the worker pools; 0 means one per CPU. Reports are
 	// byte-identical for any value.
 	Workers int
 	// Loads and Patterns override the sweep grids of the runners that read
-	// them.
+	// them (defaults in the runner's *Defaults value).
 	Loads    []float64
 	Patterns []string
 	// InfiniteSink models infinite reception bandwidth (the scenario
@@ -65,15 +67,34 @@ func (p Params) Stamp() string {
 		p.Scale, p.Seed, p.Trials, p.Cycles, p.Reps, strings.Join(loads, " "), p.Patterns, p.InfiniteSink, p.Backend)
 }
 
-// sweepLoads is the default offered-load sweep of the scenario and flow
-// sweeps.
-var sweepLoads = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
+// Each runner's count and grid defaults: the runner fills its Params' zero
+// fields from its value, and the exhibit registry's help renders the same.
+var (
+	Thm42Defaults       = Params{Trials: 100} // generations per radix row
+	Fig11Defaults       = Params{Trials: 5}   // removal orders per point
+	Table3Defaults      = Params{Trials: 100} // removal orders per cell, as in the paper
+	ScenarioDefaults    = Params{Scale: ScaleSmall, Reps: 3, Loads: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}, Patterns: traffic.Names()}
+	FlowScaleDefaults   = Params{Scale: ScaleSmall, Reps: 3, Loads: ScenarioDefaults.Loads, Patterns: []string{"uniform", "storm"}}
+	JellyfishDefaults   = Params{Scale: ScaleSmall, Reps: 2, Loads: []float64{0.3, 0.6, 0.9, 1.0}}
+	Fig12Defaults       = Params{Scale: ScaleSmall, Reps: 2}
+	RRNFaultsDefaults   = Params{Scale: ScaleSmall, Reps: 2}
+	AblationDefaults    = Params{Scale: ScaleSmall, Reps: 2}
+	AdversarialDefaults = Params{Scale: ScaleSmall, Reps: 2}
+	TablesDefaults      = Params{Scale: ScaleSmall}
+)
 
-func (p Params) scale() Scale {
-	if p.Scale == "" {
-		return ScaleSmall
+// withDefaults fills p's empty Scale and unset count and grid fields from d.
+func (p Params) withDefaults(d Params) Params {
+	p.Scale = cmp.Or(p.Scale, d.Scale)
+	p.Trials = cmp.Or(max(p.Trials, 0), d.Trials)
+	p.Reps = cmp.Or(max(p.Reps, 0), d.Reps)
+	if len(p.Loads) == 0 {
+		p.Loads = d.Loads
 	}
-	return p.Scale
+	if len(p.Patterns) == 0 {
+		p.Patterns = d.Patterns
+	}
+	return p
 }
 
 func (p Params) seed() uint64 {
@@ -81,34 +102,6 @@ func (p Params) seed() uint64 {
 		return 1
 	}
 	return p.Seed
-}
-
-func (p Params) reps(def int) int {
-	if p.Reps > 0 {
-		return p.Reps
-	}
-	return def
-}
-
-func (p Params) trials(def int) int {
-	if p.Trials > 0 {
-		return p.Trials
-	}
-	return def
-}
-
-func (p Params) loads(def []float64) []float64 {
-	if len(p.Loads) > 0 {
-		return p.Loads
-	}
-	return def
-}
-
-func (p Params) patterns(def []string) []string {
-	if len(p.Patterns) > 0 {
-		return p.Patterns
-	}
-	return def
 }
 
 // sim returns the Table 2 parameters with the Cycles override applied;

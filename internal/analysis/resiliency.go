@@ -16,16 +16,16 @@ import (
 // Table3Disconnect reproduces Table 3: the average percentage of links that
 // must be randomly removed to disconnect a diameter-4 (3-level) network of
 // each topology, sized per the paper's rules for each terminal target. It
-// reads Seed and Trials (removal orders averaged per cell, default 100 as
-// in the paper). Each cell's removal trials run on the worker pool with
+// reads Seed and Trials (removal orders averaged per cell, default
+// Table3Defaults). Each cell's removal trials run on the worker pool with
 // per-trial seeds derived from the cell coordinates (topology name,
 // terminal target), so the report is byte-identical for any p.Workers.
 func Table3Disconnect(p Params, targets []int) (*Report, error) {
-	trials := p.trials(100)
+	p = p.withDefaults(Table3Defaults)
 	rep := &Report{
 		Title: "Table 3: % of links removed to disconnect a diameter-4 network",
 		Notes: []string{
-			fmt.Sprintf("%d random removal orders per cell; radix chosen per topology as in §7", trials),
+			fmt.Sprintf("%d random removal orders per cell; radix chosen per topology as in §7", p.Trials),
 		},
 		Header: []string{"~T", "CFT", "RRN", "RFC", "OFT"},
 	}
@@ -42,9 +42,9 @@ func Table3Disconnect(p Params, targets []int) (*Report, error) {
 	// from this shard's trials of the cell.
 	disconnectCell := func(g *graph.Graph, topo string, target, radix int) Cell {
 		// The measure cannot fail, so neither can trialObs.
-		obs, _ := trialObs(p, trials, cellSeed(topo, target),
+		obs, _ := trialObs(p, p.Trials, cellSeed(topo, target),
 			func(r *rng.Rand) (float64, error) { return float64(FaultsToDisconnect(g, r)), nil })
-		c := Mean(obs, trials, "%.1f")
+		c := Mean(obs, p.Trials, "%.1f")
 		c.Div = float64(g.M())
 		c.Mul = 100
 		c.Suffix = fmt.Sprintf("%% (R=%d)", radix)
@@ -104,12 +104,12 @@ type fig11Point struct {
 // each point's removal trials; generation and trial streams are derived
 // from the point coordinates, so the report is byte-identical for any
 // p.Workers. It reads Seed and Trials (removal orders per point, default
-// 5). maxLeaves bounds the largest RFC per level (the level-4 maximum is
-// ~5,000 leaves at radix 12, heavy for one machine). A shard still
-// generates every network, since they fix the row structure, and runs only
-// the removal trials it owns.
+// Fig11Defaults). maxLeaves bounds the largest RFC per level (the level-4
+// maximum is ~5,000 leaves at radix 12, heavy for one machine). A shard
+// still generates every network, since they fix the row structure, and
+// runs only the removal trials it owns.
 func Fig11UpDownFaults(p Params, radix, maxLeaves int) (*Report, error) {
-	trials := p.trials(5)
+	p = p.withDefaults(Fig11Defaults)
 
 	// RFC points: fix the parameter grid first (pure arithmetic), then
 	// generate every network on the worker pool with per-point streams.
@@ -186,7 +186,7 @@ func Fig11UpDownFaults(p Params, radix, maxLeaves int) (*Report, error) {
 		}
 		trialSeed := rng.DeriveSeed(p.seed(), rng.StringCoord("fig11/trial/"+pt.series), uint64(pt.x))
 		// The measure cannot fail, so neither can trialObs.
-		obs, _ := trialObs(p, trials, trialSeed,
+		obs, _ := trialObs(p, p.Trials, trialSeed,
 			func(r *rng.Rand) (float64, error) { return float64(FaultsUntilUpDownLost(pt.c, r)), nil })
 		rowsBySeries[pt.series] = append(rowsBySeries[pt.series], f11row{pt.x, pt.c.Wires(), obs})
 	}
@@ -197,7 +197,7 @@ func Fig11UpDownFaults(p Params, radix, maxLeaves int) (*Report, error) {
 	}
 	for _, name := range order {
 		for _, row := range rowsBySeries[name] {
-			tol := Mean(row.obs, trials, "%.4f")
+			tol := Mean(row.obs, p.Trials, "%.4f")
 			tol.Div = float64(row.wires)
 			rep.AddKeyed(fmt.Sprintf("%s@%g", name, row.x),
 				Str(name), Float(row.x, "%g"), tol, Float(0, "%.4f"))
@@ -210,13 +210,14 @@ func Fig11UpDownFaults(p Params, radix, maxLeaves int) (*Report, error) {
 // load at offered 1.0) of the equal-resources CFT and RFC as links fail, for
 // the three traffic patterns. The fault count grows from 0 in the given
 // number of equal steps up to ~13% of the wires, the paper's range (10
-// steps of 300 at paper scale). It reads Scale, Seed, Cycles and Reps (default 2). Every grid
-// point is an independent job — clone the topology, remove the links,
-// rebuild routing, simulate — with streams derived from its (network,
-// pattern, faults, rep) coordinates, so the report is byte-identical for
-// any p.Workers.
+// steps of 300 at paper scale). It reads Scale, Seed, Cycles and Reps
+// (defaults Fig12Defaults). Every grid point is an independent job —
+// clone the topology, remove the links, rebuild routing, simulate — with
+// streams derived from its (network, pattern, faults, rep) coordinates, so
+// the report is byte-identical for any p.Workers.
 func Fig12FaultThroughput(p Params, steps int) (*Report, error) {
-	sc := Scenarios(p.scale())[0]
+	p = p.withDefaults(Fig12Defaults)
+	sc := Scenarios(p.Scale)[0]
 
 	cft, err := sc.CFT.Build()
 	if err != nil {
@@ -238,10 +239,9 @@ func Fig12FaultThroughput(p Params, steps int) (*Report, error) {
 	np := len(patterns)
 	sim := p.sim()
 	set, err := grid{
-		p:           p,
-		groups:      groups,
-		defaultReps: 2,
-		cols:        []string{"accepted"},
+		p:      p,
+		groups: groups,
+		cols:   []string{"accepted"},
 		coords: func(j gridJob) []uint64 {
 			return []uint64{rng.StringCoord("fig12/" + nets[j.g/np].name), rng.StringCoord(patterns[j.g%np]),
 				uint64(j.x), uint64(j.rep)}
@@ -262,7 +262,7 @@ func Fig12FaultThroughput(p Params, steps int) (*Report, error) {
 		return nil, err
 	}
 	return set.report("Figure 12: max throughput under link faults (equal-resources scenario)",
-		[]string{fmt.Sprintf("scale=%s; offered load 1.0; faults up to ~13%% of wires", p.scale())},
+		[]string{fmt.Sprintf("scale=%s; offered load 1.0; faults up to ~13%% of wires", p.Scale)},
 		"faulty links", "accepted load"), nil
 }
 

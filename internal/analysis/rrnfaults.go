@@ -21,11 +21,12 @@ import (
 // disconnect it or push its diameter past the hop-indexed VC budget — the
 // deadlock-freedom fragility §1/§6 attribute to direct random networks.
 // The fault count grows from 0 in the given number of equal steps up to
-// ~13% of each network's wires. It reads Scale, Seed, Cycles and Reps (default 2). Every grid
-// point is an independent job with streams derived from its coordinates, so
-// the report is byte-identical for any p.Workers.
+// ~13% of each network's wires. It reads Scale, Seed, Cycles and Reps
+// (RRNFaultsDefaults); its grid points are independent jobs with streams
+// from their coordinates, so the report is byte-identical for any p.Workers.
 func RRNFaults(p Params, steps int) (*Report, error) {
-	sc := Scenarios(p.scale())[0]
+	p = p.withDefaults(RRNFaultsDefaults)
+	sc := Scenarios(p.Scale)[0]
 
 	rfc, _, err := buildRoutableRFC(sc.RFC, rng.At(p.seed(), rng.StringCoord("rrnfaults/topology/RFC")))
 	if err != nil {
@@ -47,10 +48,9 @@ func RRNFaults(p Params, steps int) (*Report, error) {
 	np := len(patterns)
 	sim := p.sim()
 	set, err := grid{
-		p:           p,
-		groups:      groups,
-		defaultReps: 2,
-		cols:        []string{"accepted"},
+		p:      p,
+		groups: groups,
+		cols:   []string{"accepted"},
 		coords: func(j gridJob) []uint64 {
 			return []uint64{rng.StringCoord("rrnfaults/" + nets[j.g/np].name), rng.StringCoord(patterns[j.g%np]),
 				uint64(j.x), uint64(j.rep)}
@@ -85,7 +85,7 @@ func RRNFaults(p Params, steps int) (*Report, error) {
 	}
 	return set.report("Extension: max throughput under link faults, RFC vs RRN (unified engine)",
 		[]string{
-			fmt.Sprintf("scale=%s; offered load 1.0; faults up to ~13%% of each network's wires", p.scale()),
+			fmt.Sprintf("scale=%s; offered load 1.0; faults up to ~13%% of each network's wires", p.Scale),
 			fmt.Sprintf("RFC: %v, up/down routing around faults; RRN: %d switches × R%d, minimal routing with %d hop-indexed VCs",
 				sc.RFC, rrn.N(), spec.Radix(), rrnVCs),
 			"RRN points score 0 when faults disconnect the graph or push its diameter past the VC budget",

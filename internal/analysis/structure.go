@@ -151,9 +151,10 @@ func pathDiversity(g *graph.Graph, n1, samples int, r *rng.Rand) float64 {
 // reports accepted throughput next to the normalized-bisection prediction.
 // An equal-T RRN row (minimal routing, hop-indexed VCs, on the same unified
 // engine) extends the comparison to the random baseline. It reads Scale,
-// Seed, Cycles and Reps (default 2).
+// Seed, Cycles and Reps (defaults AdversarialDefaults).
 func Adversarial(p Params) (*Report, error) {
-	sc := Scenarios(p.scale())[0]
+	p = p.withDefaults(AdversarialDefaults)
+	sc := Scenarios(p.Scale)[0]
 	cft, err := sc.CFT.Build()
 	if err != nil {
 		return nil, err
@@ -169,7 +170,7 @@ func Adversarial(p Params) (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{
-		Title: fmt.Sprintf("Adversarial shift permutation at full load (%s equal-resources scenario)", p.scale()),
+		Title: fmt.Sprintf("Adversarial shift permutation at full load (%s equal-resources scenario)", p.Scale),
 		Notes: []string{
 			"shift by T/2: every packet crosses the bisection",
 			fmt.Sprintf("§4.2 normalized bisection prediction for this RFC: %.2f",
@@ -191,10 +192,9 @@ func Adversarial(p Params) (*Report, error) {
 	}
 	sim := p.sim()
 	set, err := grid{
-		p:           p,
-		groups:      groups,
-		defaultReps: 2,
-		cols:        []string{"accepted", "latency"},
+		p:      p,
+		groups: groups,
+		cols:   []string{"accepted", "latency"},
 		coords: func(j gridJob) []uint64 {
 			return []uint64{rng.StringCoord("adversarial/" + rows[j.g].name), uint64(j.rep)}
 		},

@@ -88,8 +88,8 @@ func buildScenarioNets(sc Scenario, seed uint64) ([]netUnderTest, error) {
 // ScenarioSweep runs the full Figure 8/9/10 experiment for one scenario:
 // every network in the scenario × every traffic pattern × the load sweep,
 // one (network × pattern × load × rep) job grid on the worker pool. It
-// reads Seed, Cycles, Reps (default 3), Loads (default 0.1..1.0), Patterns
-// (default all three) and InfiniteSink. Each job's stream is rng.At(Seed,
+// reads Seed, Cycles, Reps, Loads, Patterns (defaults ScenarioDefaults) and
+// InfiniteSink. Each job's stream is rng.At(Seed,
 // StringCoord(network), StringCoord(pattern), Float64bits(load), rep), so
 // the report is byte-identical for any p.Workers.
 func ScenarioSweep(sc Scenario, p Params) (*Report, error) {
@@ -97,26 +97,25 @@ func ScenarioSweep(sc Scenario, p Params) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	patterns := p.patterns(traffic.Names())
+	p = p.withDefaults(ScenarioDefaults)
 	var groups []gridGroup
 	for _, n := range nets {
-		groups = append(groups, patternGroups(n.name, patterns, p.loads(sweepLoads))...)
+		groups = append(groups, patternGroups(n.name, p.Patterns, p.Loads)...)
 	}
 	sim := p.sim()
 	sim.InfiniteSink = p.InfiniteSink
-	np := len(patterns)
+	np := len(p.Patterns)
 	set, err := grid{
-		p:           p,
-		groups:      groups,
-		defaultReps: 3,
-		cols:        []string{"throughput", "latency"},
+		p:      p,
+		groups: groups,
+		cols:   []string{"throughput", "latency"},
 		coords: func(j gridJob) []uint64 {
-			return []uint64{rng.StringCoord(nets[j.g/np].name), rng.StringCoord(patterns[j.g%np]),
+			return []uint64{rng.StringCoord(nets[j.g/np].name), rng.StringCoord(p.Patterns[j.g%np]),
 				math.Float64bits(j.x), uint64(j.rep)}
 		},
 		run: func(j gridJob, stream *rng.Rand) ([]float64, error) {
 			n := nets[j.g/np]
-			pat, err := traffic.New(patterns[j.g%np], n.terminals(), stream)
+			pat, err := traffic.New(p.Patterns[j.g%np], n.terminals(), stream)
 			if err != nil {
 				return nil, err
 			}

@@ -17,11 +17,11 @@ import (
 // faster and must be recomputed globally on every expansion or fault. It
 // reads Scale and Seed.
 func TablesReport(p Params, kPaths int) (*Report, error) {
-	scale := p.scale()
-	sc := Scenarios(scale)[0]
+	p = p.withDefaults(TablesDefaults)
+	sc := Scenarios(p.Scale)[0]
 	r := rng.At(p.seed(), rng.StringCoord("tables"))
 	rep := &Report{
-		Title: fmt.Sprintf("Forwarding state comparison (%s equal-resources scenario)", scale),
+		Title: fmt.Sprintf("Forwarding state comparison (%s equal-resources scenario)", p.Scale),
 		Notes: []string{
 			"CFT/RFC: explicit shortest up/down ECMP tables (entries × destinations)",
 			fmt.Sprintf("RRN: estimated %d-shortest-paths state (Jellyfish routing), hops stored per path", kPaths),

@@ -10,7 +10,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"rfclos/internal/analysis"
@@ -42,9 +44,10 @@ type Exhibit struct {
 	// Title is a one-line description of what the exhibit reproduces.
 	Title string
 	Kind  Kind
-	// Defaults summarises the shapes this exhibit pins and the defaults it
-	// applies when the corresponding Params fields are zero.
-	Defaults string
+	// Defaults is the runner's analysis.*Defaults value, which Run applies.
+	Defaults analysis.Params
+	// Shapes, when set, renders the shapes the entry pins for the help.
+	Shapes func() string
 	// Run produces the exhibit's report for the given run settings.
 	Run func(analysis.Params) (*Result, error)
 }
@@ -116,13 +119,42 @@ func Help() string {
 	}
 	var b strings.Builder
 	for _, e := range ordered {
-		fmt.Fprintf(&b, "  %-*s  %-10s  %s", w, e.ID, e.Kind, e.Title)
-		if e.Defaults != "" {
-			fmt.Fprintf(&b, " (defaults: %s)", e.Defaults)
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "  %-*s  %-10s  %s (defaults: %s)\n", w, e.ID, e.Kind, e.Title, e.defaults())
 	}
 	return b.String()
+}
+
+// defaults renders the scale, the shapes e pins, then the grid and count
+// defaults, each from the value Run reads. A setting the runner leaves
+// unset renders as "name=" or "name=0" and is left out.
+func (e *Exhibit) defaults() string {
+	d := e.Defaults
+	s := []string{"scale=" + string(d.Scale), "", "loads=" + list[float64](d.Loads).String(),
+		"reps=" + strconv.Itoa(d.Reps), "patterns=" + strings.Join(d.Patterns, ","), "trials=" + strconv.Itoa(d.Trials)}
+	if e.Shapes != nil {
+		s[1] = e.Shapes()
+	}
+	return strings.Join(slices.DeleteFunc(s, func(f string) bool {
+		return f == "" || strings.HasSuffix(f, "=") || strings.HasSuffix(f, "=0")
+	}), " ")
+}
+
+// list renders a list default in full up to four values, else as
+// first..last; floats keep their decimal point (1.0).
+type list[T int | float64] []T
+
+func (l list[T]) String() string {
+	if len(l) > 4 {
+		return list[T]{l[0]}.String() + ".." + list[T]{l[len(l)-1]}.String()
+	}
+	s := make([]string, len(l))
+	for i, v := range l {
+		s[i] = strconv.FormatFloat(float64(v), 'f', -1, 64)
+		if _, ok := any(v).(float64); ok && !strings.Contains(s[i], ".") {
+			s[i] += ".0"
+		}
+	}
+	return strings.Join(s, ",")
 }
 
 // Resolve maps an -exhibit argument to the exhibits to run: a single id, or

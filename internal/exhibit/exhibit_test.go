@@ -1,6 +1,7 @@
 package exhibit
 
 import (
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -67,11 +68,10 @@ func TestUsageListsEveryID(t *testing.T) {
 	if !strings.HasSuffix(u, "|all") {
 		t.Errorf("Usage() must end with |all: %s", u)
 	}
-	help := Help()
-	for _, id := range wantOrder {
-		if !strings.Contains(help, id) {
-			t.Errorf("Help() missing %q", id)
-		}
+	// The golden pins every default -list prints, so a changed default or
+	// a help line that stops reading it shows up here.
+	if got, want := Help(), readGolden(t, "help"); got != want {
+		t.Errorf("Help() differs from golden help.txt\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 
@@ -133,5 +133,16 @@ func TestParamsStampCoversEveryField(t *testing.T) {
 		if changed := p.Stamp() != base; changed == unstamped[f.Name] {
 			t.Errorf("field %s: stamp changed = %v, want %v", f.Name, changed, !unstamped[f.Name])
 		}
+	}
+}
+
+// TestReportPathEncodesShard pins the JSON file names rfcpaper -out and
+// rfcmerge -out write: the bare id unsharded, the shard in the name else.
+func TestReportPathEncodesShard(t *testing.T) {
+	if got := ReportPath("parts", "fig8", engine.Shard{}); got != filepath.Join("parts", "fig8.json") {
+		t.Errorf("unsharded ReportPath = %q", got)
+	}
+	if got := ReportPath("parts", "fig8", engine.Shard{K: 1, N: 2}); got != filepath.Join("parts", "fig8.shard1-of-2.json") {
+		t.Errorf("sharded ReportPath = %q", got)
 	}
 }

@@ -99,10 +99,11 @@ func TestGoldenAll(t *testing.T) {
 	}
 }
 
-// TestUpdateGoldens regenerates every golden file (per-exhibit and the
-// concatenated all.txt) when UPDATE_EXHIBIT_GOLDEN is set; it is a no-op
-// otherwise. Pre-existing goldens must come out byte-identical — check with
-// git diff after running. Refresh with:
+// TestUpdateGoldens regenerates every golden file (per-exhibit, the
+// concatenated all.txt and the -list text help.txt) when
+// UPDATE_EXHIBIT_GOLDEN is set; it is a no-op otherwise. Pre-existing
+// goldens must come out byte-identical — check with git diff after
+// running. Refresh with:
 //
 //	UPDATE_EXHIBIT_GOLDEN=1 go test ./internal/exhibit/ -run TestUpdateGoldens
 func TestUpdateGoldens(t *testing.T) {
@@ -129,6 +130,9 @@ func TestUpdateGoldens(t *testing.T) {
 		all += allRep.Format() + "\n"
 	}
 	if err := os.WriteFile(filepath.Join("testdata", "golden", "all.txt"), []byte(all), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join("testdata", "golden", "help.txt"), []byte(Help()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
