@@ -63,11 +63,16 @@ func run(topo string, radix, levels, leaves, q int, pattern string, load float64
 	if !(load >= 0) {
 		return fmt.Errorf("load %g is not a number >= 0", load)
 	}
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{{"warmup", warmup, 1}, {"cycles", cycles, 1}, {"faults", faults, 0}, {"reps", reps, 1}} {
+		if f.v < f.min {
+			return fmt.Errorf("-%s %d is below %d", f.name, f.v, f.min)
+		}
+	}
 	if seed == 0 {
 		seed = 1
-	}
-	if reps <= 0 {
-		reps = 1
 	}
 	var (
 		c      *rfclos.Clos

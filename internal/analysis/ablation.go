@@ -29,7 +29,7 @@ type ablationKnob struct {
 // pool, each drawing its stream from its own coordinates, so the report is
 // byte-identical for any p.Workers.
 func Ablations(p Params, load float64) (*Report, error) {
-	p = p.withDefaults(AblationDefaults)
+	p = p.WithDefaults(AblationDefaults)
 	sc := Scenarios(p.Scale)[0]
 	rfc, ud, err := buildRoutableRFC(sc.RFC, rng.At(p.seed(), rng.StringCoord("ablation/topology/RFC")))
 	if err != nil {

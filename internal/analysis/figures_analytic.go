@@ -219,7 +219,7 @@ func Costs() *Report {
 // is a mergeable aggregate over per-trial 0/1 outcomes (exact under
 // sharding: sums of 0/1 floats carry no rounding).
 func Thm42(p Params, n1 int) (*Report, error) {
-	p = p.withDefaults(Thm42Defaults)
+	p = p.WithDefaults(Thm42Defaults)
 	rep := &Report{
 		Title: fmt.Sprintf("Theorem 4.2 Monte-Carlo (2-level RFC, N1=%d, %d trials/row)", n1, p.Trials),
 		Notes: []string{

@@ -109,7 +109,7 @@ func FlowScenarioSweep(sc Scenario, p Params) (*Report, error) {
 	notes := []string{
 		fmt.Sprintf("scenario %s: CFT T=%d, RFC T=%d", sc.Name, sc.CFT.Terminals(), sc.RFC.Terminals()),
 	}
-	return runFlowGrid("Flow backend: max-min throughput, scenario "+sc.Name, notes, fnets, p.withDefaults(ScenarioDefaults))
+	return runFlowGrid("Flow backend: max-min throughput, scenario "+sc.Name, notes, fnets, p.WithDefaults(ScenarioDefaults))
 }
 
 // flowScaleSpec sizes the 10× comparison: the equal-resources scenario's
@@ -148,7 +148,7 @@ func flowScaleFor(scale Scale) flowScaleSpec {
 // its own defaults (FlowScaleDefaults): at 10× scale the default patterns
 // are the cheap pair that separates the topologies.
 func FlowScale(p Params) (*Report, error) {
-	p = p.withDefaults(FlowScaleDefaults)
+	p = p.WithDefaults(FlowScaleDefaults)
 	nets, notes := flowScaleNets(p)
 	title := fmt.Sprintf("Flow backend: RFC vs RRN vs XGFT at 10× scale (%s)", p.Scale)
 	return runFlowGrid(title, notes, nets, p)

@@ -27,7 +27,7 @@ import (
 // rep) grid runs on the worker pool with coordinate-derived per-job streams,
 // so the report is byte-identical for any p.Workers.
 func Jellyfish(p Params) (*Report, error) {
-	p = p.withDefaults(JellyfishDefaults)
+	p = p.WithDefaults(JellyfishDefaults)
 	sc := Scenarios(p.Scale)[0]
 
 	rfc, rud, err := buildRoutableRFC(sc.RFC, rng.At(p.seed(), rng.StringCoord("jellyfish/topology/RFC")))

@@ -83,8 +83,8 @@ var (
 	TablesDefaults      = Params{Scale: ScaleSmall}
 )
 
-// withDefaults fills p's empty Scale and unset count and grid fields from d.
-func (p Params) withDefaults(d Params) Params {
+// WithDefaults fills p's empty Scale and unset count and grid fields from d.
+func (p Params) WithDefaults(d Params) Params {
 	p.Scale = cmp.Or(p.Scale, d.Scale)
 	p.Trials = cmp.Or(max(p.Trials, 0), d.Trials)
 	p.Reps = cmp.Or(max(p.Reps, 0), d.Reps)

@@ -21,7 +21,7 @@ import (
 // per-trial seeds derived from the cell coordinates (topology name,
 // terminal target), so the report is byte-identical for any p.Workers.
 func Table3Disconnect(p Params, targets []int) (*Report, error) {
-	p = p.withDefaults(Table3Defaults)
+	p = p.WithDefaults(Table3Defaults)
 	rep := &Report{
 		Title: "Table 3: % of links removed to disconnect a diameter-4 network",
 		Notes: []string{
@@ -109,7 +109,7 @@ type fig11Point struct {
 // still generates every network, since they fix the row structure, and
 // runs only the removal trials it owns.
 func Fig11UpDownFaults(p Params, radix, maxLeaves int) (*Report, error) {
-	p = p.withDefaults(Fig11Defaults)
+	p = p.WithDefaults(Fig11Defaults)
 
 	// RFC points: fix the parameter grid first (pure arithmetic), then
 	// generate every network on the worker pool with per-point streams.
@@ -169,7 +169,7 @@ func Fig11UpDownFaults(p Params, radix, maxLeaves int) (*Report, error) {
 	// Measure tolerance per point; the trials within a point fan out with
 	// seeds keyed by (series, terminal count, trial), this shard running
 	// only the trials it owns. Rows are grouped by series in first-seen
-	// order, exactly as the old Series-based path emitted them.
+	// order.
 	type f11row struct {
 		x     float64
 		wires int
@@ -216,7 +216,7 @@ func Fig11UpDownFaults(p Params, radix, maxLeaves int) (*Report, error) {
 // streams derived from its (network, pattern, faults, rep) coordinates, so
 // the report is byte-identical for any p.Workers.
 func Fig12FaultThroughput(p Params, steps int) (*Report, error) {
-	p = p.withDefaults(Fig12Defaults)
+	p = p.WithDefaults(Fig12Defaults)
 	sc := Scenarios(p.Scale)[0]
 
 	cft, err := sc.CFT.Build()

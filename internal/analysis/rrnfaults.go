@@ -25,7 +25,7 @@ import (
 // (RRNFaultsDefaults); its grid points are independent jobs with streams
 // from their coordinates, so the report is byte-identical for any p.Workers.
 func RRNFaults(p Params, steps int) (*Report, error) {
-	p = p.withDefaults(RRNFaultsDefaults)
+	p = p.WithDefaults(RRNFaultsDefaults)
 	sc := Scenarios(p.Scale)[0]
 
 	rfc, _, err := buildRoutableRFC(sc.RFC, rng.At(p.seed(), rng.StringCoord("rrnfaults/topology/RFC")))

@@ -7,11 +7,10 @@ import (
 )
 
 // seriesSet assembles the (series, x, value, stddev) reports the sweep
-// exhibits emit, from job-indexed observations, replacing the old
-// pre-rendered seriesReport helper. Series keep first-col order and
-// coordinates first-Expect order, so rows come out in exactly the order the
-// unsharded accumulation produced them; each (series, x) row carries
-// mergeable mean/std aggregate cells keyed "series@x".
+// exhibits emit, from job-indexed observations. Series keep first-col
+// order and coordinates first-Expect order, so rows come out in exactly
+// the order the unsharded accumulation produced them; each (series, x) row
+// carries mergeable mean/std aggregate cells keyed "series@x".
 type seriesSet struct {
 	names []string
 	cols  map[string]*metrics.JobCollector

@@ -153,7 +153,7 @@ func pathDiversity(g *graph.Graph, n1, samples int, r *rng.Rand) float64 {
 // engine) extends the comparison to the random baseline. It reads Scale,
 // Seed, Cycles and Reps (defaults AdversarialDefaults).
 func Adversarial(p Params) (*Report, error) {
-	p = p.withDefaults(AdversarialDefaults)
+	p = p.WithDefaults(AdversarialDefaults)
 	sc := Scenarios(p.Scale)[0]
 	cft, err := sc.CFT.Build()
 	if err != nil {

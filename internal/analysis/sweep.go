@@ -97,7 +97,7 @@ func ScenarioSweep(sc Scenario, p Params) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	p = p.withDefaults(ScenarioDefaults)
+	p = p.WithDefaults(ScenarioDefaults)
 	var groups []gridGroup
 	for _, n := range nets {
 		groups = append(groups, patternGroups(n.name, p.Patterns, p.Loads)...)

@@ -17,7 +17,7 @@ import (
 // faster and must be recomputed globally on every expansion or fault. It
 // reads Scale and Seed.
 func TablesReport(p Params, kPaths int) (*Report, error) {
-	p = p.withDefaults(TablesDefaults)
+	p = p.WithDefaults(TablesDefaults)
 	sc := Scenarios(p.Scale)[0]
 	r := rng.At(p.seed(), rng.StringCoord("tables"))
 	rep := &Report{

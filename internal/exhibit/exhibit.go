@@ -69,13 +69,15 @@ func register(e Exhibit) {
 	c := e
 	inner := c.Run
 	// Stamp provenance on every report so the JSON form and rfcmerge can
-	// group partials, and refuse to mix runs, without side channels.
+	// group partials, and refuse to mix runs, without side channels. The
+	// stamp holds the settings the runner used, its defaults filled in, so
+	// a run that restates a default stamps the same as one that omits it.
 	c.Run = func(p analysis.Params) (*Result, error) {
 		rep, err := inner(p)
 		if rep != nil {
 			rep.Exhibit = c.ID
 			rep.Shard = p.Shard
-			rep.Params = p.Stamp()
+			rep.Params = p.WithDefaults(c.Defaults).Stamp()
 		}
 		return rep, err
 	}

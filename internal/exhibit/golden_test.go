@@ -8,11 +8,9 @@ import (
 	"rfclos/internal/analysis"
 )
 
-// The golden files under testdata/golden were captured from the pre-registry
-// CLI (string-rendered reports, if/else dispatch) at the parameters below.
-// They pin the byte-compatibility contract of the whole refactor: typed
-// cells, the registry dispatch and shard-aware aggregation must reproduce
-// the old output exactly.
+// The golden files under testdata/golden hold each exhibit's text report at
+// the parameters below. Typed cells, the registry dispatch and shard-aware
+// aggregation must reproduce them byte for byte.
 
 // goldenParams returns the capture parameters for one exhibit (all were
 // captured with -seed 7 -quiet).

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"rfclos/internal/rng"
@@ -41,6 +42,33 @@ func refNextDownPortHash(u *UpDown, s int32, dst int, key uint32) int {
 		return -1
 	}
 	return ports[key%uint32(len(ports))]
+}
+
+// RandomFoldedClos and FaultClos serve the cover goldens in package
+// routing_test, which also build fabrics with internal/core.
+var RandomFoldedClos, FaultClos = randomFoldedClos, faultClos
+
+// faultClos clones c and removes a deterministic sample of inter-switch
+// links (every stride-th up-link, capped), returning the faulted clone.
+// Removing links also exercises the leaf-range invalidation path.
+func faultClos(t *testing.T, c *topology.Clos, stride, max int) *topology.Clos {
+	t.Helper()
+	f := c.Clone()
+	removed, k := 0, 0
+	for s := int32(0); int(s) < f.NumSwitches() && removed < max; s++ {
+		for _, p := range slices.Clone(f.Up(s)) {
+			if k++; k%stride == 0 && f.RemoveLink(s, p) {
+				removed++
+				if removed >= max {
+					break
+				}
+			}
+		}
+	}
+	if removed == 0 {
+		t.Fatalf("faultClos removed no links (stride %d)", stride)
+	}
+	return f
 }
 
 // duplicateLinks clones c and adds a second copy of the first up-link of

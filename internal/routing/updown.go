@@ -101,8 +101,7 @@ func (u *UpDown) CoverRepr() string {
 // Rebuild recomputes every descendant and cover set from the topology. The
 // build is level-streaming: sets are produced one switch at a time through
 // a single reusable scratch bitset and compressed immediately, so peak
-// transient memory is one N1-bit buffer plus the compressed result —
-// never the old O(N1²/8) of materialising every set as a plain bitset.
+// transient memory is one N1-bit buffer plus the compressed result.
 // Interval-shaped inputs union as sorted run lists without touching the
 // scratch at all, and when the topology declares contiguous descendant
 // ranges (Clos.LeafRange, set by the XGFT family) desc sets are built

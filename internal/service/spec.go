@@ -56,8 +56,7 @@ const maxSwitches = 1 << 21
 
 // DefaultDenseIndexBytes is the byte budget for the dense turn table:
 // topologies whose N1² table fits in it get the O(1)-lookup dense tier
-// (64 MiB = 8192 leaves); larger ones get the succinct tier. The old
-// hard 4096-leaf indexing cap is gone — tier selection replaced it.
+// (64 MiB = 8192 leaves); larger ones get the succinct tier.
 const DefaultDenseIndexBytes = 64 << 20
 
 // maxSuccinctLeaves bounds the leaf count for which even the succinct index

@@ -172,9 +172,9 @@ func (c *Clos) AddLink(a, b int32) {
 }
 
 // RemoveLink deletes one a—b link (a at the lower level). It reports whether
-// a link was removed. Used by the fault-injection experiments. Removal keeps
-// the old arena's swap-with-last order so neighbour iteration — and the rng
-// consumption of routing's port pickers — is unchanged by the CSR store.
+// a link was removed. Used by the fault-injection experiments. Each list's
+// last entry moves into the removed slot and the list is truncated, so
+// the other neighbours keep their positions apart from that one move.
 func (c *Clos) RemoveLink(a, b int32) bool {
 	if !slices.Contains(c.Up(a), b) {
 		return false

@@ -11,21 +11,21 @@ import (
 // The CSR base holds, for every level and direction, one offsets array and
 // one flat neighbour array — no per-switch slice headers, so a million-
 // switch fabric costs 8 bytes per wire plus 8 bytes per switch instead of
-// the 48 bytes of [][]int32 headers the old arena paid on top of the same
-// wire data. Builders fill the base one level pair at a time through
-// LevelEmitter and never touch it again: sealed blocks are immutable, which
-// is what lets Clone share them between the original and every fault-sweep
-// copy.
+// the 48 bytes per switch that [][]int32 slice headers would add on top of
+// the same wire data. Builders fill the base one level pair at a time
+// through LevelEmitter and never touch it again: sealed blocks are
+// immutable, which is what lets Clone share them between the original and
+// every fault-sweep copy.
 //
 // All later mutation (AddLink/RemoveLink fault churn and expansion splices)
 // goes through the overlay: the first touch of a switch materialises its
-// effective adjacency list into a per-switch slice owned by the overlay,
-// and subsequent edits reproduce exactly the old arena's append and
-// swap-remove semantics, so iteration order — and therefore rng consumption
-// and export bytes — is bit-identical to the pre-CSR implementation.
-// Builder-declared descendant intervals (leafRange) describe the sealed
-// base, so they stay true exactly as long as no overlay exists, and
-// LeafRange answers from them only then.
+// effective adjacency list into a per-switch slice owned by the overlay.
+// AddLink appends to both endpoints' lists; RemoveLink moves the last
+// entry of each list into the removed slot and truncates. Iteration order
+// — and therefore rng consumption and export bytes — follows from those
+// two rules and the sealed order alone. Builder-declared descendant
+// intervals (leafRange) describe the sealed base, so they stay true exactly
+// as long as no overlay exists, and LeafRange answers from them only then.
 
 // csrLevel is one direction of one level's adjacency: the neighbour lists
 // of every switch on the level, concatenated, with offsets[i] marking where
@@ -109,10 +109,10 @@ type LevelSink interface {
 // it into the immutable CSR base. Links may be emitted in any order (each
 // builder uses its natural generation order); Seal groups them per switch
 // with a stable counting sort, so a switch's neighbour order is its
-// emission order — exactly the order the old arena's AddLink calls would
-// have produced. The emission stream is the only construction scratch and
-// is released by Seal, so peak wiring memory beyond the final store is one
-// level pair, not the whole fabric.
+// emission order, the order AddLink calls in the same sequence would give.
+// The emission stream is the only construction scratch and is released by
+// Seal, so peak wiring memory beyond the final store is one level pair, not
+// the whole fabric.
 type LevelEmitter struct {
 	c                  *Clos
 	level              int

@@ -204,7 +204,7 @@ func TestWriteDOT(t *testing.T) {
 	}
 	out := buf.String()
 	if !strings.HasPrefix(out, "graph clos {") || !strings.HasSuffix(strings.TrimSpace(out), "}") {
-		t.Errorf("malformed DOT output:\n%s", out)
+		t.Errorf("malformed DOT output:\n%s", truncate(buf.Bytes()))
 	}
 	if got := strings.Count(out, " -- "); got != c.Wires() {
 		t.Errorf("DOT has %d edges, want %d", got, c.Wires())
@@ -212,4 +212,43 @@ func TestWriteDOT(t *testing.T) {
 	if got := strings.Count(out, "rank=same"); got != c.Levels() {
 		t.Errorf("DOT has %d ranks, want %d", got, c.Levels())
 	}
+}
+
+// TestRRNEmptyEdgesJSON is the regression test for the "edges": null bug: an
+// edgeless network of either kind must emit a stable empty array.
+func TestRRNEmptyEdgesJSON(t *testing.T) {
+	rrn, err := NewRRN(4, 0, 2, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clos, err := NewEmpty([]int{2, 1}, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		export func(*bytes.Buffer) error
+		want   string
+	}{
+		{"rrn", func(b *bytes.Buffer) error { return ExportRRN(rrn, "json", b) },
+			`{"n":4,"degree":0,"terms_per_switch":2,"edges":[]}` + "\n"},
+		{"clos", func(b *bytes.Buffer) error { return Export(clos, "json", b) },
+			`{"radix":2,"terms_per_leaf":1,"level_sizes":[2,1],"links":[]}` + "\n"},
+	} {
+		var buf bytes.Buffer
+		if err := tc.export(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != tc.want {
+			t.Errorf("edgeless %s JSON = %q, want %q", tc.name, buf.String(), tc.want)
+		}
+	}
+}
+
+// truncate shortens b for a failure message.
+func truncate(b []byte) []byte {
+	if len(b) > 300 {
+		return append(append([]byte(nil), b[:300]...), "..."...)
+	}
+	return b
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Regenerates every exhibit recorded in EXPERIMENTS.md and the final test
-# and benchmark logs. Expect ~30-45 minutes on one core at the default
-# (small) simulation scale.
+# and benchmark logs. The exhibit lines took 21 minutes on a 2-vCPU Xeon
+# VM (Go 1.24), 2 of them for the paper-scale spot check; the test and
+# benchmark logs come on top.
 set -eu
 cd "$(dirname "$0")/.."
 mkdir -p results
