@@ -68,7 +68,8 @@ func buildNormalized(t *testing.T, sp Spec) *Topology {
 // report for the covers and the turn index, across container shapes: the
 // 65,536-leaf XGFT rfcd's query benchmark serves (run and full covers),
 // two random folded Clos (sparse, bits and comp covers), a commodity fat
-// tree and a faulted clone rebuilt through routing.New. Sharing containers
+// tree, a k-ary tree, an orthogonal fat tree and a faulted clone rebuilt
+// through routing.New. Sharing containers
 // between cover slots must leave every value here unchanged: the charge is
 // per slot.
 func TestSummaryMemoryPins(t *testing.T) {
@@ -102,6 +103,18 @@ func TestSummaryMemoryPins(t *testing.T) {
 			sp:   Spec{Kind: "cft", Radix: 16, Levels: 3},
 			want: summaryPin{CoverBytes: 38400, CoverRepr: "run:256 sparse:128 full:320",
 				IndexLeaves: 128, IndexBytes: 16384, IndexTier: "dense", MemBytes: 75824},
+		},
+		{
+			name: "kary-4-3",
+			sp:   Spec{Kind: "kary", K: 4, Levels: 3},
+			want: summaryPin{CoverBytes: 5312, CoverRepr: "run:32 sparse:16 full:48",
+				IndexLeaves: 16, IndexBytes: 256, IndexTier: "dense", MemBytes: 7536},
+		},
+		{
+			name: "oft-3-3",
+			sp:   Spec{Kind: "oft", Q: 3, Levels: 3},
+			want: summaryPin{CoverBytes: 153912, CoverRepr: "run:17 sparse:676 bits:828 full:338",
+				IndexLeaves: 338, IndexBytes: 114244, IndexTier: "dense", MemBytes: 294824},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
