@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -207,6 +208,47 @@ func TestGenerateRoutableAboveThreshold(t *testing.T) {
 	}
 	if c.Terminals() != 64 {
 		t.Errorf("terminals = %d", c.Terminals())
+	}
+}
+
+// TestGenerateRoutableReplaysGenerate checks that GenerateRoutable is
+// Generate followed by routing.New, attempt for attempt: replaying the
+// attempts on an equal-seed stream finds the same unroutable attempts, then
+// the same topology and routing state. Seed 12 takes six attempts.
+func TestGenerateRoutableReplaysGenerate(t *testing.T) {
+	p := Params{Radix: 8, Leaves: 64, Levels: 3}
+	c, ud, attempts, err := GenerateRoutable(p, 20, rng.New(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attempts < 2 {
+		t.Fatalf("seed 12 took %d attempt(s), want several", attempts)
+	}
+	r := rng.New(12)
+	for a := 1; a <= attempts; a++ {
+		want, err := Generate(p, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantUD := routing.New(want)
+		if a < attempts {
+			if wantUD.Routable() {
+				t.Fatalf("replayed attempt %d is routable, but GenerateRoutable took %d", a, attempts)
+			}
+			continue
+		}
+		if !slices.Equal(c.Links(), want.Links()) {
+			t.Fatal("returned topology differs from the replayed last attempt")
+		}
+		if !ud.Routable() {
+			t.Fatal("GenerateRoutable returned an unroutable router")
+		}
+		if got, want := ud.CoverBytes(), wantUD.CoverBytes(); got != want {
+			t.Fatalf("CoverBytes: got %d, replay %d", got, want)
+		}
+		if got, want := ud.CoverRepr(), wantUD.CoverRepr(); got != want {
+			t.Fatalf("CoverRepr: got %q, replay %q", got, want)
+		}
 	}
 }
 

@@ -115,18 +115,16 @@ func GenerateGeneral(p GeneralParams, r *rng.Rand) (*topology.Clos, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return generateGeneral(p, r, nil)
+	return generateGeneral(p, r)
 }
 
 // generateGeneral wires a validated shape level pair by level pair, sealing
-// each pair into the CSR store (and handing it to sink) before the next is
-// drawn.
-func generateGeneral(p GeneralParams, r *rng.Rand, sink topology.LevelSink) (*topology.Clos, error) {
+// each pair into the CSR store before the next is drawn.
+func generateGeneral(p GeneralParams, r *rng.Rand) (*topology.Clos, error) {
 	c, err := topology.NewEmpty(p.Sizes, p.TermsPerLeaf, p.MaxRadix())
 	if err != nil {
 		return nil, err
 	}
-	c.SetLevelSink(sink)
 	for i := 0; i < len(p.Sizes)-1; i++ {
 		bp, err := graph.RandomBipartite(p.Sizes[i], p.UpDeg[i], p.Sizes[i+1], p.DownDeg(i), r)
 		if err != nil {

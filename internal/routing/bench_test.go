@@ -20,7 +20,7 @@ func benchUpDown(b *testing.B) (*topology.Clos, *routing.UpDown) {
 	return c, routing.New(c)
 }
 
-// BenchmarkCoverBuild measures UpDown.Rebuild — the streaming compressed
+// BenchmarkCoverBuild measures UpDown.Rebuild — the level-by-level compressed
 // cover construction — on the 4096-leaf XGFT, and reports the compressed
 // cover footprint next to what plain N1-bit bitsets would cost.
 func BenchmarkCoverBuild(b *testing.B) {

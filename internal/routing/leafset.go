@@ -29,7 +29,7 @@ import (
 // the routing state's memory is proportional to the compressed size, not
 // N1²/8. Containers are immutable after construction and safe for
 // concurrent readers, so slots holding equal sets may share one container
-// (leafSetBuilder, RebuildStream); nothing compares containers by
+// (leafSetBuilder, descSets); nothing compares containers by
 // identity.
 
 // LeafSet is an immutable set of leaf-switch indices in [0, n), the

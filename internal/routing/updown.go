@@ -46,7 +46,7 @@ type UpDown struct {
 // New builds routing state for c. Call Rebuild after mutating the topology
 // (e.g. removing links).
 func New(c *topology.Clos) *UpDown {
-	u := &UpDown{c: c, n1: c.LevelSize(1)}
+	u := &UpDown{c: c}
 	u.Rebuild()
 	return u
 }
@@ -59,7 +59,7 @@ func New(c *topology.Clos) *UpDown {
 // TableStats.CoverBytes (the stats report) both delegate here.
 //
 // The charge is per slot: a container that several slots share (equal sets
-// built once, see RebuildStream) is counted once for each of them. The
+// built once, see descSets) is counted once for each of them. The
 // figure is therefore a function of the sets alone, and an upper bound on
 // the live bytes once slots share.
 func (u *UpDown) CoverBytes() int {
@@ -98,20 +98,62 @@ func (u *UpDown) CoverRepr() string {
 	return formatCoverRepr(counts)
 }
 
-// Rebuild recomputes every descendant and cover set from the topology. The
-// build is level-streaming: sets are produced one switch at a time through
+// Rebuild recomputes every descendant and cover set from the topology,
+// level by level bottom-up. Sets are produced one switch at a time through
 // a single reusable scratch bitset and compressed immediately, so peak
 // transient memory is one N1-bit buffer plus the compressed result.
 // Interval-shaped inputs union as sorted run lists without touching the
 // scratch at all, and when the topology declares contiguous descendant
 // ranges (Clos.LeafRange, set by the XGFT family) desc sets are built
 // directly from the declared interval.
-//
-// Rebuild is the batch entry point over a finished topology; it shares its
-// per-level machinery with RebuildStream (stream.go), which computes the
-// same state incrementally as builders seal CSR levels.
 func (u *UpDown) Rebuild() {
-	*u = *NewRebuildStream().Finish(u.c)
+	c := u.c
+	u.n1 = c.LevelSize(1)
+	bld := newLeafSetBuilder(u.n1)
+	u.cover = make([][]LeafSet, c.Levels())
+	u.cover[0] = descSets(c, bld)
+	u.finishCovers(bld)
+	u.walkFloor = walkFloorOf(c)
+}
+
+// descSets builds the descendant (cover_0) set of every switch, each level
+// from the one below. The leaf singletons are carved from two slabs, not
+// 2·N1 allocations, and switches declaring equal leaf ranges share one
+// container.
+func descSets(c *topology.Clos, bld *leafSetBuilder) []LeafSet {
+	n1 := c.LevelSize(1)
+	desc := make([]LeafSet, c.NumSwitches())
+	singles := make([]sparseSet, n1)
+	ids := make([]int32, n1)
+	for i := range singles {
+		ids[i] = int32(i)
+		singles[i] = sparseSet{n: n1, ids: ids[i : i+1 : i+1]}
+		desc[c.SwitchID(1, i)] = &singles[i]
+	}
+	// ranges maps each declared leaf range, packed lo<<32|hi, to its
+	// container.
+	ranges := map[uint64]LeafSet{}
+	for lev := 2; lev <= c.Levels(); lev++ {
+		for i := 0; i < c.LevelSize(lev); i++ {
+			s := c.SwitchID(lev, i)
+			if lo, hi, ok := c.LeafRange(s); ok {
+				key := packRun(lo, hi)
+				set, seen := ranges[key]
+				if !seen {
+					set = bld.fromRange(lo, hi)
+					ranges[key] = set
+				}
+				desc[s] = set
+				continue
+			}
+			bld.reset()
+			for _, ch := range c.Down(s) {
+				bld.add(desc[ch])
+			}
+			desc[s] = bld.finish()
+		}
+	}
+	return desc
 }
 
 // walkFloorOf computes UpDown.walkFloor for c.
@@ -133,9 +175,9 @@ func minUpDegree(c *topology.Clos, lev int) int {
 	return m
 }
 
-// finishCovers builds cover_r for r = 1..l-1 over the completed up-wiring,
-// assuming u.cover[0] (desc) is already in place; cover_r(s) exists only
-// for switches at levels 1..l-r.
+// finishCovers builds cover_r for r = 1..l-1 over the up-wiring, assuming
+// u.cover[0] (desc) is already in place; cover_r(s) exists only for
+// switches at levels 1..l-r.
 func (u *UpDown) finishCovers(bld *leafSetBuilder) {
 	c := u.c
 	l := c.Levels()

@@ -201,12 +201,6 @@ type Topology struct {
 func Build(sp Spec, reg *obs.Registry) (*Topology, error) {
 	stopBuild := reg.Time(metricBuildNS)
 	t := &Topology{Key: sp.Key(), Canon: sp.Canonical(), Spec: sp}
-	// Every deterministic folded Clos kind builds through the streaming
-	// path: the builder seals CSR level pairs bottom-up and the attached
-	// RebuildStream compresses descendant sets as each pair lands. The
-	// peak RSS is the same as a batch build's. The rfc kind streams
-	// inside GenerateRoutable.
-	rs := routing.NewRebuildStream()
 	var err error
 	switch sp.Kind {
 	case "rfc":
@@ -217,13 +211,13 @@ func Build(sp Spec, reg *obs.Registry) (*Topology, error) {
 		}
 		t.Routable = true
 	case "cft":
-		t.Clos, err = topology.NewCFTStream(sp.Radix, sp.Levels, rs)
+		t.Clos, err = topology.NewCFT(sp.Radix, sp.Levels)
 	case "kary":
-		t.Clos, err = topology.NewKaryTreeStream(sp.K, sp.Levels, rs)
+		t.Clos, err = topology.NewKaryTree(sp.K, sp.Levels)
 	case "oft":
-		t.Clos, err = topology.NewOFTStream(sp.Q, sp.Levels, rs)
+		t.Clos, err = topology.NewOFT(sp.Q, sp.Levels)
 	case "xgft":
-		t.Clos, err = topology.NewXGFTStream(sp.M, sp.W, sp.Radix, rs)
+		t.Clos, err = topology.NewXGFT(sp.M, sp.W, sp.Radix)
 	case "rrn":
 		t.RRN, err = topology.NewRRN(sp.N, sp.Degree, sp.Terms, rng.New(sp.Seed))
 		if err != nil {
@@ -241,7 +235,7 @@ func Build(sp Spec, reg *obs.Registry) (*Topology, error) {
 			return nil, fmt.Errorf("service: %s exceeds the %d-switch serving limit", t.Canon, maxSwitches)
 		}
 		if t.Router == nil {
-			t.Router = rs.Finish(t.Clos)
+			t.Router = routing.New(t.Clos)
 			t.Routable = t.Router.Routable()
 		}
 	}

@@ -48,8 +48,6 @@ type Clos struct {
 	// wires counts inter-switch links: Seal adds each level pair's links,
 	// AddLink/RemoveLink adjust it by one.
 	wires int
-	// sink, when set, observes level pairs as builders seal them.
-	sink LevelSink
 	// leafRange, when non-nil, records for every switch s the contiguous
 	// descendant-leaf interval [leafRange[2s], leafRange[2s+1]) of the
 	// sealed CSR. Builders whose wiring makes every descendant set
@@ -142,8 +140,7 @@ func (c *Clos) Down(s int32) []int32 {
 }
 
 // setLeafRanges installs builder-computed contiguous descendant leaf
-// ranges (see the leafRange field). Builders call it once; XGFT declares
-// the ranges before wiring so level sinks can use them mid-build.
+// ranges (see the leafRange field). Builders call it once.
 func (c *Clos) setLeafRanges(r []int32) { c.leafRange = r }
 
 // LeafRange returns the contiguous descendant leaf interval [lo, hi) of

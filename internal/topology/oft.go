@@ -27,13 +27,6 @@ import (
 // the paper. Minimal up/down routes between leaves whose point digits all
 // differ are unique, reproducing the low path diversity the paper discusses.
 func NewOFT(q, levels int) (*Clos, error) {
-	return NewOFTStream(q, levels, nil)
-}
-
-// NewOFTStream is NewOFT with a level sink: level pairs are sealed
-// bottom-up, each handed to sink before the next is wired (see
-// NewXGFTStream).
-func NewOFTStream(q, levels int, sink LevelSink) (*Clos, error) {
 	if levels < 2 {
 		return nil, fmt.Errorf("topology: OFT needs >= 2 levels, got %d", levels)
 	}
@@ -59,7 +52,6 @@ func NewOFTStream(q, levels int, sink LevelSink) (*Clos, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.SetLevelSink(sink)
 
 	// Label encoding for levels 1..l-1: index = s + 2*mixed(d_1..d_{l-1})
 	// where d_j is x_j for j < i and p_j for j >= i, every digit radix n.

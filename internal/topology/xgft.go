@@ -14,14 +14,6 @@ import "fmt"
 // therefore form complete bipartite K(m_{i+1}, w_{i+1}) blocks, which yields
 // a fat-tree in the sense of Definition 3.2 with arities k_i = m[i-1].
 func NewXGFT(m, w []int, radix int) (*Clos, error) {
-	return NewXGFTStream(m, w, radix, nil)
-}
-
-// NewXGFTStream is NewXGFT with a level sink: each level pair is sealed —
-// and handed to sink — before the next one is wired, so a streaming
-// consumer (routing cover construction) runs concurrently with wiring and
-// construction scratch never exceeds one level pair.
-func NewXGFTStream(m, w []int, radix int, sink LevelSink) (*Clos, error) {
 	h := len(m)
 	if h < 2 || len(w) != h {
 		return nil, fmt.Errorf("topology: XGFT needs len(m) == len(w) >= 2, got %d and %d", len(m), len(w))
@@ -56,12 +48,8 @@ func NewXGFTStream(m, w []int, radix int, sink LevelSink) (*Clos, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Descendant leaf intervals are label-derived, not wiring-derived, so
-	// they can be declared before any link exists — a level sink observing
-	// sealed levels mid-build already sees them (routing's streamed cover
-	// construction takes the interval fast path this way).
+	// Descendant leaf intervals are label-derived, not wiring-derived.
 	declareXGFTLeafRanges(c, m, w, sizes)
-	c.SetLevelSink(sink)
 	wireXGFT(c, m, w, sizes)
 	return c, nil
 }
@@ -166,11 +154,6 @@ func encodeMixed(digits, radices []int) int {
 // fat-tree with arities k_1 = ... = k_{l-1} = R/2 and k_l = R. It connects
 // T = 2(R/2)^l terminals (§3).
 func NewCFT(radix, levels int) (*Clos, error) {
-	return NewCFTStream(radix, levels, nil)
-}
-
-// NewCFTStream is NewCFT with a level sink (see NewXGFTStream).
-func NewCFTStream(radix, levels int, sink LevelSink) (*Clos, error) {
 	if radix < 2 || radix%2 != 0 {
 		return nil, fmt.Errorf("topology: CFT radix must be even and >= 2, got %d", radix)
 	}
@@ -186,7 +169,7 @@ func NewCFTStream(radix, levels int, sink LevelSink) (*Clos, error) {
 	}
 	m[levels-1] = radix
 	w[0] = 1
-	return NewXGFTStream(m, w, radix, sink)
+	return NewXGFT(m, w, radix)
 }
 
 // NewCFTWithTerminals builds the R-commodity fat-tree wiring but attaches
@@ -220,11 +203,6 @@ func NewCFTWithTerminals(radix, levels, termsPerLeaf int) (*Clos, error) {
 // k^{l-1} switches, k terminals per leaf, T = k^l terminals. Its switches
 // have radix 2k.
 func NewKaryTree(k, levels int) (*Clos, error) {
-	return NewKaryTreeStream(k, levels, nil)
-}
-
-// NewKaryTreeStream is NewKaryTree with a level sink (see NewXGFTStream).
-func NewKaryTreeStream(k, levels int, sink LevelSink) (*Clos, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("topology: k-ary tree needs k >= 1, got %d", k)
 	}
@@ -238,5 +216,5 @@ func NewKaryTreeStream(k, levels int, sink LevelSink) (*Clos, error) {
 		w[i] = k
 	}
 	w[0] = 1
-	return NewXGFTStream(m, w, 2*k, sink)
+	return NewXGFT(m, w, 2*k)
 }
