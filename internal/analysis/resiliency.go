@@ -199,8 +199,10 @@ func Fig11UpDownFaults(p Params, radix, maxLeaves int) (*Report, error) {
 		for _, row := range rowsBySeries[name] {
 			tol := Mean(row.obs, p.Trials, "%.4f")
 			tol.Div = float64(row.wires)
+			sd := Std(row.obs, p.Trials, "%.4f")
+			sd.Div = float64(row.wires)
 			rep.AddKeyed(fmt.Sprintf("%s@%g", name, row.x),
-				Str(name), Float(row.x, "%g"), tol, Float(0, "%.4f"))
+				Str(name), Float(row.x, "%g"), tol, sd)
 		}
 	}
 	return rep, nil
