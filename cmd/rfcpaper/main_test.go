@@ -7,44 +7,30 @@ import (
 	"testing"
 
 	"rfclos/internal/analysis"
-	"rfclos/internal/exhibit"
 )
 
-// TestEveryExhibitRoundTripsThroughRun drives the real dispatch path for
-// every registered id: run() must resolve the id, execute it at quick
-// parameters, and emit a parseable JSON report stamped with the same id.
+// TestEveryExhibitRoundTripsThroughRun checks what only the CLI adds to
+// an exhibit run: run() resolves the id and writes a parseable <id>.json
+// stamped with it under -out. One cheap exhibit suffices; internal/exhibit's
+// TestGoldenAll runs every exhibit at the "-exhibit all" settings and checks
+// each report's stamp, completeness and JSON round trip.
 func TestEveryExhibitRoundTripsThroughRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every exhibit; skipped under -short")
-	}
+	const id = "fig5"
 	dir := t.TempDir()
-	r := runner{
-		params: analysis.Params{
-			Scale: "small", Seed: 7, Trials: 2, Cycles: 300, Reps: 1,
-			Loads: []float64{0.5}, Patterns: []string{"uniform"},
-		},
-		outDir: dir,
-		quiet:  true,
+	r := runner{params: analysis.Params{Seed: 7}, outDir: dir, quiet: true}
+	if err := r.run(id); err != nil {
+		t.Fatalf("run(%q): %v", id, err)
 	}
-	for _, id := range exhibit.IDs() {
-		if err := r.run(id); err != nil {
-			t.Fatalf("run(%q): %v", id, err)
-		}
-		path := filepath.Join(dir, id+".json")
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("run(%q) wrote no report: %v", id, err)
-		}
-		rep, err := analysis.ParseReport(data)
-		if err != nil {
-			t.Fatalf("run(%q) wrote unparseable JSON: %v", id, err)
-		}
-		if rep.Exhibit != id {
-			t.Errorf("run(%q) stamped exhibit %q", id, rep.Exhibit)
-		}
-		if rep.MissingObs() != 0 {
-			t.Errorf("run(%q): unsharded report missing %d observations", id, rep.MissingObs())
-		}
+	data, err := os.ReadFile(filepath.Join(dir, id+".json"))
+	if err != nil {
+		t.Fatalf("run(%q) wrote no report: %v", id, err)
+	}
+	rep, err := analysis.ParseReport(data)
+	if err != nil {
+		t.Fatalf("run(%q) wrote unparseable JSON: %v", id, err)
+	}
+	if rep.Exhibit != id {
+		t.Errorf("run(%q) stamped exhibit %q", id, rep.Exhibit)
 	}
 }
 

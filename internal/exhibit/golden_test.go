@@ -74,21 +74,43 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 }
 
-// TestGoldenAll replays "-exhibit all -trials 2 -cycles 300 -reps 1
-// -loads 0.5 -patterns uniform": the registry's iteration order and every
-// exhibit's wiring, concatenated exactly as the CLI prints them.
+// allParams are the settings of "-exhibit all -trials 2 -cycles 300 -reps 1
+// -loads 0.5 -patterns uniform", the run all.txt holds.
+var allParams = analysis.Params{
+	Scale: "small", Seed: 7, Trials: 2, Cycles: 300, Reps: 1,
+	Loads: []float64{0.5}, Patterns: []string{"uniform"},
+}
+
+// TestGoldenAll replays the all.txt run: the registry's iteration order and
+// every exhibit's wiring, concatenated exactly as the CLI prints them. Each
+// report must also carry its exhibit stamp, miss no observation, and come
+// back from its JSON form with the same text.
 func TestGoldenAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full -exhibit all replay skipped under -short")
 	}
 	var got string
 	for _, e := range All() {
-		rep, err := e.Run(analysis.Params{
-			Scale: "small", Seed: 7, Trials: 2, Cycles: 300, Reps: 1,
-			Loads: []float64{0.5}, Patterns: []string{"uniform"},
-		})
+		rep, err := e.Run(allParams)
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if rep.Exhibit != e.ID {
+			t.Errorf("%s: report stamped exhibit %q", e.ID, rep.Exhibit)
+		}
+		if n := rep.MissingObs(); n != 0 {
+			t.Errorf("%s: unsharded report missing %d observations", e.ID, n)
+		}
+		data, err := rep.JSON()
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		back, err := analysis.ParseReport(data)
+		if err != nil {
+			t.Fatalf("%s: unparseable JSON: %v", e.ID, err)
+		}
+		if back.Exhibit != e.ID || back.Format() != rep.Format() {
+			t.Errorf("%s: JSON round trip changed the report", e.ID)
 		}
 		got += rep.Format() + "\n"
 	}
@@ -118,10 +140,7 @@ func TestUpdateGoldens(t *testing.T) {
 		if err := os.WriteFile(path, []byte(rep.Format()+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		allRep, err := e.Run(analysis.Params{
-			Scale: "small", Seed: 7, Trials: 2, Cycles: 300, Reps: 1,
-			Loads: []float64{0.5}, Patterns: []string{"uniform"},
-		})
+		allRep, err := e.Run(allParams)
 		if err != nil {
 			t.Fatalf("%s (all params): %v", e.ID, err)
 		}
